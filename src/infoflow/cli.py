@@ -4,8 +4,7 @@ Subcommands: validate, evaluate, simulate, sweep, rank. All accept
 --output PATH (default: stdout) and --format json|csv. Exit codes: 0 on
 success, 1 when the input fails parsing/validation, 2 on usage errors.
 Human-readable progress and diagnostics go to stderr; reports to stdout or
-the output file. The INFOFLOW_WORKERS environment variable caps the
-simulation thread count (default: all cores).
+the output file.
 """
 
 from __future__ import annotations

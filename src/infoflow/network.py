@@ -10,6 +10,7 @@ vectors and transition matrices.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -78,7 +79,7 @@ def validate(spec: NetworkSpec) -> ValidationReport:
     ids = [s.id for s in spec.stakeholders]
     id_set = set(ids)
 
-    for sid in sorted({i for i in ids if ids.count(i) > 1}):
+    for sid in sorted(i for i, c in Counter(ids).items() if c > 1):
         v.append(f"duplicate stakeholder id '{sid}'")
     for s in spec.stakeholders:
         if s.id in ABSORBING_ORDER:
@@ -107,29 +108,42 @@ def validate(spec: NetworkSpec) -> ValidationReport:
         return ValidationReport(tuple(v))
 
     # Structural checks need a well-formed flow list, hence the early return.
-    outflow = {sid: 0.0 for sid in ids}
-    for f in spec.flows:
-        outflow[f.source] += f.frequency
-    for sid in ids:
-        if outflow[sid] <= 0.0:
-            v.append(f"dead-end transient state '{sid}' (no positive outflow)")
+    return ValidationReport(tuple(_flow_violations(ids, _outflows(spec))))
 
+
+def _outflows(spec: NetworkSpec) -> list[dict[str, float]]:
+    """target -> frequency of every stakeholder, in declaration order, from
+    one pass over the flows of a well-formed spec."""
+    out = {sid: {} for sid in spec.ids}
+    for f in spec.flows:
+        out[f.source][f.target] = f.frequency
+    return list(out.values())
+
+
+def _flow_violations(ids, outflows: list[dict[str, float]]) -> list[str]:
+    """Dead-end and absorbing-reachability violations of per-stakeholder
+    outflows, given in declaration order."""
+    v = [
+        f"dead-end transient state '{sid}' (no positive outflow)"
+        for sid, out in zip(ids, outflows)
+        if sum(out.values()) <= 0.0
+    ]
     # Absorbing reachability over strictly positive flows.
+    positive = [[t for t, c in out.items() if c > 0] for out in outflows]
     reaches = {sid: False for sid in ids}
     changed = True
     while changed:
         changed = False
-        for f in spec.flows:
-            if f.frequency <= 0 or reaches[f.source]:
-                continue
-            if f.target in ABSORBING_ORDER or reaches.get(f.target, False):
-                reaches[f.source] = True
+        for sid, targets in zip(ids, positive):
+            if not reaches[sid] and any(
+                t in ABSORBING_ORDER or reaches[t] for t in targets
+            ):
+                reaches[sid] = True
                 changed = True
     for sid in ids:
         if not reaches[sid]:
             v.append(f"no absorbing state reachable from stakeholder '{sid}'")
-
-    return ValidationReport(tuple(v))
+    return v
 
 
 def require_valid(spec: NetworkSpec) -> None:
@@ -148,71 +162,101 @@ def counts_for(spec: NetworkSpec, stakeholder: str) -> CountVector:
     ids = spec.ids
     if stakeholder not in ids:
         raise UnknownStakeholderError(f"unknown stakeholder '{stakeholder}'")
+    position = {label: i for i, label in enumerate(ids + ABSORBING_ORDER)}
     targets = {f.target: f.frequency for f in spec.flows if f.source == stakeholder}
-    order = [sid for sid in ids if sid in targets]
-    order += [a for a in ABSORBING_ORDER if a in targets]
+    return _ordered({t: c for t, c in targets.items() if t in position}, position)
+
+
+def _ordered(targets: dict[str, float], position: dict[str, int]) -> CountVector:
+    order = sorted(targets, key=position.__getitem__)
     return CountVector(tuple(order), [targets[t] for t in order])
 
 
 @dataclass(frozen=True, eq=False)
 class _CompiledRow:
     """Assembly plan for one stakeholder row: posterior parameters plus the
-    Q/R column positions of its interacting states."""
+    column of each interacting state in the stacked [Q | R] row."""
 
     index: int
     counts: CountVector
     alpha: np.ndarray  # flat-prior posterior, 1 + counts
-    q_cols: np.ndarray
-    q_sel: np.ndarray
-    r_cols: np.ndarray
-    r_sel: np.ndarray
+    cols: np.ndarray
+
+
+def _compile_row(index: int, cv: CountVector, position: dict[str, int]) -> _CompiledRow:
+    alpha = 1.0 + cv.counts
+    alpha.flags.writeable = False
+    cols = np.array([position[label] for label in cv.labels], dtype=np.intp)
+    return _CompiledRow(index, cv, alpha, cols)
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Assembly plan of a valid spec: state labels, one row per stakeholder
+    in declaration order, and the start stakeholder's index."""
+
+    state_order: tuple[str, ...]
+    rows: tuple[_CompiledRow, ...]
+    start: int
+
+    def override(self, index: int, counts: CountVector) -> _Plan:
+        """This plan with row `index` rebuilt from `counts`, whose labels
+        must be states of this plan."""
+        position = {label: i for i, label in enumerate(self.state_order)}
+        rows = list(self.rows)
+        rows[index] = _compile_row(index, counts, position)
+        return _Plan(self.state_order, tuple(rows), self.start)
+
+    def require_valid(self) -> None:
+        """Raise ValidationError, as validate would for the spec the rows
+        describe, if a row is a dead end or cannot reach absorption."""
+        outflows = [dict(zip(row.counts.labels, row.counts.counts)) for row in self.rows]
+        v = _flow_violations(self.state_order[: len(self.rows)], outflows)
+        if v:
+            raise ValidationError(ValidationReport(tuple(v)))
 
 
 @lru_cache(maxsize=128)
-def _compiled(spec: NetworkSpec):
+def _compiled(spec: NetworkSpec) -> _Plan:
     """Per-spec assembly plan: validation + per-stakeholder rows, cached."""
     require_valid(spec)
-    ids = spec.ids
-    state_order = ids + ABSORBING_ORDER
-    col = {label: i for i, label in enumerate(state_order)}
-    n = len(ids)
-    rows = []
-    for i, sid in enumerate(ids):
-        cv = counts_for(spec, sid)
-        q_cols, r_cols, q_sel, r_sel = [], [], [], []
-        for j, label in enumerate(cv.labels):
-            if label in ABSORBING_ORDER:
-                r_cols.append(col[label] - n)
-                r_sel.append(j)
-            else:
-                q_cols.append(col[label])
-                q_sel.append(j)
-        alpha = 1.0 + cv.counts
-        alpha.flags.writeable = False
-        rows.append(
-            _CompiledRow(
-                index=i,
-                counts=cv,
-                alpha=alpha,
-                q_cols=np.asarray(q_cols, dtype=np.intp),
-                q_sel=np.asarray(q_sel, dtype=np.intp),
-                r_cols=np.asarray(r_cols, dtype=np.intp),
-                r_sel=np.asarray(r_sel, dtype=np.intp),
-            )
-        )
-    return state_order, rows
+    state_order = spec.ids + ABSORBING_ORDER
+    position = {label: i for i, label in enumerate(state_order)}
+    rows = tuple(
+        _compile_row(i, _ordered(targets, position), position)
+        for i, targets in enumerate(_outflows(spec))
+    )
+    return _Plan(state_order, rows, position[spec.start])
 
 
-def _assemble(spec: NetworkSpec, row_theta) -> TransitionMatrix:
-    state_order, rows = _compiled(spec)
-    n = len(rows)
-    q = np.zeros((n, n))
-    r = np.zeros((n, len(ABSORBING_ORDER)))
-    for row in rows:
-        theta = row_theta(row.counts)
-        q[row.index, row.q_cols] = theta[row.q_sel]
-        r[row.index, row.r_cols] = theta[row.r_sel]
-    return build_canonical(q, r, state_order)
+def _chain(plan: _Plan, qr: np.ndarray) -> TransitionMatrix:
+    n = len(plan.rows)
+    return build_canonical(qr[:, :n], qr[:, n:], plan.state_order)
+
+
+def _plug_in(plan: _Plan, mode: str) -> TransitionMatrix:
+    """Deterministic chain of `plan` in a canonical plug-in mode."""
+    qr = np.zeros((len(plan.rows), len(plan.state_order)))
+    for row in plan.rows:
+        if mode == RAW_FREQUENCY:
+            qr[row.index, row.cols] = row.counts.counts / row.counts.total
+        else:
+            posterior = dirichlet.noninformative_posterior(row.counts)
+            qr[row.index, row.cols] = dirichlet.mean(posterior).theta
+    return _chain(plan, qr)
+
+
+def _draw_rows(plan: _Plan, rng: np.random.Generator, qr: np.ndarray) -> None:
+    """Write one flat-prior posterior draw of every row into the zeroed
+    stacked [Q | R] buffer of shape (n, n + 3).
+
+    Rows are drawn in declaration order with one standard_gamma call each,
+    so the result is a pure function of (plan, generator state).
+    """
+    for row in plan.rows:
+        g = rng.standard_gamma(row.alpha)
+        theta = g / g.sum()
+        qr[row.index, row.cols] = theta / theta.sum()
 
 
 def plug_in_chain(spec: NetworkSpec, mode: str = RAW_FREQUENCY) -> TransitionMatrix:
@@ -222,18 +266,14 @@ def plug_in_chain(spec: NetworkSpec, mode: str = RAW_FREQUENCY) -> TransitionMat
         mode = _MODE_ALIASES[mode]
     except KeyError:
         raise ValueError(f"unknown plug-in mode {mode!r}") from None
-    if mode == RAW_FREQUENCY:
-        return _assemble(spec, lambda cv: cv.counts / cv.total)
-    return _assemble(
-        spec, lambda cv: dirichlet.mean(dirichlet.noninformative_posterior(cv)).theta
-    )
+    return _plug_in(_compiled(spec), mode)
 
 
 def sampled_chain(spec: NetworkSpec, rng: np.random.Generator) -> TransitionMatrix:
     """Stochastic chain: each stakeholder row is one draw from its flat-prior
     posterior. Rows are drawn in declaration order, so the result is a pure
     function of (spec, generator state)."""
-    return _assemble(
-        spec,
-        lambda cv: dirichlet.sample(dirichlet.noninformative_posterior(cv), rng).theta,
-    )
+    plan = _compiled(spec)
+    qr = np.zeros((len(plan.rows), len(plan.state_order)))
+    _draw_rows(plan, rng, qr)
+    return _chain(plan, qr)

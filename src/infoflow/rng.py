@@ -3,7 +3,7 @@
 Every Monte Carlo iteration owns an independent generator derived from the
 master seed and an integer path (iteration index, and for sweeps the
 stakeholder/increment indices). Derivation is a pure function of
-(seed, path), so results do not depend on execution order or thread count.
+(seed, path), so results do not depend on execution order.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import network
 from .dirichlet import CountVector
 from .errors import (
     DegenerateRangeError,
@@ -23,14 +24,7 @@ from .errors import (
     UnknownStakeholderError,
 )
 from .markov import absorption_probabilities
-from .network import (
-    RAW_FREQUENCY,
-    FlowRecord,
-    NetworkSpec,
-    counts_for,
-    plug_in_chain,
-    require_valid,
-)
+from .network import RAW_FREQUENCY, NetworkSpec, _plug_in, require_valid
 from .simulation import draw_samples
 
 MONTE_CARLO = "monte-carlo"
@@ -121,14 +115,6 @@ def _di_grid(total: float, increment: float) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
-def _with_reallocated(spec: NetworkSpec, stakeholder: str, cv: CountVector) -> NetworkSpec:
-    kept = tuple(f for f in spec.flows if f.source != stakeholder)
-    new = tuple(
-        FlowRecord(stakeholder, label, float(v)) for label, v in zip(cv.labels, cv.counts)
-    )
-    return NetworkSpec(spec.stakeholders, kept + new, spec.start)
-
-
 def sweep_ineffective(
     spec: NetworkSpec,
     stakeholder: str,
@@ -137,40 +123,42 @@ def sweep_ineffective(
     mode: str = MONTE_CARLO,
     *,
     increment: float = 1.0,
-    workers: int | None = None,
 ) -> SweepResult:
     """Sweep one stakeholder's discarded-flow frequency over 0..total outflow.
 
     Monte Carlo mode estimates each increment's means from `iterations`
     posterior draws; increment i of stakeholder s uses streams derived from
     (seed, index(s), i, t). Plug-in mode evaluates the raw-frequency chain
-    deterministically and ignores `iterations`.
+    deterministically and ignores `iterations`. The spec is compiled once;
+    each increment overrides only the swept row of that plan.
     """
     try:
         mode = _MODE_ALIASES[mode]
     except KeyError:
         raise ValueError(f"unknown sweep mode {mode!r}") from None
-    require_valid(spec)
+    plan = network._compiled(spec)  # validates the spec
     if stakeholder not in spec.ids:
         raise UnknownStakeholderError(f"unknown stakeholder '{stakeholder}'")
-    base = counts_for(spec, stakeholder)
-    grid = _di_grid(base.total, increment)
     s_idx = spec.ids.index(stakeholder)
-    start_idx = spec.ids.index(spec.start)
+    base = plan.rows[s_idx].counts
+    grid = _di_grid(base.total, increment)
 
     means = np.empty((len(grid), 3))
     all_samples = np.empty((len(grid), iterations, 3)) if mode == MONTE_CARLO else None
     for i, di in enumerate(grid):
-        modified = _with_reallocated(spec, stakeholder, reallocate(base, di))
+        swept = plan.override(s_idx, reallocate(base, di))
+        if di == 0:
+            # Any positive discard gives the swept row a direct route to
+            # absorbing DI, and the other rows and the row total are
+            # unchanged; only zero discard can cut a route to absorption.
+            swept.require_valid()
         if mode == MONTE_CARLO:
-            samples = draw_samples(
-                modified, iterations, seed, workers=workers, key=(s_idx, i)
-            )
+            samples = draw_samples(swept, iterations, seed, key=(s_idx, i))
             all_samples[i] = samples
             means[i] = samples.mean(axis=0)
         else:
-            result = absorption_probabilities(plug_in_chain(modified, RAW_FREQUENCY))
-            means[i] = result.b[start_idx]
+            result = absorption_probabilities(_plug_in(swept, RAW_FREQUENCY))
+            means[i] = result.b[plan.start]
 
     p_s_max = float(means[0, 1])
     p_s_min = float(means[-1, 1])
@@ -195,8 +183,6 @@ def rank_details(
     iterations: int,
     seed: int,
     mode: str = MONTE_CARLO,
-    *,
-    workers: int | None = None,
 ) -> list[SweepResult]:
     """Sweep every stakeholder except the start; most impactful first.
 
@@ -204,7 +190,7 @@ def rank_details(
     """
     require_valid(spec)
     sweeps = [
-        sweep_ineffective(spec, sid, iterations, seed, mode, workers=workers)
+        sweep_ineffective(spec, sid, iterations, seed, mode)
         for sid in spec.ids
         if sid != spec.start
     ]
@@ -216,11 +202,9 @@ def rank_stakeholders(
     iterations: int,
     seed: int,
     mode: str = MONTE_CARLO,
-    *,
-    workers: int | None = None,
 ) -> list[tuple[str, float]]:
     """(stakeholder, impact_ratio) pairs, highest impact first."""
     return [
         (sw.stakeholder, sw.impact_ratio)
-        for sw in rank_details(spec, iterations, seed, mode, workers=workers)
+        for sw in rank_details(spec, iterations, seed, mode)
     ]

@@ -5,25 +5,19 @@ posteriors, solves for absorption probabilities, and records the start
 stakeholder's (P_DI, P_S, P_US) triple. Iteration t always uses the random
 stream derived from (seed, t), so the output is a pure function of
 (spec, iterations, seed) no matter how iterations are scheduled.
-
-Iterations run on a thread pool sized by the `workers` argument, the
-INFOFLOW_WORKERS environment variable, or all cores, in that order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptySampleError, SingularSystemError
-from .network import NetworkSpec, _compiled
+from .network import NetworkSpec, _compiled, _draw_rows, _Plan
 from .rng import stream
 
 DEFAULT_BINS = 50
-WORKERS_ENV = "INFOFLOW_WORKERS"
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,35 +61,19 @@ def summarize(values, bins: int = DEFAULT_BINS) -> SampleStats:
     return SampleStats(edges, counts, float(values.mean()), std)
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, int(workers))
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _simulate_block(plan: _Plan, iterations: int, seed: int, key) -> np.ndarray:
+    """(iterations, 3) start-state absorption triples of `plan`.
 
-
-def _simulate_block(rows, n, start_idx, seed, key, lo, hi, out) -> None:
-    """Fill out[lo:hi] with start-state absorption triples.
-
-    Reproduces, value for value, what sampled_chain + absorption_probabilities
-    compute per iteration (same stream, same gamma draws and normalization
-    order), but without intermediate objects, and solves the whole block as
-    one stacked system. tests/test_simulation.py pins this equivalence.
+    Iteration t draws its chain from stream (seed, *key, t) with the helper
+    sampled_chain uses, so each triple equals what sampled_chain +
+    absorption_probabilities give for that stream; all chains are then
+    normalized and solved as one stacked system.
     """
-    count = hi - lo
-    q = np.zeros((count, n, n))
-    r = np.zeros((count, n, 3))
-    for t in range(lo, hi):
-        qt, rt = q[t - lo], r[t - lo]
-        rng = stream(seed, *key, t)
-        for row in rows:
-            g = rng.standard_gamma(row.alpha)
-            theta = g / g.sum()
-            theta = theta / theta.sum()
-            qt[row.index, row.q_cols] = theta[row.q_sel]
-            rt[row.index, row.r_cols] = theta[row.r_sel]
+    n = len(plan.rows)
+    qr = np.zeros((iterations, n, len(plan.state_order)))
+    for t in range(iterations):
+        _draw_rows(plan, stream(seed, *key, t), qr[t])
+    q, r = qr[..., :n], qr[..., n:]
     sums = q.sum(axis=2) + r.sum(axis=2)
     q /= sums[..., np.newaxis]
     r /= sums[..., np.newaxis]
@@ -105,49 +83,35 @@ def _simulate_block(rows, n, start_idx, seed, key, lo, hi, out) -> None:
     except np.linalg.LinAlgError:
         b = None
     if b is None or not np.all(np.isfinite(b)):
-        for t in range(lo, hi):  # localize the offending iteration
+        for t in range(iterations):  # localize the offending iteration
             try:
-                bt = np.linalg.solve(a[t - lo], r[t - lo])
+                bt = np.linalg.solve(a[t], r[t])
             except np.linalg.LinAlgError:
                 bt = None
             if bt is None or not np.all(np.isfinite(bt)):
                 raise SingularSystemError(f"iteration {t}: I - Q is singular")
         raise SingularSystemError("I - Q is singular")
-    out[lo:hi] = b[:, start_idx, :]
+    return b[:, plan.start, :].copy()
 
 
 def draw_samples(
-    spec: NetworkSpec,
+    spec: NetworkSpec | _Plan,
     iterations: int,
     seed: int,
     *,
-    workers: int | None = None,
     key: tuple[int, ...] = (),
 ) -> np.ndarray:
     """(iterations, 3) start-state absorption triples, one per posterior draw.
 
-    `key` prefixes the per-iteration stream path; sweeps use it to give each
-    (stakeholder, increment) its own family of streams under one master seed.
+    `spec` may also be a plan compiled from a spec; sweeps pass the base
+    plan with the swept row overridden. `key` prefixes the per-iteration
+    stream path; sweeps use it to give each (stakeholder, increment) its own
+    family of streams under one master seed.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    _, rows = _compiled(spec)  # validates the spec
-    n = len(rows)
-    start_idx = spec.ids.index(spec.start)
-    samples = np.empty((iterations, 3))
-    n_workers = min(_worker_count(workers), iterations)
-    if n_workers <= 1:
-        _simulate_block(rows, n, start_idx, seed, key, 0, iterations, samples)
-        return samples
-    bounds = np.linspace(0, iterations, n_workers + 1).astype(int)
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        futures = [
-            pool.submit(_simulate_block, rows, n, start_idx, seed, key, lo, hi, samples)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-        ]
-        for f in futures:
-            f.result()
-    return samples
+    plan = spec if isinstance(spec, _Plan) else _compiled(spec)  # validates a spec
+    return _simulate_block(plan, iterations, seed, key)
 
 
 def run(
@@ -156,10 +120,9 @@ def run(
     seed: int,
     *,
     bins: int = DEFAULT_BINS,
-    workers: int | None = None,
 ) -> SimulationSummary:
     """Monte Carlo estimate of the absorption distribution from the start state."""
-    samples = draw_samples(spec, iterations, seed, workers=workers)
+    samples = draw_samples(spec, iterations, seed)
     stats = summarize(samples[:, 1], bins=bins)
     mean_di, mean_s, mean_us = samples.mean(axis=0)
     samples.flags.writeable = False

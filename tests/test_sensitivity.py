@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from infoflow.dirichlet import CountVector
@@ -12,14 +12,26 @@ from infoflow.errors import (
     NegativeEntryError,
     NoNonDiTargetsError,
     UnknownStakeholderError,
+    ValidationError,
 )
-from infoflow.network import FlowRecord, NetworkSpec, Stakeholder
+from infoflow.markov import ABSORBING_ORDER, absorption_probabilities
+from infoflow.network import (
+    FlowRecord,
+    NetworkSpec,
+    Stakeholder,
+    _compiled,
+    counts_for,
+    plug_in_chain,
+    validate,
+)
 from infoflow.sensitivity import (
+    _di_grid,
     impact_ratio,
     rank_stakeholders,
     reallocate,
     sweep_ineffective,
 )
+from infoflow.simulation import draw_samples
 
 
 def d_counts():
@@ -198,3 +210,145 @@ class TestRank:
         ranking = rank_stakeholders(symmetric_spec(), 1, 0, "plug-in")
         assert [sid for sid, _ in ranking] == ["X", "Y"]
         assert ranking[0][1] == ranking[1][1]
+
+
+def _with_reallocated(spec, stakeholder, cv):
+    """The spec one sweep increment describes, rebuilt from scratch."""
+    kept = tuple(f for f in spec.flows if f.source != stakeholder)
+    new = tuple(
+        FlowRecord(stakeholder, label, float(v)) for label, v in zip(cv.labels, cv.counts)
+    )
+    return NetworkSpec(spec.stakeholders, kept + new, spec.start)
+
+
+def rebuilt_sweep(spec, stakeholder, iterations, seed, mode):
+    """Oracle for sweep_ineffective: a fresh spec per increment, evaluated by
+    the public per-spec functions. Monte Carlo mode returns the samples
+    (increments, iterations, 3), plug-in mode the means (increments, 3)."""
+    s_idx = spec.ids.index(stakeholder)
+    base = counts_for(spec, stakeholder)
+    out = []
+    for i, di in enumerate(_di_grid(base.total, 1.0)):
+        modified = _with_reallocated(spec, stakeholder, reallocate(base, di))
+        if mode == "mc":
+            out.append(draw_samples(modified, iterations, seed, key=(s_idx, i)))
+        else:
+            out.append(absorption_probabilities(plug_in_chain(modified, "raw")).row(spec.start))
+    return np.array(out)
+
+
+def cyclic_spec():
+    # X and Y feed each other; each also has its own absorbing exits.
+    return NetworkSpec(
+        (Stakeholder("A", "federal"), Stakeholder("X", "state"), Stakeholder("Y", "local")),
+        (
+            FlowRecord("A", "X", 6.0),
+            FlowRecord("A", "Y", 4.0),
+            FlowRecord("A", "DI", 1.0),
+            FlowRecord("X", "Y", 5.0),
+            FlowRecord("X", "S", 3.0),
+            FlowRecord("X", "DI", 2.0),
+            FlowRecord("Y", "X", 2.0),
+            FlowRecord("Y", "S", 4.0),
+            FlowRecord("Y", "US", 3.0),
+        ),
+        "A",
+    )
+
+
+def dead_loop_spec():
+    # X's only route to absorption is its DI flow; at zero discard all of
+    # X's flow goes to Y, which only returns it to X.
+    return NetworkSpec(
+        (Stakeholder("A", "federal"), Stakeholder("X", "state"), Stakeholder("Y", "local")),
+        (
+            FlowRecord("A", "X", 4.0),
+            FlowRecord("A", "S", 1.0),
+            FlowRecord("X", "Y", 5.0),
+            FlowRecord("X", "DI", 5.0),
+            FlowRecord("Y", "X", 3.0),
+        ),
+        "A",
+    )
+
+
+class TestSweepOverride:
+    """A sweep overrides one row of the compiled base plan per increment; it
+    must match, bit for bit, a sweep that rebuilds the spec every time."""
+
+    @pytest.mark.parametrize("stakeholder", ["B", "C", "D", "E"])
+    @pytest.mark.parametrize("mode", ["mc", "plugin"])
+    def test_reference_network(self, reference_spec, stakeholder, mode):
+        self.check(reference_spec, stakeholder, mode)
+
+    @pytest.mark.parametrize("stakeholder", ["X", "Y"])
+    @pytest.mark.parametrize("mode", ["mc", "plugin"])
+    def test_cyclic_network(self, stakeholder, mode):
+        self.check(cyclic_spec(), stakeholder, mode)
+
+    @staticmethod
+    def check(spec, stakeholder, mode):
+        sw = sweep_ineffective(spec, stakeholder, 40, 11, mode)
+        want = rebuilt_sweep(spec, stakeholder, 40, 11, mode)
+        if mode == "mc":
+            assert np.array_equal(sw.samples, want)
+            assert np.array_equal(sw.means, want.mean(axis=1))
+        else:
+            assert np.array_equal(sw.means, want)
+
+    @pytest.mark.parametrize("mode", ["mc", "plugin"])
+    def test_zero_discard_that_cuts_absorption_is_rejected(self, mode):
+        spec = dead_loop_spec()
+        rebuilt = validate(_with_reallocated(spec, "X", reallocate(counts_for(spec, "X"), 0)))
+        assert not rebuilt.ok
+        with pytest.raises(ValidationError) as exc:
+            sweep_ineffective(spec, "X", 5, 0, mode)
+        assert exc.value.report.violations == rebuilt.violations
+
+
+_FREQUENCIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 5.0])
+
+
+@st.composite
+def valid_networks(draw):
+    """Valid networks with cycles, zero-frequency flows and a first row of at
+    least 8 targets; the other rows are sparse, so that a row's DI flow is
+    often its only route to absorption. Stakeholder i has a positive flow to
+    DI or to an earlier stakeholder, so every stakeholder reaches
+    absorption."""
+    ids = [f"s{i}" for i in range(draw(st.integers(6, 9)))]
+    flows = []
+    for i, sid in enumerate(ids):
+        states = [t for t in ids if t != sid] + list(ABSORBING_ORDER)
+        size = (8, len(states)) if i == 0 else (1, 3)
+        targets = draw(st.lists(
+            st.sampled_from(states), min_size=size[0], max_size=size[1], unique=True))
+        row = {t: draw(_FREQUENCIES) for t in targets}
+        row[draw(st.sampled_from(["DI"] + ids[:i]))] = draw(st.sampled_from([1.0, 4.0, 9.0]))
+        flows += [FlowRecord(sid, t, f) for t, f in row.items()]
+    return NetworkSpec(tuple(Stakeholder(s, "local") for s in ids), tuple(flows), ids[0])
+
+
+@given(valid_networks())
+@example(dead_loop_spec())
+def test_reallocated_rows_keep_a_valid_network_valid(spec):
+    # Every grid point with positive discard gives a valid spec, so sweeps
+    # need not revalidate it; at zero discard the swept plan's own check
+    # reports exactly what validate reports for the rebuilt spec.
+    assert validate(spec).ok
+    plan = _compiled(spec)
+    for s_idx, sid in enumerate(spec.ids):
+        base = counts_for(spec, sid)
+        for di in _di_grid(base.total, 1.0):
+            try:
+                cv = reallocate(base, di)
+            except NoNonDiTargetsError:
+                continue  # all outflow already discarded: the sweep stops here
+            report = validate(_with_reallocated(spec, sid, cv))
+            assert report.ok or di == 0
+            try:
+                plan.override(s_idx, cv).require_valid()
+                got = ()
+            except ValidationError as exc:
+                got = exc.report.violations
+            assert got == report.violations

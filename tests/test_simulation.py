@@ -53,13 +53,6 @@ class TestRun:
         )
         assert np.array_equal(a.histogram_counts, b.histogram_counts)
 
-    def test_bit_identical_across_worker_counts(self, reference_spec):
-        samples = [
-            draw_samples(reference_spec, 301, 5, workers=w) for w in (1, 4, 16)
-        ]
-        assert np.array_equal(samples[0], samples[1])
-        assert np.array_equal(samples[0], samples[2])
-
     def test_engine_matches_public_per_iteration_path(self, reference_spec):
         # The vectorised engine must reproduce, bit for bit, what the public
         # sampled_chain + absorption_probabilities composition yields.
@@ -93,7 +86,7 @@ class TestRun:
         plug = absorption_probabilities(
             plug_in_chain(reference_spec, "posterior-mean")
         ).row("A")[1]
-        summary = run(reference_spec, 100_000, seed=13, workers=1)
+        summary = run(reference_spec, 100_000, seed=13)
         assert summary.mean_s == pytest.approx(plug, abs=0.01)
 
     def test_standard_error_scales_with_sqrt_iterations(self, reference_spec):
@@ -105,7 +98,7 @@ class TestRun:
         ).row("A")[1]
         ses = {}
         for n in (1000, 4000, 16_000):
-            summary = run(reference_spec, n, seed=31, workers=1)
+            summary = run(reference_spec, n, seed=31)
             se = summary.std_s / np.sqrt(n)
             ses[n] = se
             assert abs(summary.mean_s - exact) < 4 * se
