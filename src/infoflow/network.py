@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -191,13 +191,52 @@ def _compile_row(index: int, cv: CountVector, position: dict[str, int]) -> _Comp
 
 
 @dataclass(frozen=True, eq=False)
+class _RowGroup:
+    """The rows of a plan that have k interacting states: where each row's
+    draws sit in the plan's concatenated alpha, and where its normalised
+    probabilities go in one stacked [Q | R] block."""
+
+    gather: np.ndarray  # (rows_k, k) positions in _Plan.alpha
+    scatter: np.ndarray  # (rows_k, k) flat positions in an (n, n + 3) block
+
+
+@dataclass(frozen=True, eq=False)
 class _Plan:
     """Assembly plan of a valid spec: state labels, one row per stakeholder
-    in declaration order, and the start stakeholder's index."""
+    in declaration order, and the start stakeholder's index.
+
+    The draw layout (`alpha`, `groups`) is built on first use, so plans that
+    are only solved in plug-in mode never pay for it.
+    """
 
     state_order: tuple[str, ...]
     rows: tuple[_CompiledRow, ...]
     start: int
+
+    @cached_property
+    def alpha(self) -> np.ndarray:
+        """Every row's posterior alpha, concatenated in declaration order:
+        one standard_gamma call over it draws all rows at once."""
+        alpha = np.concatenate([row.alpha for row in self.rows])
+        alpha.flags.writeable = False
+        return alpha
+
+    @cached_property
+    def groups(self) -> tuple[_RowGroup, ...]:
+        """Rows grouped by their number of interacting states, so each group
+        normalises as one (draws, rows_k, k) array."""
+        width = len(self.state_order)
+        members: dict[int, list[int]] = {}
+        for i, row in enumerate(self.rows):
+            members.setdefault(len(row.cols), []).append(i)
+        offsets = np.cumsum([0] + [len(row.cols) for row in self.rows])
+        return tuple(
+            _RowGroup(
+                gather=offsets[rows, np.newaxis] + np.arange(k),
+                scatter=np.stack([self.rows[i].cols + i * width for i in rows]),
+            )
+            for k, rows in sorted(members.items())
+        )
 
     def override(self, index: int, counts: CountVector) -> _Plan:
         """This plan with row `index` rebuilt from `counts`, whose labels
@@ -246,17 +285,21 @@ def _plug_in(plan: _Plan, mode: str) -> TransitionMatrix:
     return _chain(plan, qr)
 
 
-def _draw_rows(plan: _Plan, rng: np.random.Generator, qr: np.ndarray) -> None:
-    """Write one flat-prior posterior draw of every row into the zeroed
-    stacked [Q | R] buffer of shape (n, n + 3).
+def _fill_draws(plan: _Plan, gammas: np.ndarray, qr: np.ndarray) -> None:
+    """Write the rows of a batch of posterior draws into `qr`.
 
-    Rows are drawn in declaration order with one standard_gamma call each,
-    so the result is a pure function of (plan, generator state).
+    `gammas` is (draws, E): row d holds one standard_gamma call over
+    `plan.alpha`. `qr` is the (draws, n, n + 3) stacked [Q | R] buffer, zero
+    outside the plan's interacting states. Each row is normalised twice, as
+    theta = g / g.sum() and then theta / theta.sum(). The gather is
+    C-contiguous so that every row sums along a contiguous last axis, which
+    rounds exactly as the sum of that row alone would.
     """
-    for row in plan.rows:
-        g = rng.standard_gamma(row.alpha)
-        theta = g / g.sum()
-        qr[row.index, row.cols] = theta / theta.sum()
+    flat = qr.reshape(len(gammas), -1)
+    for group in plan.groups:
+        x = np.take(gammas, group.gather, axis=1)  # C-contiguous (draws, rows_k, k)
+        theta = x / x.sum(axis=-1, keepdims=True)
+        flat[:, group.scatter] = theta / theta.sum(axis=-1, keepdims=True)
 
 
 def plug_in_chain(spec: NetworkSpec, mode: str = RAW_FREQUENCY) -> TransitionMatrix:
@@ -271,9 +314,10 @@ def plug_in_chain(spec: NetworkSpec, mode: str = RAW_FREQUENCY) -> TransitionMat
 
 def sampled_chain(spec: NetworkSpec, rng: np.random.Generator) -> TransitionMatrix:
     """Stochastic chain: each stakeholder row is one draw from its flat-prior
-    posterior. Rows are drawn in declaration order, so the result is a pure
+    posterior. All rows come from one standard_gamma call over the
+    concatenated alphas, in declaration order, so the result is a pure
     function of (spec, generator state)."""
     plan = _compiled(spec)
-    qr = np.zeros((len(plan.rows), len(plan.state_order)))
-    _draw_rows(plan, rng, qr)
-    return _chain(plan, qr)
+    qr = np.zeros((1, len(plan.rows), len(plan.state_order)))
+    _fill_draws(plan, rng.standard_gamma(plan.alpha)[np.newaxis], qr)
+    return _chain(plan, qr[0])

@@ -5,19 +5,28 @@ posteriors, solves for absorption probabilities, and records the start
 stakeholder's (P_DI, P_S, P_US) triple. Iteration t always uses the random
 stream derived from (seed, t), so the output is a pure function of
 (spec, iterations, seed) no matter how iterations are scheduled.
+
+An iteration costs one stream derivation and one standard_gamma call over
+all rows' concatenated alphas. Iterations then run in chunks whose stacked
+[Q | R] blocks fit in CHUNK_BYTES: each chunk is normalised group by group
+and solved as one stacked system. Memory is therefore bounded by the chunk
+buffers plus the (iterations, 3) output, whatever the iteration count, and
+the triples do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NoReturn
 
 import numpy as np
 
 from .errors import EmptySampleError, SingularSystemError
-from .network import NetworkSpec, _compiled, _draw_rows, _Plan
+from .network import NetworkSpec, _compiled, _fill_draws, _Plan
 from .rng import stream
 
 DEFAULT_BINS = 50
+CHUNK_BYTES = 4 * 2**20  # stacked [Q | R] draws held at once by one chunk
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,37 +70,63 @@ def summarize(values, bins: int = DEFAULT_BINS) -> SampleStats:
     return SampleStats(edges, counts, float(values.mean()), std)
 
 
+def _chunk_size(plan: _Plan, iterations: int) -> int:
+    """Iterations per chunk: as many stacked [Q | R] blocks as fit in
+    CHUNK_BYTES, at least one and at most `iterations`."""
+    block = 8 * len(plan.rows) * len(plan.state_order)
+    return max(1, min(iterations, CHUNK_BYTES // block))
+
+
 def _simulate_block(plan: _Plan, iterations: int, seed: int, key) -> np.ndarray:
     """(iterations, 3) start-state absorption triples of `plan`.
 
-    Iteration t draws its chain from stream (seed, *key, t) with the helper
-    sampled_chain uses, so each triple equals what sampled_chain +
-    absorption_probabilities give for that stream; all chains are then
-    normalized and solved as one stacked system.
+    Iteration t draws from stream (seed, *key, t) with one standard_gamma
+    call over the plan's concatenated alphas. Iterations run in chunks of
+    _chunk_size: each chunk's draws are normalised into a stacked [Q | R]
+    buffer by the helper sampled_chain uses, then solved as one stacked
+    system. So each triple equals what sampled_chain +
+    absorption_probabilities give for that stream, whatever the chunk size,
+    and only the output grows with the iteration count.
     """
     n = len(plan.rows)
-    qr = np.zeros((iterations, n, len(plan.state_order)))
-    for t in range(iterations):
-        _draw_rows(plan, stream(seed, *key, t), qr[t])
-    q, r = qr[..., :n], qr[..., n:]
-    sums = q.sum(axis=2) + r.sum(axis=2)
-    q /= sums[..., np.newaxis]
-    r /= sums[..., np.newaxis]
-    a = np.eye(n) - q
-    try:
-        b = np.linalg.solve(a, r)
-    except np.linalg.LinAlgError:
-        b = None
-    if b is None or not np.all(np.isfinite(b)):
-        for t in range(iterations):  # localize the offending iteration
-            try:
-                bt = np.linalg.solve(a[t], r[t])
-            except np.linalg.LinAlgError:
-                bt = None
-            if bt is None or not np.all(np.isfinite(bt)):
-                raise SingularSystemError(f"iteration {t}: I - Q is singular")
-        raise SingularSystemError("I - Q is singular")
-    return b[:, plan.start, :].copy()
+    chunk = _chunk_size(plan, iterations)
+    out = np.empty((iterations, 3))
+    gammas = np.empty((chunk, plan.alpha.size))
+    qr_buf = np.zeros((chunk, n, len(plan.state_order)))  # cells no row draws stay 0
+    a_buf = np.empty((chunk, n, n))
+    eye = np.eye(n)
+    for first in range(0, iterations, chunk):
+        m = min(chunk, iterations - first)
+        for t in range(m):
+            gammas[t] = stream(seed, *key, first + t).standard_gamma(plan.alpha)
+        qr, a = qr_buf[:m], a_buf[:m]
+        _fill_draws(plan, gammas[:m], qr)
+        q, r = qr[..., :n], qr[..., n:]
+        sums = q.sum(axis=2) + r.sum(axis=2)
+        q /= sums[..., np.newaxis]
+        r /= sums[..., np.newaxis]
+        np.subtract(eye, q, out=a)
+        try:
+            b = np.linalg.solve(a, r)
+        except np.linalg.LinAlgError:
+            b = None
+        if b is None or not np.all(np.isfinite(b)):
+            _raise_singular(a, r, first)
+        out[first : first + m] = b[:, plan.start, :]
+    return out
+
+
+def _raise_singular(a: np.ndarray, r: np.ndarray, first: int) -> NoReturn:
+    """Name the first iteration of a chunk starting at `first` whose
+    I - Q is singular."""
+    for t in range(len(a)):
+        try:
+            bt = np.linalg.solve(a[t], r[t])
+        except np.linalg.LinAlgError:
+            bt = None
+        if bt is None or not np.all(np.isfinite(bt)):
+            raise SingularSystemError(f"iteration {first + t}: I - Q is singular")
+    raise SingularSystemError("I - Q is singular")
 
 
 def draw_samples(

@@ -1,4 +1,5 @@
 import pytest
+from helpers import document_bytes, wide_row_network
 from hypothesis import HealthCheck, settings
 
 import infoflow
@@ -19,3 +20,8 @@ def reference_bytes() -> bytes:
 @pytest.fixture(scope="session")
 def reference_spec(reference_bytes):
     return infoflow.parse_network(reference_bytes)
+
+
+@pytest.fixture(scope="session")
+def wide_row_spec():
+    return infoflow.parse_network(document_bytes(wide_row_network()))

@@ -6,6 +6,8 @@ routes check each other.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 
@@ -58,3 +60,53 @@ def random_valid_chain(rng, n_max=5):
     r = rng.random((n, 3)) + 0.05
     total = q.sum(axis=1) + r.sum(axis=1)
     return q / total[:, None], r / total[:, None]
+
+
+def wide_row_network():
+    """Cyclic 13-stakeholder network document whose rows have 3, 8, 9 or 12
+    targets (cycling in declaration order). Rows this wide are where numpy's
+    pairwise summation rounds differently from a sequential sum, so they pin
+    the draw's normalisation bit for bit."""
+    ids = [f"W{i:02d}" for i in range(13)]
+    tails = (("S",), ("S", "US"), ("DI", "S", "US"))
+    flows = []
+    for i, sid in enumerate(ids):
+        width = (3, 8, 9, 12)[i % 4]
+        tail = tails[i % 3]
+        others = [ids[(i + 1 + j) % len(ids)] for j in range(width - len(tail))]
+        for j, target in enumerate(others + list(tail)):
+            flows.append({"from": sid, "to": target, "frequency": 1 + (37 * i + 11 * j) % 50})
+    return {
+        "stakeholders": [{"id": sid, "level": "state"} for sid in ids],
+        "start": ids[0],
+        "flows": flows,
+    }
+
+
+def layered_network(size, seed):
+    """Seeded cyclic network document of `size` stakeholders. Each sends
+    3-6 forward flows and discards (DI); one in seven also sends a flow back
+    to an earlier stakeholder, and about half (always the last) also deliver
+    to S and US."""
+    rng = np.random.default_rng(seed)
+    ids = [f"N{i:03d}" for i in range(size)]
+    flows = []
+    for i, sid in enumerate(ids):
+        later = ids[i + 1:]
+        targets = list(rng.choice(later, size=min(len(later), int(rng.integers(3, 7))),
+                                  replace=False)) if later else []
+        if i > 0 and rng.random() < 1 / 7:
+            targets.append(ids[int(rng.integers(i))])
+        targets += ["DI", "S", "US"] if i == size - 1 or rng.random() < 0.5 else ["DI"]
+        for target in targets:
+            flows.append({"from": sid, "to": str(target), "frequency": int(rng.integers(5, 41))})
+    return {
+        "stakeholders": [{"id": sid, "level": "local"} for sid in ids],
+        "start": ids[0],
+        "flows": flows,
+    }
+
+
+def document_bytes(doc):
+    """Canonical bytes of a network document, for the CLI and for digests."""
+    return (json.dumps(doc, indent=1) + "\n").encode("utf-8")

@@ -1,0 +1,47 @@
+"""Golden report digests: the SHA-256 of the CLI's stdout bytes for two
+seeded Monte Carlo commands.
+
+The digests were recorded before the posterior-draw engine was batched
+(one standard_gamma call per iteration, chunked solves), with numpy 2.4.6
+on OpenBLAS 0.3.31 (scipy-openblas, x86-64), and every later engine must
+reproduce them bit for bit. The wide-row network has rows of 8 to 12
+targets, where a change in how a row is summed shows in the last bits. A
+different numpy or BLAS may legitimately round differently; re-record
+only from a commit whose draws are known to be right.
+"""
+
+import hashlib
+
+import pytest
+from helpers import document_bytes, wide_row_network
+
+import infoflow
+from infoflow.cli import cli_main
+
+GOLDEN = {
+    "rank-mc-reference": "db2917b33833a8b73f98647cbb14ecd2586da4d93bb233c909838447267eef24",
+    "simulate-wide-row": "1547742a7e2e8e5cd13983723962f81c7c45d234ca36804f1397d755a898efcc",
+}
+
+
+@pytest.fixture()
+def wide_row_path(tmp_path):
+    path = tmp_path / "wide_row_network.json"
+    path.write_bytes(document_bytes(wide_row_network()))
+    return path
+
+
+def stdout_digest(argv, capsys):
+    assert cli_main(argv) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+
+
+def test_rank_mc_on_reference_network(capsys):
+    argv = ["rank", "--mode", "mc", "--iterations", "60", "--seed", "101",
+            str(infoflow.reference_network_path())]
+    assert stdout_digest(argv, capsys) == GOLDEN["rank-mc-reference"]
+
+
+def test_simulate_on_wide_row_network(wide_row_path, capsys):
+    argv = ["simulate", "--iterations", "50", "--seed", "101", str(wide_row_path)]
+    assert stdout_digest(argv, capsys) == GOLDEN["simulate-wide-row"]

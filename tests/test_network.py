@@ -4,7 +4,7 @@ from helpers import enumerate_paths_absorption
 
 from infoflow import dirichlet
 from infoflow.errors import UnknownStakeholderError, ValidationError
-from infoflow.markov import ABSORBING_ORDER, absorption_probabilities
+from infoflow.markov import ABSORBING_ORDER, absorption_probabilities, build_canonical
 from infoflow.network import (
     FlowRecord,
     NetworkSpec,
@@ -180,18 +180,30 @@ class TestSampledChain:
             sums = tm.q.sum(axis=1) + tm.r.sum(axis=1)
             assert np.max(np.abs(sums - 1.0)) <= 1e-9
 
-    def test_rows_are_dirichlet_draws_in_declaration_order(self, reference_spec):
+    @staticmethod
+    def assert_rows_are_dirichlet_draws(spec, seed):
         # Independent of the engine: one dirichlet.sample per stakeholder, in
-        # declaration order, from the same stream, gives the same rows.
-        tm = sampled_chain(reference_spec, stream(5))
-        rng = stream(5)
-        for i, sid in enumerate(reference_spec.ids):
-            cv = counts_for(reference_spec, sid)
-            want = dirichlet.sample(dirichlet.noninformative_posterior(cv), rng).theta
-            got = [
-                tm.r[i, ABSORBING_ORDER.index(label)]
-                if label in ABSORBING_ORDER
-                else tm.q[i, tm.state_order.index(label)]
-                for label in cv.labels
-            ]
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # declaration order, from the same stream, assembled by the public
+        # build_canonical (which renormalises each row once more), gives the
+        # same chain bit for bit.
+        tm = sampled_chain(spec, stream(seed))
+        rng = stream(seed)
+        n = len(spec.ids)
+        qr = np.zeros((n, n + len(ABSORBING_ORDER)))
+        for i, sid in enumerate(spec.ids):
+            cv = counts_for(spec, sid)
+            theta = dirichlet.sample(dirichlet.noninformative_posterior(cv), rng).theta
+            for label, p in zip(cv.labels, theta):
+                qr[i, tm.state_order.index(label)] = p
+        want = build_canonical(qr[:, :n], qr[:, n:], tm.state_order)
+        assert np.array_equal(tm.q, want.q) and np.array_equal(tm.r, want.r)
+
+    def test_rows_are_dirichlet_draws_in_declaration_order(self, reference_spec):
+        self.assert_rows_are_dirichlet_draws(reference_spec, 5)
+
+    @pytest.mark.parametrize("seed", [5, 6, -7])
+    def test_wide_rows_are_dirichlet_draws(self, wide_row_spec, seed):
+        # Rows of 8, 9 and 12 targets: a sum that is not numpy's pairwise sum
+        # of the row alone rounds differently here.
+        assert {len(counts_for(wide_row_spec, s)) for s in wide_row_spec.ids} == {3, 8, 9, 12}
+        self.assert_rows_are_dirichlet_draws(wide_row_spec, seed)

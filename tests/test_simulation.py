@@ -1,9 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from helpers import document_bytes, layered_network
 
-from infoflow.errors import EmptySampleError, ValidationError
+import infoflow
+from infoflow import simulation
+from infoflow.errors import EmptySampleError, SingularSystemError, ValidationError
 from infoflow.markov import absorption_probabilities
-from infoflow.network import FlowRecord, NetworkSpec, Stakeholder, plug_in_chain, sampled_chain
+from infoflow.network import (
+    FlowRecord,
+    NetworkSpec,
+    Stakeholder,
+    _compiled,
+    plug_in_chain,
+    sampled_chain,
+)
 from infoflow.rng import stream
 from infoflow.simulation import draw_samples, run, summarize
 
@@ -60,6 +72,17 @@ class TestRun:
         slow = np.array([
             absorption_probabilities(sampled_chain(reference_spec, stream(7, t))).row("A")
             for t in range(64)
+        ])
+        assert np.array_equal(fast, slow)
+
+    def test_wide_row_engine_matches_public_per_iteration_path(self, wide_row_spec):
+        # Rows of 8-12 targets normalise through a batched gather; only a
+        # C-contiguous gather sums each row as the one-draw path does.
+        fast = draw_samples(wide_row_spec, 50, 7)
+        start = wide_row_spec.start
+        slow = np.array([
+            absorption_probabilities(sampled_chain(wide_row_spec, stream(7, t))).row(start)
+            for t in range(50)
         ])
         assert np.array_equal(fast, slow)
 
@@ -122,3 +145,57 @@ class TestRun:
         summary = run(reference_spec, 100, seed=1, bins=10)
         assert len(summary.histogram_counts) == 10
         assert len(summary.histogram_edges) == 11
+
+
+def set_chunk(monkeypatch, spec, chunk, iterations):
+    """Make the engine run `iterations` in chunks of `chunk` draws."""
+    n = len(spec.ids)
+    monkeypatch.setattr(simulation, "CHUNK_BYTES", chunk * 8 * n * (n + 3))
+    assert simulation._chunk_size(_compiled(spec), iterations) == min(chunk, iterations)
+
+
+class TestChunking:
+    ITERATIONS = 40
+
+    @pytest.mark.parametrize("network", ["reference_spec", "wide_row_spec"])
+    def test_triples_do_not_depend_on_chunk_size(self, request, monkeypatch, network):
+        spec = request.getfixturevalue(network)
+        results = []
+        for chunk in (1, 7, self.ITERATIONS, 1000):  # 7 does not divide 40
+            set_chunk(monkeypatch, spec, chunk, self.ITERATIONS)
+            results.append(draw_samples(spec, self.ITERATIONS, 19, key=(2, 3)))
+        for other in results[1:]:
+            assert np.array_equal(results[0], other)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_singular_iteration_is_named_across_chunks(self, reference_spec, monkeypatch):
+        # Chunks of 7: iteration 10 is the fourth draw of the second chunk.
+        set_chunk(monkeypatch, reference_spec, 7, 20)
+        real = simulation.stream
+
+        class Overflowing:
+            def standard_gamma(self, alpha):
+                return np.full(len(alpha), np.inf)  # rows become inf / inf = nan
+
+        def broken_at_10(seed, *path):
+            return Overflowing() if path[-1] == 10 else real(seed, *path)
+
+        monkeypatch.setattr(simulation, "stream", broken_at_10)
+        with pytest.raises(SingularSystemError, match="^iteration 10: I - Q is singular$"):
+            draw_samples(reference_spec, 20, 1)
+
+
+def test_memory_is_bounded_in_iterations():
+    spec = infoflow.parse_network(document_bytes(layered_network(150, 4)))
+    draw_samples(spec, 1, 0)  # compile the plan and its draw layout
+
+    def peak(iterations):
+        tracemalloc.start()
+        try:
+            draw_samples(spec, iterations, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    output = 8 * 3 * (800 - 100)
+    assert peak(800) - peak(100) - output < 2**20
