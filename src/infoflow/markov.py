@@ -76,21 +76,22 @@ def _default_labels(n: int, m: int) -> tuple[str, ...]:
 
 
 def _check_absorption_reachable(q: np.ndarray, r: np.ndarray) -> None:
-    """Fixpoint of 'can reach an absorbing state' over the positive support."""
-    n = q.shape[0]
-    reach = np.any(r > 0.0, axis=1)
+    """Fixpoint of 'can reach an absorbing state' over the positive support,
+    of one chain or of every chain in a stack; the first chain with a stuck
+    state names its stuck states."""
+    positive = q > 0.0
+    reach = np.any(r > 0.0, axis=-1)
     changed = True
     while changed:
-        changed = False
-        feeding = (q > 0.0) & reach[np.newaxis, :]
-        newly = ~reach & feeding.any(axis=1)
-        if newly.any():
-            reach |= newly
-            changed = True
+        feeding = positive & reach[..., np.newaxis, :]
+        newly = ~reach & feeding.any(axis=-1)
+        changed = bool(newly.any())
+        reach |= newly
     if not reach.all():
-        stuck = [i for i in range(n) if not reach[i]]
+        stuck = ~reach.reshape(-1, reach.shape[-1])
+        first = stuck[np.argmax(stuck.any(axis=1))]
         raise AbsorptionUnreachableError(
-            f"transient states {stuck} cannot reach any absorbing state"
+            f"transient states {np.flatnonzero(first).tolist()} cannot reach any absorbing state"
         )
 
 
@@ -126,28 +127,36 @@ def build_canonical(
             f"state_order needs {n + m} unique labels, got {state_order}"
         )
 
-    if np.any(q < 0) or np.any(r < 0):
-        raise NegativeEntryError("transition probabilities must be non-negative")
-
-    sums = q.sum(axis=1) + r.sum(axis=1)
-    bad = np.nonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise RowSumError(
-            f"row {i} ({state_order[i]!r}) sums to {sums[i]!r}, not 1"
-        )
-    q = q / sums[:, np.newaxis]
-    r = r / sums[:, np.newaxis]
-
-    _check_absorption_reachable(q, r)
-
+    q, r = _normalised(q, r, state_order)
     q.flags.writeable = False
     r.flags.writeable = False
     return TransitionMatrix(q=q, r=r, state_order=state_order)
 
 
-def _solve(tm: TransitionMatrix, rhs: np.ndarray) -> np.ndarray:
-    a = np.eye(tm.n_transient) - tm.q
+def _normalised(q: np.ndarray, r: np.ndarray, state_order: tuple[str, ...]):
+    """build_canonical's checks on Q and R blocks of one chain or of a stack
+    of chains (leading axes), and the blocks with every row renormalised."""
+    if np.any(q < 0) or np.any(r < 0):
+        raise NegativeEntryError("transition probabilities must be non-negative")
+
+    sums = q.sum(axis=-1) + r.sum(axis=-1)
+    bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.size:
+        at = tuple(bad[0])
+        i = int(at[-1])
+        raise RowSumError(
+            f"row {i} ({state_order[i]!r}) sums to {sums[at]!r}, not 1"
+        )
+    q = q / sums[..., np.newaxis]
+    r = r / sums[..., np.newaxis]
+
+    _check_absorption_reachable(q, r)
+    return q, r
+
+
+def _solve(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - Q) X = rhs for one chain or a stack of chains."""
+    a = np.eye(q.shape[-1]) - q
     try:
         x = np.linalg.solve(a, rhs)
     except np.linalg.LinAlgError as exc:
@@ -159,11 +168,23 @@ def _solve(tm: TransitionMatrix, rhs: np.ndarray) -> np.ndarray:
 
 def absorption_probabilities(tm: TransitionMatrix) -> AbsorptionResult:
     """Solve (I - Q) B = R; row i is the absorption distribution from state i."""
-    b = _solve(tm, tm.r)
+    b = _solve(tm.q, tm.r)
     b.flags.writeable = False
     return AbsorptionResult(b=b, state_order=tm.state_order)
 
 
+def stacked_absorption(q: np.ndarray, r: np.ndarray, state_order: tuple[str, ...]) -> np.ndarray:
+    """(chains, n, m) absorption probabilities of a stack of chains given as
+    (chains, n, n) Q and (chains, n, m) R blocks over the same states.
+
+    Every chain gets build_canonical's checks, with the same errors, and its
+    renormalisation; then one stacked solve of (I - Q) B = R. Chain k's
+    result equals, bit for bit, absorption_probabilities of build_canonical
+    of that chain alone.
+    """
+    return _solve(*_normalised(q, r, state_order))
+
+
 def expected_visits(tm: TransitionMatrix) -> np.ndarray:
     """Fundamental matrix (I - Q)^-1: expected visit counts between transients."""
-    return _solve(tm, np.eye(tm.n_transient))
+    return _solve(tm.q, np.eye(tm.n_transient))

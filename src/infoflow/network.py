@@ -246,6 +246,18 @@ class _Plan:
         rows[index] = _compile_row(index, counts, position)
         return _Plan(self.state_order, tuple(rows), self.start)
 
+    def shares_layout(self, other: _Plan) -> bool:
+        """Whether `other` has this plan's states, start and interacting
+        states in every row, so that one draw layout (`groups`) serves both.
+        Overrides of one plan share every row object but one, so this costs
+        little more than one row comparison."""
+        return (
+            other.state_order == self.state_order
+            and other.start == self.start
+            and len(other.rows) == len(self.rows)
+            and all(a is b or np.array_equal(a.cols, b.cols) for a, b in zip(self.rows, other.rows))
+        )
+
     def require_valid(self) -> None:
         """Raise ValidationError, as validate would for the spec the rows
         describe, if a row is a dead end or cannot reach absorption."""
@@ -273,8 +285,8 @@ def _chain(plan: _Plan, qr: np.ndarray) -> TransitionMatrix:
     return build_canonical(qr[:, :n], qr[:, n:], plan.state_order)
 
 
-def _plug_in(plan: _Plan, mode: str) -> TransitionMatrix:
-    """Deterministic chain of `plan` in a canonical plug-in mode."""
+def _plug_in_qr(plan: _Plan, mode: str) -> np.ndarray:
+    """(n, n + 3) stacked [Q | R] of `plan` in a canonical plug-in mode."""
     qr = np.zeros((len(plan.rows), len(plan.state_order)))
     for row in plan.rows:
         if mode == RAW_FREQUENCY:
@@ -282,7 +294,7 @@ def _plug_in(plan: _Plan, mode: str) -> TransitionMatrix:
         else:
             posterior = dirichlet.noninformative_posterior(row.counts)
             qr[row.index, row.cols] = dirichlet.mean(posterior).theta
-    return _chain(plan, qr)
+    return qr
 
 
 def _fill_draws(plan: _Plan, gammas: np.ndarray, qr: np.ndarray) -> None:
@@ -309,7 +321,8 @@ def plug_in_chain(spec: NetworkSpec, mode: str = RAW_FREQUENCY) -> TransitionMat
         mode = _MODE_ALIASES[mode]
     except KeyError:
         raise ValueError(f"unknown plug-in mode {mode!r}") from None
-    return _plug_in(_compiled(spec), mode)
+    plan = _compiled(spec)
+    return _chain(plan, _plug_in_qr(plan, mode))
 
 
 def sampled_chain(spec: NetworkSpec, rng: np.random.Generator) -> TransitionMatrix:

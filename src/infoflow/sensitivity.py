@@ -6,6 +6,13 @@ the original targets, and measures the start stakeholder's mean absorption
 probabilities at each step. The impact ratio (drop in P_S per unit of
 discarded flow) ranks stakeholders by how much their discarding hurts
 overall satisfaction.
+
+A sweep is one batch. The spec is compiled once, and every grid point's
+swept row is reallocated into an override of that plan. Plug-in mode then
+stacks one copy of the base raw-frequency [Q | R] per increment, overwrites
+the swept row, and checks and solves the stack at once. Monte Carlo mode
+hands all increments to one draw_samples call. Each increment's numbers
+are bit for bit those of a spec rebuilt for that increment alone.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import network
+from . import network, simulation
 from .dirichlet import CountVector
 from .errors import (
     DegenerateRangeError,
@@ -23,8 +30,8 @@ from .errors import (
     NoNonDiTargetsError,
     UnknownStakeholderError,
 )
-from .markov import absorption_probabilities
-from .network import RAW_FREQUENCY, NetworkSpec, _plug_in, require_valid
+from .markov import stacked_absorption
+from .network import RAW_FREQUENCY, NetworkSpec, require_valid
 from .simulation import draw_samples
 
 MONTE_CARLO = "monte-carlo"
@@ -115,6 +122,31 @@ def _di_grid(total: float, increment: float) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _plug_in_means(plan: network._Plan, swept: list[network._Plan], index: int) -> np.ndarray:
+    """(len(swept), 3) start-state absorption triples of the raw-frequency
+    chains of `swept`, plans that differ from `plan` only in row `index`.
+
+    The base [Q | R] is built once; each chunk of increments stacks one copy
+    per increment, overwrites row `index`, and is checked and solved by one
+    stacked_absorption call. Chunks hold as many blocks as the Monte Carlo
+    engine's, so memory stays bounded whatever the increment count.
+    """
+    n = len(plan.rows)
+    base = network._plug_in_qr(plan, RAW_FREQUENCY)
+    out = np.empty((len(swept), 3))
+    chunk = simulation._chunk_size(plan, len(swept))
+    for first in range(0, len(swept), chunk):
+        part = swept[first : first + chunk]
+        qr = np.repeat(base[np.newaxis], len(part), axis=0)
+        qr[:, index] = 0.0
+        for block, point in zip(qr, part):
+            row = point.rows[index]
+            block[index, row.cols] = row.counts.counts / row.counts.total
+        b = stacked_absorption(qr[..., :n], qr[..., n:], plan.state_order)
+        out[first : first + len(part)] = b[:, plan.start]
+    return out
+
+
 def sweep_ineffective(
     spec: NetworkSpec,
     stakeholder: str,
@@ -126,11 +158,14 @@ def sweep_ineffective(
 ) -> SweepResult:
     """Sweep one stakeholder's discarded-flow frequency over 0..total outflow.
 
-    Monte Carlo mode estimates each increment's means from `iterations`
-    posterior draws; increment i of stakeholder s uses streams derived from
-    (seed, index(s), i, t). Plug-in mode evaluates the raw-frequency chain
-    deterministically and ignores `iterations`. The spec is compiled once;
-    each increment overrides only the swept row of that plan.
+    The spec is compiled once, every grid point's swept row is reallocated
+    into an override of that plan, and the whole curve is evaluated as one
+    batch. Monte Carlo mode estimates each increment's means from
+    `iterations` posterior draws, all increments in one draw_samples call;
+    increment i of stakeholder s uses streams derived from
+    (seed, index(s), i, t). Plug-in mode evaluates the raw-frequency chains
+    deterministically, in one stacked build and solve, and ignores
+    `iterations`.
     """
     try:
         mode = _MODE_ALIASES[mode]
@@ -142,30 +177,29 @@ def sweep_ineffective(
     s_idx = spec.ids.index(stakeholder)
     base = plan.rows[s_idx].counts
     grid = _di_grid(base.total, increment)
+    # reallocate always adds DI, so every override has the same row labels
+    # and all increments share one draw layout.
+    swept = [plan.override(s_idx, reallocate(base, di)) for di in grid]
 
-    means = np.empty((len(grid), 3))
-    all_samples = np.empty((len(grid), iterations, 3)) if mode == MONTE_CARLO else None
-    for i, di in enumerate(grid):
-        swept = plan.override(s_idx, reallocate(base, di))
-        if di == 0:
-            # Any positive discard gives the swept row a direct route to
-            # absorbing DI, and the other rows and the row total are
-            # unchanged; only zero discard can cut a route to absorption.
-            swept.require_valid()
-        if mode == MONTE_CARLO:
-            samples = draw_samples(swept, iterations, seed, key=(s_idx, i))
-            all_samples[i] = samples
-            means[i] = samples.mean(axis=0)
-        else:
-            result = absorption_probabilities(_plug_in(swept, RAW_FREQUENCY))
-            means[i] = result.b[plan.start]
+    if mode == MONTE_CARLO:
+        # A flat-prior draw puts mass on every label of every row, so its
+        # chain reaches absorption wherever the raw-frequency chain does, and
+        # the swept row reaches DI directly; no check is needed.
+        all_samples = draw_samples(swept, iterations, seed, key=(s_idx,))
+        all_samples.flags.writeable = False
+        means = all_samples.mean(axis=1)
+    else:
+        # Any positive discard gives the swept row a direct route to
+        # absorbing DI, and the other rows and the row total are unchanged;
+        # only zero discard (grid[0]) can cut a route to absorption.
+        swept[0].require_valid()
+        all_samples = None
+        means = _plug_in_means(plan, swept, s_idx)
 
     p_s_max = float(means[0, 1])
     p_s_min = float(means[-1, 1])
     ratio = impact_ratio(p_s_max, p_s_min, grid[-1], grid[0])
     means.flags.writeable = False
-    if all_samples is not None:
-        all_samples.flags.writeable = False
     return SweepResult(
         stakeholder=stakeholder,
         mode=mode,

@@ -6,16 +6,20 @@ stakeholder's (P_DI, P_S, P_US) triple. Iteration t always uses the random
 stream derived from (seed, t), so the output is a pure function of
 (spec, iterations, seed) no matter how iterations are scheduled.
 
-An iteration costs one stream derivation and one standard_gamma call over
-all rows' concatenated alphas. Iterations then run in chunks whose stacked
-[Q | R] blocks fit in CHUNK_BYTES: each chunk is normalised group by group
-and solved as one stacked system. Memory is therefore bounded by the chunk
-buffers plus the (iterations, 3) output, whatever the iteration count, and
-the triples do not depend on the chunk size.
+The engine takes a batch of plans that share one draw layout: one plan
+for a simulation, or every increment of a sweep, whose plans differ only
+in the alpha of the swept row. A draw costs one stream derivation and one
+standard_gamma call over its plan's concatenated alphas. The batch's draws
+then run back to back in chunks whose stacked [Q | R] blocks fit in
+CHUNK_BYTES: each chunk is normalised group by group with the shared
+layout and solved as one stacked system. Memory is therefore bounded by
+the chunk buffers plus the (plans, iterations, 3) output, whatever the
+iteration count, and the triples do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -70,37 +74,41 @@ def summarize(values, bins: int = DEFAULT_BINS) -> SampleStats:
     return SampleStats(edges, counts, float(values.mean()), std)
 
 
-def _chunk_size(plan: _Plan, iterations: int) -> int:
-    """Iterations per chunk: as many stacked [Q | R] blocks as fit in
-    CHUNK_BYTES, at least one and at most `iterations`."""
+def _chunk_size(plan: _Plan, draws: int) -> int:
+    """Draws per chunk: as many stacked [Q | R] blocks as fit in
+    CHUNK_BYTES, at least one and at most `draws`."""
     block = 8 * len(plan.rows) * len(plan.state_order)
-    return max(1, min(iterations, CHUNK_BYTES // block))
+    return max(1, min(draws, CHUNK_BYTES // block))
 
 
-def _simulate_block(plan: _Plan, iterations: int, seed: int, key) -> np.ndarray:
-    """(iterations, 3) start-state absorption triples of `plan`.
+def _simulate_block(layout: _Plan, members, iterations: int, seed: int) -> np.ndarray:
+    """(members, iterations, 3) start-state absorption triples.
 
-    Iteration t draws from stream (seed, *key, t) with one standard_gamma
-    call over the plan's concatenated alphas. Iterations run in chunks of
-    _chunk_size: each chunk's draws are normalised into a stacked [Q | R]
-    buffer by the helper sampled_chain uses, then solved as one stacked
-    system. So each triple equals what sampled_chain +
-    absorption_probabilities give for that stream, whatever the chunk size,
-    and only the output grows with the iteration count.
+    `members` are (alpha, key) pairs of plans that share `layout`'s draw
+    layout. Iteration t of a member draws from stream (seed, *key, t) with
+    one standard_gamma call over its alpha. The members' draws run back to
+    back in chunks of _chunk_size, so a chunk may hold the end of one member
+    and the start of the next: each chunk's draws are normalised into a
+    stacked [Q | R] buffer by the helper sampled_chain uses, then solved as
+    one stacked system. So each triple equals what sampled_chain +
+    absorption_probabilities give for its stream and plan, whatever the
+    chunk size, and only the output grows with the number of draws.
     """
-    n = len(plan.rows)
-    chunk = _chunk_size(plan, iterations)
-    out = np.empty((iterations, 3))
-    gammas = np.empty((chunk, plan.alpha.size))
-    qr_buf = np.zeros((chunk, n, len(plan.state_order)))  # cells no row draws stay 0
+    n = len(layout.rows)
+    total = len(members) * iterations
+    chunk = _chunk_size(layout, total)
+    out = np.empty((total, 3))
+    gammas = np.empty((chunk, layout.alpha.size))
+    qr_buf = np.zeros((chunk, n, len(layout.state_order)))  # cells no row draws stay 0
     a_buf = np.empty((chunk, n, n))
     eye = np.eye(n)
-    for first in range(0, iterations, chunk):
-        m = min(chunk, iterations - first)
-        for t in range(m):
-            gammas[t] = stream(seed, *key, first + t).standard_gamma(plan.alpha)
+    draws = ((alpha, key, t) for alpha, key in members for t in range(iterations))
+    for first in range(0, total, chunk):
+        m = min(chunk, total - first)
+        for j, (alpha, key, t) in zip(range(m), draws):
+            gammas[j] = stream(seed, *key, t).standard_gamma(alpha)
         qr, a = qr_buf[:m], a_buf[:m]
-        _fill_draws(plan, gammas[:m], qr)
+        _fill_draws(layout, gammas[:m], qr)
         q, r = qr[..., :n], qr[..., n:]
         sums = q.sum(axis=2) + r.sum(axis=2)
         q /= sums[..., np.newaxis]
@@ -111,26 +119,27 @@ def _simulate_block(plan: _Plan, iterations: int, seed: int, key) -> np.ndarray:
         except np.linalg.LinAlgError:
             b = None
         if b is None or not np.all(np.isfinite(b)):
-            _raise_singular(a, r, first)
-        out[first : first + m] = b[:, plan.start, :]
-    return out
+            _raise_singular(a, r, first, iterations)
+        out[first : first + m] = b[:, layout.start, :]
+    return out.reshape(len(members), iterations, 3)
 
 
-def _raise_singular(a: np.ndarray, r: np.ndarray, first: int) -> NoReturn:
-    """Name the first iteration of a chunk starting at `first` whose
-    I - Q is singular."""
-    for t in range(len(a)):
+def _raise_singular(a: np.ndarray, r: np.ndarray, first: int, iterations: int) -> NoReturn:
+    """Name the iteration, within its member, of the first draw of a chunk
+    starting at draw `first` whose I - Q is singular."""
+    for j in range(len(a)):
         try:
-            bt = np.linalg.solve(a[t], r[t])
+            bj = np.linalg.solve(a[j], r[j])
         except np.linalg.LinAlgError:
-            bt = None
-        if bt is None or not np.all(np.isfinite(bt)):
-            raise SingularSystemError(f"iteration {first + t}: I - Q is singular")
+            bj = None
+        if bj is None or not np.all(np.isfinite(bj)):
+            t = (first + j) % iterations
+            raise SingularSystemError(f"iteration {t}: I - Q is singular")
     raise SingularSystemError("I - Q is singular")
 
 
 def draw_samples(
-    spec: NetworkSpec | _Plan,
+    spec: NetworkSpec | _Plan | Sequence[_Plan],
     iterations: int,
     seed: int,
     *,
@@ -138,15 +147,25 @@ def draw_samples(
 ) -> np.ndarray:
     """(iterations, 3) start-state absorption triples, one per posterior draw.
 
-    `spec` may also be a plan compiled from a spec; sweeps pass the base
-    plan with the swept row overridden. `key` prefixes the per-iteration
-    stream path; sweeps use it to give each (stakeholder, increment) its own
-    family of streams under one master seed.
+    `key` prefixes the per-iteration stream path: iteration t draws from
+    stream (seed, *key, t). `spec` may also be a plan compiled from a spec,
+    or a batch: a sequence of plans that share one draw layout, as the
+    overrides of one row with counts of the same labels do. Plan i of a
+    batch draws from streams (seed, *key, i, t) and the result is
+    (plans, iterations, 3). Sweeps pass all increments of one stakeholder
+    as one batch, so each (stakeholder, increment) has its own family of
+    streams under one master seed.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    plan = spec if isinstance(spec, _Plan) else _compiled(spec)  # validates a spec
-    return _simulate_block(plan, iterations, seed, key)
+    if isinstance(spec, (NetworkSpec, _Plan)):
+        plan = spec if isinstance(spec, _Plan) else _compiled(spec)  # validates a spec
+        return _simulate_block(plan, [(plan.alpha, key)], iterations, seed)[0]
+    layout = spec[0]
+    if not all(layout.shares_layout(plan) for plan in spec):
+        raise ValueError("the plans of a batch must share one draw layout")
+    members = [(plan.alpha, (*key, i)) for i, plan in enumerate(spec)]
+    return _simulate_block(layout, members, iterations, seed)
 
 
 def run(

@@ -2,19 +2,23 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from helpers import document_bytes, layered_network
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+import infoflow
+from infoflow import dirichlet, simulation
 from infoflow.dirichlet import CountVector
 from infoflow.errors import (
     DegenerateRangeError,
     ExceedsTotalError,
     NegativeEntryError,
     NoNonDiTargetsError,
+    SingularSystemError,
     UnknownStakeholderError,
     ValidationError,
 )
-from infoflow.markov import ABSORBING_ORDER, absorption_probabilities
+from infoflow.markov import ABSORBING_ORDER, absorption_probabilities, build_canonical
 from infoflow.network import (
     FlowRecord,
     NetworkSpec,
@@ -24,6 +28,7 @@ from infoflow.network import (
     plug_in_chain,
     validate,
 )
+from infoflow.rng import stream
 from infoflow.sensitivity import (
     _di_grid,
     impact_ratio,
@@ -273,8 +278,9 @@ def dead_loop_spec():
 
 
 class TestSweepOverride:
-    """A sweep overrides one row of the compiled base plan per increment; it
-    must match, bit for bit, a sweep that rebuilds the spec every time."""
+    """A sweep overrides one row of the compiled base plan per increment and
+    evaluates all increments as one batch; it must match, bit for bit, a
+    sweep that rebuilds the spec every time."""
 
     @pytest.mark.parametrize("stakeholder", ["B", "C", "D", "E"])
     @pytest.mark.parametrize("mode", ["mc", "plugin"])
@@ -286,6 +292,19 @@ class TestSweepOverride:
     def test_cyclic_network(self, stakeholder, mode):
         self.check(cyclic_spec(), stakeholder, mode)
 
+    # Rows of 8-12 targets, and 60-stakeholder rows, are where a stacked row
+    # sum that is not the row's own pairwise sum rounds differently.
+    @pytest.mark.parametrize("stakeholder", ["W03", "W05"])
+    @pytest.mark.parametrize("mode", ["mc", "plugin"])
+    def test_wide_row_network(self, wide_row_spec, stakeholder, mode):
+        self.check(wide_row_spec, stakeholder, mode)
+
+    @pytest.mark.parametrize("stakeholder", ["N009", "N035"])  # both also flow back
+    @pytest.mark.parametrize("mode", ["mc", "plugin"])
+    def test_layered_network(self, stakeholder, mode):
+        spec = infoflow.parse_network(document_bytes(layered_network(60, 4)))
+        self.check(spec, stakeholder, mode)
+
     @staticmethod
     def check(spec, stakeholder, mode):
         sw = sweep_ineffective(spec, stakeholder, 40, 11, mode)
@@ -296,7 +315,9 @@ class TestSweepOverride:
         else:
             assert np.array_equal(sw.means, want)
 
-    @pytest.mark.parametrize("mode", ["mc", "plugin"])
+    # Only the raw-frequency chain can lose its route to absorption; Monte
+    # Carlo mode accepts this point (test_monte_carlo_zero_discard_absorbs).
+    @pytest.mark.parametrize("mode", ["plugin"])
     def test_zero_discard_that_cuts_absorption_is_rejected(self, mode):
         spec = dead_loop_spec()
         rebuilt = validate(_with_reallocated(spec, "X", reallocate(counts_for(spec, "X"), 0)))
@@ -304,6 +325,66 @@ class TestSweepOverride:
         with pytest.raises(ValidationError) as exc:
             sweep_ineffective(spec, "X", 5, 0, mode)
         assert exc.value.report.violations == rebuilt.violations
+
+    def test_monte_carlo_zero_discard_absorbs(self):
+        # At zero discard X's raw-frequency chain cannot absorb, but every
+        # flat-prior draw puts mass on the DI label reallocate gives X. The
+        # draws are per-row dirichlet.sample draws from stream (seed, s, 0, t)
+        # in declaration order, assembled by the public build_canonical.
+        spec = dead_loop_spec()
+        sw = sweep_ineffective(spec, "X", 6, 3, "mc")
+        np.testing.assert_allclose(sw.samples.sum(axis=2), 1.0, atol=1e-9)
+        zero = _with_reallocated(spec, "X", reallocate(counts_for(spec, "X"), 0))
+        states = zero.ids + ABSORBING_ORDER
+        n = len(zero.ids)
+        for t in range(6):
+            rng = stream(3, zero.ids.index("X"), 0, t)
+            qr = np.zeros((n, len(states)))
+            for i, sid in enumerate(zero.ids):
+                cv = counts_for(zero, sid)
+                theta = dirichlet.sample(dirichlet.noninformative_posterior(cv), rng).theta
+                qr[i, [states.index(label) for label in cv.labels]] = theta
+            tm = build_canonical(qr[:, :n], qr[:, n:], states)
+            assert np.array_equal(sw.samples[0, t], absorption_probabilities(tm).row("A"))
+
+    @staticmethod
+    def set_chunk(monkeypatch, spec, draws):
+        """Make chunks hold `draws` stacked [Q | R] blocks of `spec`."""
+        n = len(spec.ids)
+        monkeypatch.setattr(simulation, "CHUNK_BYTES", draws * 8 * n * (n + 3))
+        assert simulation._chunk_size(_compiled(spec), 10_000) == draws
+
+    @pytest.mark.parametrize("mode", ["mc", "plugin"])
+    def test_chunks_straddle_increments(self, wide_row_spec, monkeypatch, mode):
+        # 7 divides neither the 20 iterations of an increment nor the 197
+        # increments, so chunks hold the end of one increment and the start
+        # of the next.
+        want = sweep_ineffective(wide_row_spec, "W05", 20, 4, mode)
+        self.set_chunk(monkeypatch, wide_row_spec, 7)
+        got = sweep_ineffective(wide_row_spec, "W05", 20, 4, mode)
+        assert np.array_equal(got.means, want.means)
+        if mode == "mc":
+            assert np.array_equal(got.samples, want.samples)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_singular_draw_names_its_iteration_within_its_increment(
+        self, reference_spec, monkeypatch
+    ):
+        # Increment 2, iteration 5 is draw 45 of D's sweep: the fourth draw
+        # of the seventh chunk of 7.
+        self.set_chunk(monkeypatch, reference_spec, 7)
+        real = simulation.stream
+
+        class Overflowing:
+            def standard_gamma(self, alpha):
+                return np.full(len(alpha), np.inf)  # rows become inf / inf = nan
+
+        def broken_at_2_5(seed, *path):
+            return Overflowing() if path[-2:] == (2, 5) else real(seed, *path)
+
+        monkeypatch.setattr(simulation, "stream", broken_at_2_5)
+        with pytest.raises(SingularSystemError, match="^iteration 5: I - Q is singular$"):
+            sweep_ineffective(reference_spec, "D", 20, 4, "mc")
 
 
 _FREQUENCIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 5.0])

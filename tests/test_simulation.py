@@ -6,6 +6,7 @@ from helpers import document_bytes, layered_network
 
 import infoflow
 from infoflow import simulation
+from infoflow.dirichlet import CountVector
 from infoflow.errors import EmptySampleError, SingularSystemError, ValidationError
 from infoflow.markov import absorption_probabilities
 from infoflow.network import (
@@ -199,3 +200,17 @@ def test_memory_is_bounded_in_iterations():
 
     output = 8 * 3 * (800 - 100)
     assert peak(800) - peak(100) - output < 2**20
+
+
+def test_batch_draws_each_plan_from_its_own_streams(reference_spec):
+    # A batch is plans that share one draw layout; plan i draws from
+    # streams (seed, *key, i, t), exactly as it would alone.
+    plan = _compiled(reference_spec)
+    other = plan.override(1, CountVector(("D", "E", "DI"), [3.0, 2.0, 1.0]))
+    batch = draw_samples([plan, other], 12, 5, key=(9,))
+    assert batch.shape == (2, 12, 3)
+    assert np.array_equal(batch[0], draw_samples(plan, 12, 5, key=(9, 0)))
+    assert np.array_equal(batch[1], draw_samples(other, 12, 5, key=(9, 1)))
+    narrower = plan.override(1, CountVector(("D", "E"), [3.0, 2.0]))
+    with pytest.raises(ValueError, match="share one draw layout"):
+        draw_samples([plan, narrower], 12, 5)
