@@ -16,9 +16,7 @@ from .dirichlet import (
     CountVector,
     DirichletParams,
     SimplexVector,
-    multinomial_pmf,
     noninformative_posterior,
-    posterior,
     sample,
 )
 from .documents import input_digest, network_to_document, parse_network
@@ -27,7 +25,6 @@ from .markov import (
     TransitionMatrix,
     absorption_probabilities,
     build_canonical,
-    expected_visits,
 )
 from .network import (
     FlowRecord,
@@ -42,7 +39,7 @@ from .network import (
 from .sensitivity import (
     SweepResult,
     impact_ratio,
-    rank_stakeholders,
+    rank_details,
     reallocate,
     sweep_ineffective,
 )

@@ -101,20 +101,14 @@ class SimplexVector:
         return len(self.theta)
 
 
-def _require_aligned(a_labels, b_labels) -> None:
-    if tuple(a_labels) != tuple(b_labels):
-        raise DimensionMismatchError(
-            f"label mismatch: {tuple(a_labels)} vs {tuple(b_labels)}"
-        )
-
-
 def multinomial_pmf(counts: CountVector, theta: SimplexVector) -> float:
     """Probability of observing `counts` in counts.total independent flows.
 
     Evaluated in log space with log-gamma and exponentiated at the end, so
     large totals do not overflow the multinomial coefficient.
     """
-    _require_aligned(counts.labels, theta.labels)
+    if counts.labels != theta.labels:
+        raise DimensionMismatchError(f"label mismatch: {counts.labels} vs {theta.labels}")
     c = counts.counts
     rounded = np.rint(c)
     if np.any(np.abs(c - rounded) > 1e-9):
@@ -129,12 +123,6 @@ def multinomial_pmf(counts: CountVector, theta: SimplexVector) -> float:
             return 0.0
         log_prob += v * math.log(t)
     return math.exp(log_coeff + log_prob)
-
-
-def posterior(prior: DirichletParams, counts: CountVector) -> DirichletParams:
-    """Conjugate update: alpha_j + N_j componentwise."""
-    _require_aligned(prior.labels, counts.labels)
-    return DirichletParams(prior.labels, prior.alpha + counts.counts)
 
 
 def noninformative_posterior(counts: CountVector) -> DirichletParams:

@@ -10,7 +10,12 @@ The network document is a UTF-8 JSON object:
     }
 
 "to" may name a stakeholder or one of the absorbing states DI/S/US; those
-three labels are reserved and may not be stakeholder ids. Reports are JSON
+three labels are reserved and may not be stakeholder ids. Parsing checks
+only the document: ParseError if it is not UTF-8, not JSON, or holds a NaN
+or Infinity token; SchemaError if its shape or a field's type is wrong.
+Every rule of the network's meaning (reserved ids, levels, duplicates,
+declared start and endpoints, frequencies, absorption) is network.validate's,
+raised as ValidationError with the full report. Reports are JSON
 objects carrying the command name, a SHA-256 digest of the input bytes, the
 seed/iterations used, and the result payload; the CSV variant flattens the
 numeric table. All floats are serialized with repr precision, so reparsing
@@ -23,17 +28,11 @@ import csv
 import hashlib
 import io
 import json
+import math
 from typing import Any
 
-from .errors import ParseError, SchemaError, ValidationError
-from .markov import ABSORBING_ORDER
-from .network import (
-    LEVELS,
-    FlowRecord,
-    NetworkSpec,
-    Stakeholder,
-    validate,
-)
+from .errors import ParseError, SchemaError
+from .network import FlowRecord, NetworkSpec, Stakeholder, require_valid
 from .sensitivity import SweepResult
 from .simulation import SimulationSummary
 
@@ -45,12 +44,13 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
-def parse_network(data: bytes | str, *, check: bool = True) -> NetworkSpec:
-    """Parse and (by default) semantically validate a network document.
+def parse_network(data: bytes | str) -> NetworkSpec:
+    """Parse and validate a network document.
 
-    Raises ParseError for malformed JSON, SchemaError for structural
-    problems, and ValidationError (with the full report attached) for
-    semantic violations.
+    Raises ParseError if the bytes are not UTF-8, not JSON, or hold a NaN or
+    Infinity token; SchemaError if the document has the wrong shape or field
+    types; and ValidationError, carrying validate's full report, if the
+    network it describes breaks a rule of the network's meaning.
     """
     if isinstance(data, bytes):
         try:
@@ -78,51 +78,40 @@ def parse_network(data: bytes | str, *, check: bool = True) -> NetworkSpec:
     if not isinstance(raw_stakeholders, list) or not raw_stakeholders:
         raise SchemaError("'stakeholders' must be a non-empty array")
     stakeholders = []
-    ids = set()
     for entry in raw_stakeholders:
         if not isinstance(entry, dict) or set(entry) != {"id", "level"}:
             raise SchemaError(f"stakeholder entries need exactly id and level: {entry}")
         sid, level = entry["id"], entry["level"]
         if not isinstance(sid, str) or not sid:
             raise SchemaError(f"stakeholder id must be a non-empty string: {sid!r}")
-        if sid in ABSORBING_ORDER:
-            raise SchemaError(f"'{sid}' is a reserved absorbing label")
-        if level not in LEVELS:
-            raise SchemaError(f"stakeholder '{sid}' has unknown level {level!r}")
-        if sid in ids:
-            raise SchemaError(f"duplicate stakeholder id '{sid}'")
-        ids.add(sid)
+        if not isinstance(level, str):
+            raise SchemaError(f"stakeholder level must be a string: {level!r}")
         stakeholders.append(Stakeholder(sid, level))
 
     start = obj["start"]
-    if not isinstance(start, str) or start not in ids:
-        raise SchemaError(f"start {start!r} is not a declared stakeholder")
+    if not isinstance(start, str):
+        raise SchemaError(f"start must be a string: {start!r}")
 
     raw_flows = obj["flows"]
     if not isinstance(raw_flows, list):
         raise SchemaError("'flows' must be an array")
     flows = []
-    seen = set()
     for entry in raw_flows:
         if not isinstance(entry, dict) or set(entry) != {"from", "to", "frequency"}:
             raise SchemaError(f"flow entries need exactly from, to, frequency: {entry}")
         src, dst, freq = entry["from"], entry["to"], entry["frequency"]
-        if not isinstance(src, str) or src not in ids:
-            raise SchemaError(f"flow 'from' must be a declared stakeholder: {src!r}")
-        if not isinstance(dst, str) or (dst not in ids and dst not in ABSORBING_ORDER):
-            raise SchemaError(f"flow 'to' must be a stakeholder or DI/S/US: {dst!r}")
+        if not isinstance(src, str) or not isinstance(dst, str):
+            raise SchemaError(f"flow 'from' and 'to' must be strings: {src!r}, {dst!r}")
         if isinstance(freq, bool) or not isinstance(freq, (int, float)):
             raise SchemaError(f"flow frequency must be a number: {freq!r}")
-        if (src, dst) in seen:
-            raise SchemaError(f"duplicate flow {src}->{dst}")
-        seen.add((src, dst))
-        flows.append(FlowRecord(src, dst, float(freq)))
+        try:
+            freq = float(freq)
+        except OverflowError:  # an integer beyond float range, as json reads 1e999 as inf
+            freq = math.inf if freq > 0 else -math.inf
+        flows.append(FlowRecord(src, dst, freq))
 
     spec = NetworkSpec(tuple(stakeholders), tuple(flows), start)
-    if check:
-        report = validate(spec)
-        if not report.ok:
-            raise ValidationError(report)
+    require_valid(spec)
     return spec
 
 

@@ -75,10 +75,9 @@ def _default_labels(n: int, m: int) -> tuple[str, ...]:
     return transient + tuple(f"abs{k}" for k in range(m))
 
 
-def _check_absorption_reachable(q: np.ndarray, r: np.ndarray) -> None:
-    """Fixpoint of 'can reach an absorbing state' over the positive support,
-    of one chain or of every chain in a stack; the first chain with a stuck
-    state names its stuck states."""
+def absorbing_reach(q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Mask of the transient states that reach an absorbing state over the
+    positive support of Q and R, of one chain or of every chain in a stack."""
     positive = q > 0.0
     reach = np.any(r > 0.0, axis=-1)
     changed = True
@@ -87,6 +86,12 @@ def _check_absorption_reachable(q: np.ndarray, r: np.ndarray) -> None:
         newly = ~reach & feeding.any(axis=-1)
         changed = bool(newly.any())
         reach |= newly
+    return reach
+
+
+def _check_absorption_reachable(q: np.ndarray, r: np.ndarray) -> None:
+    """Raise naming the stuck states of the first chain that has one."""
+    reach = absorbing_reach(q, r)
     if not reach.all():
         stuck = ~reach.reshape(-1, reach.shape[-1])
         first = stuck[np.argmax(stuck.any(axis=1))]
@@ -183,8 +188,3 @@ def stacked_absorption(q: np.ndarray, r: np.ndarray, state_order: tuple[str, ...
     of that chain alone.
     """
     return _solve(*_normalised(q, r, state_order))
-
-
-def expected_visits(tm: TransitionMatrix) -> np.ndarray:
-    """Fundamental matrix (I - Q)^-1: expected visit counts between transients."""
-    return _solve(tm.q, np.eye(tm.n_transient))

@@ -10,6 +10,7 @@ vectors and transition matrices.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -19,7 +20,7 @@ import numpy as np
 from . import dirichlet
 from .dirichlet import CountVector
 from .errors import UnknownStakeholderError, ValidationError
-from .markov import ABSORBING_ORDER, TransitionMatrix, build_canonical
+from .markov import ABSORBING_ORDER, TransitionMatrix, absorbing_reach, build_canonical
 
 LEVELS = ("federal", "state", "local")
 
@@ -73,10 +74,11 @@ class ValidationReport:
 
 
 def validate(spec: NetworkSpec) -> ValidationReport:
-    """Collect semantic violations; an empty report means every downstream
+    """Collect every violation of the network's rules (parse_network checks
+    only the document's shape); an empty report means every downstream
     operation (counts, plug-in/sampled chains, simulation, sweeps) is safe."""
     v: list[str] = []
-    ids = [s.id for s in spec.stakeholders]
+    ids = spec.ids
     id_set = set(ids)
 
     for sid in sorted(i for i, c in Counter(ids).items() if c > 1):
@@ -97,7 +99,9 @@ def validate(spec: NetworkSpec) -> ValidationReport:
             v.append(f"flow to unknown state '{f.target}'")
         if f.source == f.target:
             v.append(f"self-loop on stakeholder '{f.source}'")
-        if f.frequency < 0:
+        if not math.isfinite(f.frequency):
+            v.append(f"non-finite frequency {f.frequency} on flow {f.source}->{f.target}")
+        elif f.frequency < 0:
             v.append(f"negative frequency {f.frequency} on flow {f.source}->{f.target}")
         pair = (f.source, f.target)
         if pair in seen_pairs:
@@ -108,42 +112,29 @@ def validate(spec: NetworkSpec) -> ValidationReport:
         return ValidationReport(tuple(v))
 
     # Structural checks need a well-formed flow list, hence the early return.
-    return ValidationReport(tuple(_flow_violations(ids, _outflows(spec))))
-
-
-def _outflows(spec: NetworkSpec) -> list[dict[str, float]]:
-    """target -> frequency of every stakeholder, in declaration order, from
-    one pass over the flows of a well-formed spec."""
-    out = {sid: {} for sid in spec.ids}
+    position = {label: i for i, label in enumerate(ids + ABSORBING_ORDER)}
+    support = np.zeros((len(ids), len(position)), dtype=bool)
     for f in spec.flows:
-        out[f.source][f.target] = f.frequency
-    return list(out.values())
+        support[position[f.source], position[f.target]] = f.frequency > 0
+    return ValidationReport(tuple(_flow_violations(ids, support)))
 
 
-def _flow_violations(ids, outflows: list[dict[str, float]]) -> list[str]:
-    """Dead-end and absorbing-reachability violations of per-stakeholder
-    outflows, given in declaration order."""
-    v = [
+def _flow_violations(ids, support: np.ndarray) -> list[str]:
+    """Dead-end and absorbing-reachability violations of the stakeholders
+    `ids`, given their (n, n + 3) positive-flow support over the states
+    ids + DI/S/US."""
+    n = len(ids)
+    reach = absorbing_reach(support[:, :n], support[:, n:])
+    dead = [
         f"dead-end transient state '{sid}' (no positive outflow)"
-        for sid, out in zip(ids, outflows)
-        if sum(out.values()) <= 0.0
+        for sid, live in zip(ids, support.any(axis=1))
+        if not live
     ]
-    # Absorbing reachability over strictly positive flows.
-    positive = [[t for t, c in out.items() if c > 0] for out in outflows]
-    reaches = {sid: False for sid in ids}
-    changed = True
-    while changed:
-        changed = False
-        for sid, targets in zip(ids, positive):
-            if not reaches[sid] and any(
-                t in ABSORBING_ORDER or reaches[t] for t in targets
-            ):
-                reaches[sid] = True
-                changed = True
-    for sid in ids:
-        if not reaches[sid]:
-            v.append(f"no absorbing state reachable from stakeholder '{sid}'")
-    return v
+    return dead + [
+        f"no absorbing state reachable from stakeholder '{sid}'"
+        for sid, ok in zip(ids, reach)
+        if not ok
+    ]
 
 
 def require_valid(spec: NetworkSpec) -> None:
@@ -261,8 +252,10 @@ class _Plan:
     def require_valid(self) -> None:
         """Raise ValidationError, as validate would for the spec the rows
         describe, if a row is a dead end or cannot reach absorption."""
-        outflows = [dict(zip(row.counts.labels, row.counts.counts)) for row in self.rows]
-        v = _flow_violations(self.state_order[: len(self.rows)], outflows)
+        support = np.zeros((len(self.rows), len(self.state_order)), dtype=bool)
+        for row in self.rows:
+            support[row.index, row.cols] = row.counts.counts > 0
+        v = _flow_violations(self.state_order[: len(self.rows)], support)
         if v:
             raise ValidationError(ValidationReport(tuple(v)))
 
@@ -273,9 +266,12 @@ def _compiled(spec: NetworkSpec) -> _Plan:
     require_valid(spec)
     state_order = spec.ids + ABSORBING_ORDER
     position = {label: i for i, label in enumerate(state_order)}
+    outflows = {sid: {} for sid in spec.ids}  # target -> frequency, one pass over the flows
+    for f in spec.flows:
+        outflows[f.source][f.target] = f.frequency
     rows = tuple(
         _compile_row(i, _ordered(targets, position), position)
-        for i, targets in enumerate(_outflows(spec))
+        for i, targets in enumerate(outflows.values())
     )
     return _Plan(state_order, rows, position[spec.start])
 

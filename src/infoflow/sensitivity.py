@@ -31,7 +31,7 @@ from .errors import (
     UnknownStakeholderError,
 )
 from .markov import stacked_absorption
-from .network import RAW_FREQUENCY, NetworkSpec, require_valid
+from .network import RAW_FREQUENCY, NetworkSpec
 from .simulation import draw_samples
 
 MONTE_CARLO = "monte-carlo"
@@ -222,23 +222,10 @@ def rank_details(
 
     Ties in the impact ratio break by ascending stakeholder id.
     """
-    require_valid(spec)
+    network._compiled(spec)  # validates once and warms the plan every sweep reads
     sweeps = [
         sweep_ineffective(spec, sid, iterations, seed, mode)
         for sid in spec.ids
         if sid != spec.start
     ]
     return sorted(sweeps, key=lambda sw: (-sw.impact_ratio, sw.stakeholder))
-
-
-def rank_stakeholders(
-    spec: NetworkSpec,
-    iterations: int,
-    seed: int,
-    mode: str = MONTE_CARLO,
-) -> list[tuple[str, float]]:
-    """(stakeholder, impact_ratio) pairs, highest impact first."""
-    return [
-        (sw.stakeholder, sw.impact_ratio)
-        for sw in rank_details(spec, iterations, seed, mode)
-    ]

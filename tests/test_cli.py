@@ -47,6 +47,38 @@ class TestValidateCommand:
     def test_missing_file(self, tmp_path):
         assert cli_main(["validate", str(tmp_path / "nope.json")]) == 1
 
+    def test_duplicate_id_document_gets_a_full_report(self, tmp_path, capsys):
+        path = tmp_path / "dup.json"
+        path.write_text(json.dumps({
+            "stakeholders": [{"id": "A", "level": "federal"}, {"id": "A", "level": "moon"}],
+            "start": "A",
+            "flows": [{"from": "A", "to": "Z", "frequency": 5}],
+        }))
+        violations = [
+            "duplicate stakeholder id 'A'",
+            "unknown level 'moon' for stakeholder 'A'",
+            "flow to unknown state 'Z'",
+        ]
+        assert cli_main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["result"] == {"ok": False, "violations": violations}
+        assert captured.err.splitlines() == [f"violation: {v}" for v in violations]
+        assert cli_main(["evaluate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {v}" for v in violations]
+
+    def test_overflowing_frequency_is_a_violation(self, tmp_path, capsys):
+        path = tmp_path / "inf.json"
+        path.write_text(
+            '{"stakeholders": [{"id": "A", "level": "federal"}], "start": "A",'
+            ' "flows": [{"from": "A", "to": "S", "frequency": 1e999}]}'
+        )
+        assert cli_main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "violation: non-finite frequency inf on flow A->S\n"
+        assert json.loads(captured.out)["result"]["ok"] is False
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):

@@ -73,21 +73,38 @@ class TestParseNetwork:
             parse_network(doc(bonus=1))
 
     def test_unknown_start(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError) as exc:
             parse_network(doc(start="Z"))
+        assert exc.value.report.violations == ("start stakeholder 'Z' not declared",)
 
     def test_reserved_stakeholder_id(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError) as exc:
             parse_network(doc(stakeholders=[{"id": "S", "level": "state"}], start="S"))
+        assert exc.value.report.violations == (
+            "reserved absorbing label used as stakeholder id 'S'",
+            "flow from unknown stakeholder 'A'",
+            "flow to unknown state 'B'",
+            "flow from unknown stakeholder 'B'",
+        )
 
     def test_duplicate_stakeholder_id(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError) as exc:
             parse_network(doc(stakeholders=[
                 {"id": "A", "level": "federal"}, {"id": "A", "level": "state"}]))
+        assert exc.value.report.violations == (
+            "duplicate stakeholder id 'A'",
+            "flow to unknown state 'B'",
+            "flow from unknown stakeholder 'B'",
+        )
 
     def test_bad_level(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError) as exc:
             parse_network(doc(stakeholders=[{"id": "A", "level": "galactic"}]))
+        assert exc.value.report.violations == (
+            "unknown level 'galactic' for stakeholder 'A'",
+            "flow to unknown state 'B'",
+            "flow from unknown stakeholder 'B'",
+        )
 
     def test_stakeholder_extra_field(self):
         with pytest.raises(SchemaError):
@@ -95,24 +112,51 @@ class TestParseNetwork:
                 {"id": "A", "level": "federal", "note": "hi"}]))
 
     def test_flow_from_absorbing_state(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError) as exc:
             parse_network(doc(flows=[{"from": "DI", "to": "A", "frequency": 1}]))
+        assert exc.value.report.violations == ("flow from unknown stakeholder 'DI'",)
 
     def test_flow_to_unknown_state(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError) as exc:
             parse_network(doc(flows=[{"from": "A", "to": "Q", "frequency": 1}]))
+        assert exc.value.report.violations == ("flow to unknown state 'Q'",)
 
     def test_boolean_frequency_rejected(self):
         with pytest.raises(SchemaError):
             parse_network(doc(flows=[{"from": "A", "to": "S", "frequency": True}]))
 
     def test_duplicate_flow_rejected(self):
-        with pytest.raises(SchemaError):
+        with pytest.raises(ValidationError) as exc:
             parse_network(doc(flows=[
                 {"from": "A", "to": "B", "frequency": 1},
                 {"from": "A", "to": "B", "frequency": 2},
                 {"from": "B", "to": "S", "frequency": 1},
             ]))
+        assert exc.value.report.violations == ("duplicate flow A->B",)
+
+    @pytest.mark.parametrize("overrides", [
+        {"stakeholders": [{"id": "A", "level": ["federal"]}, {"id": "B", "level": "state"}]},
+        {"start": 1},
+        {"flows": [{"from": ["A"], "to": "B", "frequency": 10},
+                   {"from": "B", "to": "S", "frequency": 10}]},
+        {"flows": [{"from": "A", "to": None, "frequency": 10},
+                   {"from": "B", "to": "S", "frequency": 10}]},
+    ], ids=["level", "start", "from", "to"])
+    def test_non_string_field_is_a_schema_error(self, overrides):
+        with pytest.raises(SchemaError):
+            parse_network(doc(**overrides))
+
+    @pytest.mark.parametrize("literal, value", [
+        ("1e999", "inf"), ("-1e999", "-inf"), ("1" + "0" * 400, "inf"), ("-1" + "0" * 400, "-inf"),
+    ], ids=["1e999", "-1e999", "long-int", "-long-int"])
+    def test_overflowing_frequency_is_a_violation(self, literal, value):
+        # json reads 1e999 as inf without calling parse_constant, and a long
+        # integer literal as an int that float() cannot hold.
+        text = doc().replace('"to": "B", "frequency": 10', f'"to": "B", "frequency": {literal}')
+        assert literal in text
+        with pytest.raises(ValidationError) as exc:
+            parse_network(text)
+        assert exc.value.report.violations == (f"non-finite frequency {value} on flow A->B",)
 
     def test_semantic_violations_carry_report(self):
         bad = doc(flows=[{"from": "A", "to": "B", "frequency": 10}])

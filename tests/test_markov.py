@@ -10,9 +10,9 @@ from infoflow.errors import (
     SingularSystemError,
 )
 from infoflow.markov import (
+    absorbing_reach,
     absorption_probabilities,
     build_canonical,
-    expected_visits,
 )
 from infoflow.network import plug_in_chain
 
@@ -133,18 +133,15 @@ class TestAbsorptionProbabilities:
             last = p_di
 
 
-class TestExpectedVisits:
-    def test_geometric(self):
-        tm = build_canonical([[0.5]], [[0.25, 0.15, 0.10]])
-        np.testing.assert_allclose(expected_visits(tm), [[2.0]], atol=1e-14)
 
-    def test_zero_q_gives_identity(self):
-        q = np.zeros((2, 2))
-        tm = build_canonical(q, [[0.5, 0.25, 0.25], [0.1, 0.4, 0.5]])
-        np.testing.assert_allclose(expected_visits(tm), np.eye(2), atol=1e-15)
-
-    def test_feed_forward(self):
-        tm = build_canonical(
-            [[0, 0.5], [0, 0]], [[0.5, 0, 0], [1.0, 0, 0]]
-        )
-        np.testing.assert_allclose(expected_visits(tm), [[1, 0.5], [0, 1]], atol=1e-14)
+def test_absorbing_reach_masks_states_and_stacks():
+    # t0 -> t1 -> absorbing; t2 <-> t3 is a closed loop; t4 absorbs directly.
+    q = np.zeros((5, 5))
+    q[0, 1] = q[2, 3] = q[3, 2] = 1.0
+    r = np.zeros((5, 3))
+    r[1, 1] = r[4, 0] = 1.0
+    assert absorbing_reach(q, r).tolist() == [True, True, False, False, True]
+    open_loop = r.copy()
+    open_loop[3, 2] = 1.0
+    stacked = absorbing_reach(np.stack([q, q]), np.stack([r, open_loop]))
+    assert stacked.tolist() == [[True, True, False, False, True], [True] * 5]

@@ -65,6 +65,41 @@ class TestValidate:
         assert validate(spec).ok
 
 
+@pytest.mark.parametrize("frequency", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_frequency_is_a_violation(frequency):
+    spec = spec_of([("A", "B", frequency), ("B", "S", 1.0)], ids=["A", "B"])
+    assert validate(spec).violations == (f"non-finite frequency {frequency} on flow A->B",)
+
+
+def test_validate_matches_a_graph_walk_on_random_networks():
+    # Reference: a forward walk from each stakeholder over positive flows.
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        ids = [f"N{i}" for i in range(int(rng.integers(1, 8)))]
+        flows = [
+            (a, b, float(rng.choice([0.0, 0.0, 1.0, 3.5])))
+            for a in ids
+            for b in ids + list(ABSORBING_ORDER)
+            if a != b and rng.random() < 0.3
+        ]
+        out = {a: [b for x, b, c in flows if x == a and c > 0] for a in ids}
+
+        def absorbs(sid):
+            seen, todo = set(), [sid]
+            while todo:
+                s = todo.pop()
+                if s in ABSORBING_ORDER:
+                    return True
+                if s not in seen:
+                    seen.add(s)
+                    todo.extend(out[s])
+            return False
+
+        expected = [f"dead-end transient state '{s}' (no positive outflow)" for s in ids if not out[s]]
+        expected += [f"no absorbing state reachable from stakeholder '{s}'" for s in ids if not absorbs(s)]
+        assert validate(spec_of(flows, ids=ids)).violations == tuple(expected)
+
+
 class TestCountsFor:
     def test_reference_b(self, reference_spec):
         cv = counts_for(reference_spec, "B")
