@@ -97,10 +97,13 @@ class TestMultinomialPmf:
 
 
 class TestPosterior:
-    def test_noninformative(self):
+    def test_flat_prior_update(self):
+        # The flat Dirichlet(1, ..., 1) prior updated by the counts: 1 + N.
         post = noninformative_posterior(cv(30, 20, 10, labels=("D", "E", "DI")))
         assert post.labels == ("D", "E", "DI")
         assert post.alpha.tolist() == [31.0, 21.0, 11.0]
+
+    def test_noninformative(self):
         assert noninformative_posterior(cv(30, 20, 10)).alpha.tolist() == [31, 21, 11]
         assert noninformative_posterior(cv(0)).alpha.tolist() == [1.0]
         assert noninformative_posterior(cv(35, 5)).alpha.tolist() == [36.0, 6.0]
