@@ -20,6 +20,17 @@ from .network import ValidationReport, plug_in_chain
 from .simulation import DEFAULT_BINS
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="infoflow",
@@ -44,20 +55,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="Monte Carlo over posterior draws")
     add_common(p)
-    p.add_argument("--iterations", type=int, required=True)
+    p.add_argument("--iterations", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bins", type=int, default=DEFAULT_BINS, help="histogram bins")
+    p.add_argument("--bins", type=_positive_int, default=DEFAULT_BINS, help="histogram bins")
 
     p = sub.add_parser("sweep", help="ineffective-flow sweep for one stakeholder")
     add_common(p)
     p.add_argument("--stakeholder", required=True)
-    p.add_argument("--iterations", type=int, required=True)
+    p.add_argument("--iterations", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=("mc", "plugin"), default="mc")
 
     p = sub.add_parser("rank", help="rank stakeholders by ineffective-flow impact")
     add_common(p)
-    p.add_argument("--iterations", type=int, required=True)
+    p.add_argument("--iterations", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--mode", choices=("mc", "plugin"), default="mc")
 

@@ -197,12 +197,21 @@ class _Plan:
     in declaration order, and the start stakeholder's index.
 
     The draw layout (`alpha`, `groups`) is built on first use, so plans that
-    are only solved in plug-in mode never pay for it.
+    are only solved in plug-in mode never pay for it; so is the raw-frequency
+    [Q | R] (`raw_qr`), so plans that are only drawn from never pay for that.
     """
 
     state_order: tuple[str, ...]
     rows: tuple[_CompiledRow, ...]
     start: int
+
+    @cached_property
+    def raw_qr(self) -> np.ndarray:
+        """Read-only (n, n + 3) stacked [Q | R] of the raw-frequency chain,
+        built once per plan: every sweep of the plan starts from it."""
+        qr = _plug_in_qr(self, RAW_FREQUENCY)
+        qr.flags.writeable = False
+        return qr
 
     @cached_property
     def alpha(self) -> np.ndarray:

@@ -7,17 +7,21 @@ probabilities at each step. The impact ratio (drop in P_S per unit of
 discarded flow) ranks stakeholders by how much their discarding hurts
 overall satisfaction.
 
-A sweep is one batch. The spec is compiled once, and every grid point's
-swept row is reallocated into an override of that plan. Plug-in mode then
-stacks one copy of the base raw-frequency [Q | R] per increment, overwrites
-the swept row, and checks and solves the stack at once. Monte Carlo mode
-hands all increments to one draw_samples call. Each increment's numbers
-are bit for bit those of a spec rebuilt for that increment alone.
+A sweep compiles the spec once and reallocates each grid point's swept row
+into an override of that plan. Monte Carlo mode draws every increment up
+front, in one draw_samples call. Plug-in mode stacks copies of the plan's
+raw-frequency [Q | R], overwrites the swept row, and checks and solves the
+stack at once: up front only for the two endpoints (zero and total
+discard), which are all the impact ratio and a ranking use, and for the
+whole curve on the first read of SweepResult.means. Each increment's
+numbers are bit for bit those of a spec rebuilt for that increment alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +35,7 @@ from .errors import (
     UnknownStakeholderError,
 )
 from .markov import stacked_absorption
-from .network import RAW_FREQUENCY, NetworkSpec
+from .network import NetworkSpec
 from .simulation import draw_samples
 
 MONTE_CARLO = "monte-carlo"
@@ -48,14 +52,28 @@ _DI = "DI"
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
+    """One stakeholder's sweep over the grid `n_di_values`.
+
+    The endpoints and the impact ratio are computed when the sweep runs.
+    `means` is the whole curve: Monte Carlo sweeps have it up front, plug-in
+    sweeps solve it by calling `curve` on its first read and keep it.
+    """
+
     stakeholder: str
     mode: str
     n_di_values: tuple[float, ...]
-    means: np.ndarray  # (increments, 3) columns (P_DI, P_S, P_US)
     p_s_max: float  # mean P_S at n_di = 0
     p_s_min: float  # mean P_S at n_di = total outflow
     impact_ratio: float
+    curve: Callable[[], np.ndarray] = field(repr=False)  # the means, (increments, 3)
     samples: np.ndarray | None = None  # (increments, iterations, 3), Monte Carlo only
+
+    @cached_property
+    def means(self) -> np.ndarray:
+        """Read-only (increments, 3) mean (P_DI, P_S, P_US) at each grid point."""
+        means = self.curve()
+        means.flags.writeable = False
+        return means
 
     @property
     def n_di_min(self) -> float:
@@ -126,13 +144,13 @@ def _plug_in_means(plan: network._Plan, swept: list[network._Plan], index: int) 
     """(len(swept), 3) start-state absorption triples of the raw-frequency
     chains of `swept`, plans that differ from `plan` only in row `index`.
 
-    The base [Q | R] is built once; each chunk of increments stacks one copy
-    per increment, overwrites row `index`, and is checked and solved by one
+    Each chunk of increments stacks one copy of the plan's raw [Q | R] per
+    increment, overwrites row `index`, and is checked and solved by one
     stacked_absorption call. Chunks hold as many blocks as the Monte Carlo
     engine's, so memory stays bounded whatever the increment count.
     """
     n = len(plan.rows)
-    base = network._plug_in_qr(plan, RAW_FREQUENCY)
+    base = plan.raw_qr
     out = np.empty((len(swept), 3))
     chunk = simulation._chunk_size(plan, len(swept))
     for first in range(0, len(swept), chunk):
@@ -158,14 +176,15 @@ def sweep_ineffective(
 ) -> SweepResult:
     """Sweep one stakeholder's discarded-flow frequency over 0..total outflow.
 
-    The spec is compiled once, every grid point's swept row is reallocated
-    into an override of that plan, and the whole curve is evaluated as one
-    batch. Monte Carlo mode estimates each increment's means from
-    `iterations` posterior draws, all increments in one draw_samples call;
-    increment i of stakeholder s uses streams derived from
-    (seed, index(s), i, t). Plug-in mode evaluates the raw-frequency chains
-    deterministically, in one stacked build and solve, and ignores
-    `iterations`.
+    The spec is compiled once and each grid point's swept row is reallocated
+    into an override of that plan. Monte Carlo mode estimates every
+    increment's means from `iterations` posterior draws up front, all
+    increments in one draw_samples call; increment i of stakeholder s uses
+    streams derived from (seed, index(s), i, t). Plug-in mode evaluates the
+    raw-frequency chains deterministically and ignores `iterations`: it
+    checks and solves only the first and last grid points, in one stacked
+    build and solve, and solves the whole curve the same way when
+    `means` is first read.
     """
     try:
         mode = _MODE_ALIASES[mode]
@@ -177,37 +196,47 @@ def sweep_ineffective(
     s_idx = spec.ids.index(stakeholder)
     base = plan.rows[s_idx].counts
     grid = _di_grid(base.total, increment)
-    # reallocate always adds DI, so every override has the same row labels
-    # and all increments share one draw layout.
-    swept = [plan.override(s_idx, reallocate(base, di)) for di in grid]
+
+    def swept(points) -> list[network._Plan]:
+        # reallocate always adds DI, so every override has the same row
+        # labels and all increments share one draw layout.
+        return [plan.override(s_idx, reallocate(base, di)) for di in points]
 
     if mode == MONTE_CARLO:
         # A flat-prior draw puts mass on every label of every row, so its
         # chain reaches absorption wherever the raw-frequency chain does, and
         # the swept row reaches DI directly; no check is needed.
-        all_samples = draw_samples(swept, iterations, seed, key=(s_idx,))
+        all_samples = draw_samples(swept(grid), iterations, seed, key=(s_idx,))
         all_samples.flags.writeable = False
         means = all_samples.mean(axis=1)
+        ends = means[[0, -1]]
+
+        def curve():
+            return means
     else:
         # Any positive discard gives the swept row a direct route to
         # absorbing DI, and the other rows and the row total are unchanged;
-        # only zero discard (grid[0]) can cut a route to absorption.
-        swept[0].require_valid()
+        # only zero discard (grid[0]) can cut a route to absorption. So the
+        # interior points pass stacked_absorption's checks whenever the
+        # endpoints do, and can wait until the curve is read.
         all_samples = None
-        means = _plug_in_means(plan, swept, s_idx)
+        zero_and_total = swept((grid[0], grid[-1]))
+        zero_and_total[0].require_valid()
+        ends = _plug_in_means(plan, zero_and_total, s_idx)
 
-    p_s_max = float(means[0, 1])
-    p_s_min = float(means[-1, 1])
-    ratio = impact_ratio(p_s_max, p_s_min, grid[-1], grid[0])
-    means.flags.writeable = False
+        def curve():
+            return _plug_in_means(plan, swept(grid), s_idx)
+
+    p_s_max = float(ends[0, 1])
+    p_s_min = float(ends[-1, 1])
     return SweepResult(
         stakeholder=stakeholder,
         mode=mode,
         n_di_values=grid,
-        means=means,
         p_s_max=p_s_max,
         p_s_min=p_s_min,
-        impact_ratio=ratio,
+        impact_ratio=impact_ratio(p_s_max, p_s_min, grid[-1], grid[0]),
+        curve=curve,
         samples=all_samples,
     )
 
@@ -220,7 +249,10 @@ def rank_details(
 ) -> list[SweepResult]:
     """Sweep every stakeholder except the start; most impactful first.
 
-    Ties in the impact ratio break by ascending stakeholder id.
+    Ties in the impact ratio break by ascending stakeholder id. The ranking
+    reads only each sweep's endpoints, so a plug-in ranking solves two
+    chains per stakeholder; each result still solves its whole curve if
+    its `means` is read.
     """
     network._compiled(spec)  # validates once and warms the plan every sweep reads
     sweeps = [

@@ -97,6 +97,26 @@ class TestUsageErrors:
         assert cli_main(["--help"]) == 0
         capsys.readouterr()
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--iterations", "0", "--seed", "1"],
+        ["simulate", "--iterations", "5", "--seed", "1", "--bins", "0"],
+        ["sweep", "--stakeholder", "D", "--iterations", "0", "--seed", "1"],
+        ["sweep", "--mode", "plugin", "--stakeholder", "D", "--iterations", "-1", "--seed", "1"],
+        ["rank", "--mode", "mc", "--iterations", "-3", "--seed", "1"],
+        ["rank", "--mode", "plugin", "--iterations", "0", "--seed", "1"],
+    ], ids=["simulate-iterations", "simulate-bins", "sweep-mc", "sweep-plugin",
+            "rank-mc", "rank-plugin"])
+    def test_count_below_one_is_a_usage_error(self, net_path, capsys, argv):
+        assert cli_main([*argv, str(net_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "must be a positive integer" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_non_integer_count_is_a_usage_error(self, net_path, capsys):
+        assert cli_main(["simulate", "--iterations", "x", "--seed", "1", str(net_path)]) == 2
+        assert "argument --iterations: invalid int value: 'x'" in capsys.readouterr().err
+
 
 class TestEvaluateCommand:
     def test_raw_mode(self, net_path, capsys):

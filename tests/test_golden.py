@@ -1,4 +1,4 @@
-"""Golden report digests: the SHA-256 of the CLI's stdout bytes for four
+"""Golden report digests: the SHA-256 of the CLI's stdout bytes for five
 seeded commands.
 
 The Monte Carlo rank on the reference network and the wide-row simulate
@@ -6,7 +6,9 @@ were recorded before the posterior-draw engine was batched (one
 standard_gamma call per iteration, chunked solves); the plug-in rank on a
 layered network and the wide-row Monte Carlo sweep were recorded before
 sweeps were batched (all increments of a stakeholder in one stacked build
-and solve). All were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
+and solve); the plug-in sweep on a layered network was recorded before
+plug-in sweeps left their interior points unsolved until the curve is
+read. All were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, x86-64), and every later engine must reproduce them bit
 for bit. The wide-row network has rows of 8 to 12 targets, where a change
 in how a row is summed shows in the last bits. A different numpy or BLAS
@@ -27,6 +29,7 @@ GOLDEN = {
     "simulate-wide-row": "1547742a7e2e8e5cd13983723962f81c7c45d234ca36804f1397d755a898efcc",
     "rank-plugin-layered": "fe172d31e8e3f2d82af28cc13ec131232f393a8a3c8af2387ee6518246fbb411",
     "sweep-mc-wide-row": "a207add13a0725325dae29cae47b299fbcf5bac44178a71b6f6c7510cb13d5e1",
+    "sweep-plugin-layered": "3190bd958b7a80cff55175983b2817eb1c0f60bd95a0ef942dfca08e884e2e43",
 }
 
 
@@ -64,3 +67,11 @@ def test_sweep_mc_on_wide_row_network(wide_row_path, capsys):
     argv = ["sweep", "--mode", "mc", "--stakeholder", "W05", "--iterations", "30",
             "--seed", "101", str(wide_row_path)]
     assert stdout_digest(argv, capsys) == GOLDEN["sweep-mc-wide-row"]
+
+
+def test_sweep_plugin_on_layered_network(tmp_path, capsys):
+    path = tmp_path / "layered_network.json"
+    path.write_bytes(document_bytes(layered_network(60, 4)))
+    argv = ["sweep", "--mode", "plugin", "--stakeholder", "N035", "--iterations", "1",
+            "--seed", "101", str(path)]
+    assert stdout_digest(argv, capsys) == GOLDEN["sweep-plugin-layered"]

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import infoflow
-from infoflow import dirichlet, simulation
+from infoflow import dirichlet, sensitivity, simulation
 from infoflow.dirichlet import CountVector
 from infoflow.errors import (
     DegenerateRangeError,
@@ -389,6 +389,46 @@ class TestSweepOverride:
         monkeypatch.setattr(simulation, "stream", broken_at_2_5)
         with pytest.raises(SingularSystemError, match="^iteration 5: I - Q is singular$"):
             sweep_ineffective(reference_spec, "D", 20, 4, "mc")
+
+
+class TestEndpointOnlyRank:
+    """A plug-in ranking reads only each sweep's endpoints, so it solves the
+    zero- and total-discard chains and leaves the interior of every curve
+    until its means are read."""
+
+    @pytest.mark.parametrize("network", ["reference", "cyclic", "wide_row", "layered"])
+    def test_two_chains_per_stakeholder_and_the_curve_endpoints(
+        self, request, monkeypatch, network
+    ):
+        spec = {
+            "reference": lambda: request.getfixturevalue("reference_spec"),
+            "cyclic": cyclic_spec,
+            "wide_row": lambda: request.getfixturevalue("wide_row_spec"),
+            "layered": lambda: infoflow.parse_network(document_bytes(layered_network(60, 4))),
+        }[network]()
+        real = sensitivity.stacked_absorption
+        chains = []
+
+        def counted(q, r, state_order):
+            chains.append(len(q))
+            return real(q, r, state_order)
+
+        monkeypatch.setattr(sensitivity, "stacked_absorption", counted)
+        ranked = rank_details(spec, 1, 0, "plugin")
+        assert chains == [2] * (len(spec.ids) - 1)
+        monkeypatch.undo()
+        for sw in ranked:
+            curve = sweep_ineffective(spec, sw.stakeholder, 1, 0, "plugin").means
+            assert (sw.p_s_max, sw.p_s_min) == tuple(curve[[0, -1], 1])
+            assert np.array_equal(sw.means, curve) and not sw.means.flags.writeable
+
+    def test_zero_discard_that_cuts_absorption_is_rejected(self):
+        spec = dead_loop_spec()
+        rebuilt = validate(_with_reallocated(spec, "X", reallocate(counts_for(spec, "X"), 0)))
+        assert not rebuilt.ok
+        with pytest.raises(ValidationError) as exc:
+            rank_details(spec, 1, 0, "plugin")
+        assert exc.value.report.violations == rebuilt.violations
 
 
 _FREQUENCIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 5.0])
