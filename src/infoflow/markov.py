@@ -3,7 +3,8 @@
 The chain is stored in canonical block form: Q holds transient-to-transient
 probabilities, R transient-to-absorbing. The absorbing block (O | I) is
 implicit and never stored. Absorption probabilities solve the linear system
-(I - Q) B = R; no explicit inverse is formed.
+(I - Q) B = R; no explicit inverse is formed. A solution whose rows do not
+sum to 1 within ROW_SUM_TOL is refused as too ill-conditioned.
 """
 
 from __future__ import annotations
@@ -159,21 +160,35 @@ def _normalised(q: np.ndarray, r: np.ndarray, state_order: tuple[str, ...]):
     return q, r
 
 
-def _solve(q: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - Q) X = rhs for one chain or a stack of chains."""
+def _solve(q: np.ndarray, r: np.ndarray, state_order: tuple[str, ...]) -> np.ndarray:
+    """Solve (I - Q) B = R for one chain or a stack of chains.
+
+    Every row of B must sum to 1, as the rows of Q and R do. A row that
+    misses by more than ROW_SUM_TOL means I - Q is too ill-conditioned for
+    the solve (a loop whose flow almost never leaves it), so it is refused.
+    """
     a = np.eye(q.shape[-1]) - q
     try:
-        x = np.linalg.solve(a, rhs)
+        b = np.linalg.solve(a, r)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"I - Q is singular: {exc}") from exc
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite(b)):
         raise SingularSystemError("I - Q is numerically singular (non-finite solution)")
-    return x
+    sums = b.sum(axis=-1)
+    bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.size:
+        at = tuple(bad[0])
+        i = int(at[-1])
+        raise SingularSystemError(
+            f"absorption probabilities of row {i} ({state_order[i]!r}) sum to "
+            f"{float(sums[at])!r}, not 1; I - Q is too ill-conditioned"
+        )
+    return b
 
 
 def absorption_probabilities(tm: TransitionMatrix) -> AbsorptionResult:
     """Solve (I - Q) B = R; row i is the absorption distribution from state i."""
-    b = _solve(tm.q, tm.r)
+    b = _solve(tm.q, tm.r, tm.state_order)
     b.flags.writeable = False
     return AbsorptionResult(b=b, state_order=tm.state_order)
 
@@ -187,4 +202,4 @@ def stacked_absorption(q: np.ndarray, r: np.ndarray, state_order: tuple[str, ...
     result equals, bit for bit, absorption_probabilities of build_canonical
     of that chain alone.
     """
-    return _solve(*_normalised(q, r, state_order))
+    return _solve(*_normalised(q, r, state_order), state_order)

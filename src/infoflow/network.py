@@ -196,9 +196,10 @@ class _Plan:
     """Assembly plan of a valid spec: state labels, one row per stakeholder
     in declaration order, and the start stakeholder's index.
 
-    The draw layout (`alpha`, `groups`) is built on first use, so plans that
-    are only solved in plug-in mode never pay for it; so is the raw-frequency
-    [Q | R] (`raw_qr`), so plans that are only drawn from never pay for that.
+    The draw layout (`alpha`, `groups`, `cells`) is built on first use, so
+    plans that are only solved in plug-in mode never pay for it; so is the
+    raw-frequency [Q | R] (`raw_qr`), so plans that are only drawn from never
+    pay for that.
     """
 
     state_order: tuple[str, ...]
@@ -237,6 +238,19 @@ class _Plan:
             )
             for k, rows in sorted(members.items())
         )
+
+    @cached_property
+    def cells(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+        """(flat, rows, n_q, diagonal): the flat positions in one (n, n + 3)
+        block of every cell a draw writes, the n_q cells of Q first; the row
+        of each; and the flat positions of Q's diagonal, which no draw
+        writes because validate forbids self-loops. With them the Monte
+        Carlo engine turns a drawn [Q | R] into [I - Q | R] in place."""
+        n, width = len(self.rows), len(self.state_order)
+        flat = np.concatenate([row.cols + i * width for i, row in enumerate(self.rows)])
+        in_q = flat % width < n
+        flat = np.concatenate([flat[in_q], flat[~in_q]])
+        return flat, flat // width, int(in_q.sum()), np.arange(n) * (width + 1)
 
     def override(self, index: int, counts: CountVector) -> _Plan:
         """This plan with row `index` rebuilt from `counts`, whose labels
@@ -307,10 +321,12 @@ def _fill_draws(plan: _Plan, gammas: np.ndarray, qr: np.ndarray) -> None:
 
     `gammas` is (draws, E): row d holds one standard_gamma call over
     `plan.alpha`. `qr` is the (draws, n, n + 3) stacked [Q | R] buffer, zero
-    outside the plan's interacting states. Each row is normalised twice, as
-    theta = g / g.sum() and then theta / theta.sum(). The gather is
-    C-contiguous so that every row sums along a contiguous last axis, which
-    rounds exactly as the sum of that row alone would.
+    outside the plan's interacting states. Only the cells in `plan.cells` are
+    written, so the Monte Carlo engine keeps one staging buffer for every
+    chunk and turns it into [I - Q | R] in place between fills. Each row is
+    normalised twice, as theta = g / g.sum() and then theta / theta.sum().
+    The gather is C-contiguous so that every row sums along a contiguous last
+    axis, which rounds exactly as the sum of that row alone would.
     """
     flat = qr.reshape(len(gammas), -1)
     for group in plan.groups:

@@ -10,6 +10,8 @@ import json
 
 import numpy as np
 
+from infoflow.network import FlowRecord, NetworkSpec, Stakeholder
+
 
 def truncated_power_absorption(q, r, residual_tol=1e-10, max_steps=100_000):
     """Absorption probabilities by accumulating path mass length by length.
@@ -110,3 +112,22 @@ def layered_network(size, seed):
 def document_bytes(doc):
     """Canonical bytes of a network document, for the CLI and for digests."""
     return (json.dumps(doc, indent=1) + "\n").encode("utf-8")
+
+
+def cyclic_spec():
+    # X and Y feed each other; each also has its own absorbing exits.
+    return NetworkSpec(
+        (Stakeholder("A", "federal"), Stakeholder("X", "state"), Stakeholder("Y", "local")),
+        (
+            FlowRecord("A", "X", 6.0),
+            FlowRecord("A", "Y", 4.0),
+            FlowRecord("A", "DI", 1.0),
+            FlowRecord("X", "Y", 5.0),
+            FlowRecord("X", "S", 3.0),
+            FlowRecord("X", "DI", 2.0),
+            FlowRecord("Y", "X", 2.0),
+            FlowRecord("Y", "S", 4.0),
+            FlowRecord("Y", "US", 3.0),
+        ),
+        "A",
+    )

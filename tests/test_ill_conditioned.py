@@ -1,0 +1,97 @@
+"""Absorption probabilities whose rows miss a sum of 1 are refused.
+
+On a loop whose flow almost never leaves it, I - Q is so ill-conditioned
+that the solve loses digits while every entry of B stays finite. Each row
+of B must sum to 1, as the rows of Q and R do, so every solve checks the
+rows it returns against markov.ROW_SUM_TOL and raises SingularSystemError.
+"""
+
+import numpy as np
+import pytest
+from helpers import document_bytes
+
+import infoflow
+from infoflow.cli import cli_main
+from infoflow.errors import SingularSystemError
+from infoflow.markov import absorption_probabilities
+from infoflow.network import plug_in_chain
+from infoflow.sensitivity import sweep_ineffective
+from infoflow.simulation import draw_samples
+
+STICKY = 1e12  # sums miss 1 by about 1e-5
+LOOSE = 1e3  # sums miss 1 by about 1e-13
+
+
+def sticky_loop(frequency):
+    """A and B pass information to each other `frequency` times for each
+    time A satisfies it or B leaves it unsatisfied."""
+    return {
+        "stakeholders": [{"id": "A", "level": "state"}, {"id": "B", "level": "local"}],
+        "start": "A",
+        "flows": [
+            {"from": "A", "to": "B", "frequency": frequency},
+            {"from": "B", "to": "A", "frequency": frequency},
+            {"from": "A", "to": "S", "frequency": 1},
+            {"from": "B", "to": "US", "frequency": 1},
+        ],
+    }
+
+
+def spec(frequency):
+    return infoflow.parse_network(document_bytes(sticky_loop(frequency)))
+
+
+class TestStickyLoopIsRefused:
+    def test_simulate(self):
+        with pytest.raises(
+            SingularSystemError,
+            match=r"^iteration 0: absorption probabilities sum to \S+, not 1; "
+            r"I - Q is too ill-conditioned$",
+        ):
+            draw_samples(spec(STICKY), 20, 1)
+
+    @pytest.mark.parametrize("mode", ["raw", "posterior-mean"])
+    def test_plug_in_evaluate(self, mode):
+        with pytest.raises(
+            SingularSystemError,
+            match=r"^absorption probabilities of row 0 \('A'\) sum to \S+, not 1; "
+            r"I - Q is too ill-conditioned$",
+        ):
+            absorption_probabilities(plug_in_chain(spec(STICKY), mode))
+
+    @pytest.mark.parametrize("mode", ["plugin", "mc"])
+    def test_sweep(self, mode):
+        # Zero discard keeps the loop; four increments keep the grid small.
+        with pytest.raises(SingularSystemError, match="I - Q is too ill-conditioned$"):
+            sweep_ineffective(spec(STICKY), "B", 5, 1, mode, increment=STICKY / 4)
+
+    def test_cli_exits_1_with_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "sticky.json"
+        path.write_bytes(document_bytes(sticky_loop(STICKY)))
+        assert cli_main(["simulate", "--iterations", "20", "--seed", "1", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: iteration 0: ")
+
+
+class TestLooseLoopPasses:
+    def test_simulate(self):
+        samples = draw_samples(spec(LOOSE), 200, 1)
+        np.testing.assert_allclose(samples.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["raw", "posterior-mean"])
+    def test_plug_in_evaluate(self, mode):
+        b = absorption_probabilities(plug_in_chain(spec(LOOSE), mode)).b
+        np.testing.assert_allclose(b.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["plugin", "mc"])
+    def test_sweep(self, mode):
+        sw = sweep_ineffective(spec(LOOSE), "B", 5, 1, mode, increment=LOOSE / 4)
+        np.testing.assert_allclose(sw.means.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_cli(self, tmp_path, capsys):
+        path = tmp_path / "loose.json"
+        path.write_bytes(document_bytes(sticky_loop(LOOSE)))
+        assert cli_main(["simulate", "--iterations", "20", "--seed", "1", str(path)]) == 0
+        assert "error" not in capsys.readouterr().err

@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import document_bytes, layered_network
+from helpers import cyclic_spec, document_bytes, layered_network
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import infoflow
-from infoflow import dirichlet, sensitivity, simulation
+from infoflow import dirichlet, network, sensitivity, simulation
 from infoflow.dirichlet import CountVector
 from infoflow.errors import (
     DegenerateRangeError,
@@ -246,25 +246,6 @@ def rebuilt_sweep(spec, stakeholder, iterations, seed, mode):
     return np.array(out)
 
 
-def cyclic_spec():
-    # X and Y feed each other; each also has its own absorbing exits.
-    return NetworkSpec(
-        (Stakeholder("A", "federal"), Stakeholder("X", "state"), Stakeholder("Y", "local")),
-        (
-            FlowRecord("A", "X", 6.0),
-            FlowRecord("A", "Y", 4.0),
-            FlowRecord("A", "DI", 1.0),
-            FlowRecord("X", "Y", 5.0),
-            FlowRecord("X", "S", 3.0),
-            FlowRecord("X", "DI", 2.0),
-            FlowRecord("Y", "X", 2.0),
-            FlowRecord("Y", "S", 4.0),
-            FlowRecord("Y", "US", 3.0),
-        ),
-        "A",
-    )
-
-
 def dead_loop_spec():
     # X's only route to absorption is its DI flow; at zero discard all of
     # X's flow goes to Y, which only returns it to X.
@@ -429,6 +410,20 @@ class TestEndpointOnlyRank:
         with pytest.raises(ValidationError) as exc:
             rank_details(spec, 1, 0, "plugin")
         assert exc.value.report.violations == rebuilt.violations
+
+    def test_valid_sweeps_run_no_whole_network_check(self, reference_spec, monkeypatch):
+        # The stacked solve checks the endpoints' reachability over the same
+        # positive support; require_valid runs only to report a failure.
+        real = network._Plan.require_valid
+        calls = []
+
+        def counted(plan):
+            calls.append(plan)
+            return real(plan)
+
+        monkeypatch.setattr(network._Plan, "require_valid", counted)
+        rank_details(reference_spec, 1, 0, "plugin")
+        assert calls == []
 
 
 _FREQUENCIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 5.0])

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import document_bytes, layered_network
+from helpers import cyclic_spec, document_bytes, layered_network
 
 import infoflow
 from infoflow import simulation
@@ -76,6 +76,63 @@ class TestRun:
         ])
         assert np.array_equal(fast, slow)
 
+    @pytest.mark.parametrize("chunk", [1, 7, 30])  # 30 is every iteration
+    @pytest.mark.parametrize("network", ["cyclic", "layered"])
+    def test_cyclic_engine_matches_public_per_iteration_path(self, monkeypatch, network, chunk):
+        # The engine builds I - Q in place in its one staging buffer; a
+        # diagonal not reset between chunks, or a drawn cell negated on the
+        # wrong side of the Q/R split, would show on chains with loops.
+        spec = {
+            "cyclic": cyclic_spec,
+            "layered": lambda: infoflow.parse_network(document_bytes(layered_network(60, 4))),
+        }[network]()
+        set_chunk(monkeypatch, spec, chunk, 30)
+        fast = draw_samples(spec, 30, 7)
+        slow = public_path(spec, [stream(7, t) for t in range(30)])
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(np.signbit(fast), np.signbit(slow))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 30])
+    def test_exact_zero_draws_match_public_per_iteration_path(self, monkeypatch, chunk):
+        # A draw of exactly 0 in Q must give the solve the +0.0 that eye - Q
+        # gives, not the -0.0 of a negation.
+        spec = cyclic_spec()
+        set_chunk(monkeypatch, spec, chunk, 30)
+        real = simulation.stream
+
+        class Zeroing:
+            # A->X, A->DI, X->DI and Y->X: every row keeps a route to S or US.
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_gamma(self, alpha):
+                gammas = self.rng.standard_gamma(alpha)
+                gammas[[0, 2, 4, 6]] = 0.0
+                return gammas
+
+        solve = np.linalg.solve
+        solved = []
+
+        def recording(a, b):
+            if a.ndim == 3:  # the engine's stacked solve
+                solved.extend(np.array(a))
+            return solve(a, b)
+
+        monkeypatch.setattr(simulation, "stream", lambda seed, *path: Zeroing(real(seed, *path)))
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        fast = draw_samples(spec, 30, 7)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        chains = [sampled_chain(spec, Zeroing(real(7, t))) for t in range(30)]
+        slow = np.array([absorption_probabilities(tm).row("A") for tm in chains])
+        assert np.array_equal(fast, slow)
+        assert np.array_equal(np.signbit(fast), np.signbit(slow))
+        assert np.all(fast[:, 0] == 0.0)  # no route to DI is left
+        assert len(solved) == 30
+        for a, tm in zip(solved, chains):
+            want = np.eye(3) - tm.q
+            assert np.array_equal(a, want)
+            assert np.array_equal(np.signbit(a), np.signbit(want))
+
     def test_wide_row_engine_matches_public_per_iteration_path(self, wide_row_spec):
         # Rows of 8-12 targets normalise through a batched gather; only a
         # C-contiguous gather sums each row as the one-draw path does.
@@ -148,6 +205,14 @@ class TestRun:
         assert len(summary.histogram_edges) == 11
 
 
+def public_path(spec, streams):
+    """Start-state triples of sampled_chain + absorption_probabilities, one
+    per stream."""
+    return np.array([
+        absorption_probabilities(sampled_chain(spec, rng)).row(spec.start) for rng in streams
+    ])
+
+
 def set_chunk(monkeypatch, spec, chunk, iterations):
     """Make the engine run `iterations` in chunks of `chunk` draws."""
     n = len(spec.ids)
@@ -185,6 +250,31 @@ class TestChunking:
         with pytest.raises(SingularSystemError, match="^iteration 10: I - Q is singular$"):
             draw_samples(reference_spec, 20, 1)
 
+    def test_ill_conditioned_iteration_is_named_across_chunks(self, monkeypatch):
+        # At iteration 12, the sixth draw of the second chunk of 7, X and Y
+        # pass almost all their flow to each other: every entry of B stays
+        # finite, but its rows miss a sum of 1.
+        spec = cyclic_spec()
+        set_chunk(monkeypatch, spec, 7, 20)
+        real = simulation.stream
+
+        class Sticky:
+            def standard_gamma(self, alpha):
+                gammas = np.ones(len(alpha))
+                gammas[[3, 6]] = 1e12  # X->Y and Y->X
+                return gammas
+
+        def sticky_at_12(seed, *path):
+            return Sticky() if path[-1] == 12 else real(seed, *path)
+
+        monkeypatch.setattr(simulation, "stream", sticky_at_12)
+        with pytest.raises(
+            SingularSystemError,
+            match=r"^iteration 12: absorption probabilities sum to \S+, not 1; "
+            r"I - Q is too ill-conditioned$",
+        ):
+            draw_samples(spec, 20, 1)
+
 
 def test_memory_is_bounded_in_iterations():
     spec = infoflow.parse_network(document_bytes(layered_network(150, 4)))
@@ -200,6 +290,24 @@ def test_memory_is_bounded_in_iterations():
 
     output = 8 * 3 * (800 - 100)
     assert peak(800) - peak(100) - output < 2**20
+
+
+@pytest.mark.parametrize("chunks", [1, 3])
+def test_one_staging_buffer_per_chunk(monkeypatch, chunks):
+    # A chunk holds one (chunk, n, n + 3) buffer, [Q | R] and then
+    # [I - Q | R] in place; a second (chunk, n, n) I - Q would double it.
+    spec = infoflow.parse_network(document_bytes(layered_network(150, 4)))
+    chunk, n = 4, len(spec.ids)
+    set_chunk(monkeypatch, spec, chunk, chunk * chunks)
+    draw_samples(spec, 1, 0)  # compile the plan and its draw layout
+    tracemalloc.start()
+    try:
+        draw_samples(spec, chunk * chunks, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    output = 8 * 3 * chunk * chunks
+    assert peak < 1.5 * chunk * 8 * n * (n + 3) + output
 
 
 def test_batch_draws_each_plan_from_its_own_streams(reference_spec):
