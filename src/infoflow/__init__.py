@@ -2,23 +2,18 @@
 
 Stakeholders form the transient states of an absorbing Markov chain whose
 absorbing end states are DI (information discarded), S (community satisfied)
-and US (community unsatisfied). Observed flow frequencies feed a
-Dirichlet-multinomial posterior per stakeholder; Monte Carlo over posterior
-draws propagates that uncertainty into the probability of ending satisfied,
-and ineffective-flow sweeps rank stakeholders by how much their discarding
-hurts that probability.
+and US (community unsatisfied). Each stakeholder's observed outgoing flow
+counts N give it the conjugate flat-prior posterior Dirichlet(1 + N). The
+chain is evaluated from the posterior mean or from seeded Monte Carlo over
+posterior draws, which propagates that uncertainty into the probability of
+ending satisfied, and ineffective-flow sweeps rank stakeholders by how much
+their discarding hurts that probability.
 """
 
 from importlib import resources
 
 from . import cli, dirichlet, documents, errors, markov, network, sensitivity, simulation
-from .dirichlet import (
-    CountVector,
-    DirichletParams,
-    SimplexVector,
-    noninformative_posterior,
-    sample,
-)
+from .dirichlet import CountVector, DirichletParams, noninformative_posterior
 from .documents import input_digest, network_to_document, parse_network
 from .markov import (
     AbsorptionResult,
@@ -31,7 +26,6 @@ from .network import (
     NetworkSpec,
     Stakeholder,
     ValidationReport,
-    counts_for,
     plug_in_chain,
     sampled_chain,
     validate,

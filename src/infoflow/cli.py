@@ -178,7 +178,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             documents.report_document(
                 "rank",
                 digest,
-                documents.rank_result(sweeps, sweeps[0].mode if sweeps else args.mode),
+                documents.rank_result(sweeps, sensitivity.canonical_mode(args.mode)),
                 seed=args.seed,
                 iterations=args.iterations,
             ),

@@ -1,25 +1,19 @@
-"""Dirichlet-multinomial model for one stakeholder's outgoing-flow probabilities.
+"""Flat-prior Dirichlet posterior of one stakeholder's outgoing-flow probabilities.
 
-Observed flow frequencies to the K interacting states are multinomial data;
-the conjugate Dirichlet prior yields a Dirichlet posterior whose draws are
-candidate probability rows for the transition matrix.
+Observed flow frequencies N to the K interacting states are multinomial
+data. Under the flat Dirichlet(1, ..., 1) prior the conjugate posterior is
+Dirichlet(1 + N), so no likelihood is ever evaluated: the chain is built
+from the posterior's alpha: from its mean (plug_in_chain's posterior-mean
+mode) or from its draws (sampled_chain and the Monte Carlo engine).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NegativeEntryError,
-    NonIntegerCountError,
-    RowSumError,
-)
-
-SIMPLEX_TOL = 1e-9
+from .errors import DimensionMismatchError, NegativeEntryError
 
 
 def _freeze(values, dtype=float) -> np.ndarray:
@@ -81,69 +75,6 @@ class DirichletParams:
         return len(self.alpha)
 
 
-@dataclass(frozen=True, eq=False)
-class SimplexVector:
-    """A probability distribution over interacting states."""
-
-    labels: tuple[str, ...]
-    theta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "theta", _freeze(self.theta))
-        _check_labels(self.labels, len(self.theta))
-        if np.any(self.theta < 0) or np.any(self.theta > 1):
-            raise NegativeEntryError(f"entries outside [0, 1]: {self.theta}")
-        if abs(self.theta.sum() - 1.0) > SIMPLEX_TOL:
-            raise RowSumError(f"probabilities sum to {self.theta.sum()!r}, not 1")
-
-    def __len__(self) -> int:
-        return len(self.theta)
-
-
-def multinomial_pmf(counts: CountVector, theta: SimplexVector) -> float:
-    """Probability of observing `counts` in counts.total independent flows.
-
-    Evaluated in log space with log-gamma and exponentiated at the end, so
-    large totals do not overflow the multinomial coefficient.
-    """
-    if counts.labels != theta.labels:
-        raise DimensionMismatchError(f"label mismatch: {counts.labels} vs {theta.labels}")
-    c = counts.counts
-    rounded = np.rint(c)
-    if np.any(np.abs(c - rounded) > 1e-9):
-        raise NonIntegerCountError(f"counts must be integers, got {c}")
-    c = rounded
-    log_coeff = math.lgamma(c.sum() + 1.0) - sum(math.lgamma(v + 1.0) for v in c)
-    log_prob = 0.0
-    for v, t in zip(c, theta.theta):
-        if v == 0:
-            continue  # 0 * log(0) taken as 0
-        if t == 0.0:
-            return 0.0
-        log_prob += v * math.log(t)
-    return math.exp(log_coeff + log_prob)
-
-
 def noninformative_posterior(counts: CountVector) -> DirichletParams:
     """Posterior under the flat all-ones prior: 1 + N_j componentwise."""
     return DirichletParams(counts.labels, 1.0 + counts.counts)
-
-
-def mean(params: DirichletParams) -> SimplexVector:
-    """Dirichlet mean alpha_j / sum(alpha); the deterministic plug-in row."""
-    theta = params.alpha / params.alpha.sum()
-    return SimplexVector(params.labels, theta / theta.sum())
-
-
-def sample(params: DirichletParams, rng: np.random.Generator) -> SimplexVector:
-    """One Dirichlet draw: independent gamma(alpha_j, 1) variates, normalized.
-
-    Deterministic given the generator state; valid for all alpha > 0.
-    """
-    g = rng.standard_gamma(params.alpha)
-    total = g.sum()
-    if total <= 0.0:
-        raise ValueError("gamma draws underflowed to zero; alpha too small")
-    theta = g / total
-    return SimplexVector(params.labels, theta / theta.sum())

@@ -25,10 +25,6 @@ class SingularSystemError(InfoFlowError):
     """I - Q is numerically non-invertible."""
 
 
-class NonIntegerCountError(InfoFlowError):
-    """A count vector used as multinomial data has non-integer entries."""
-
-
 class UnknownStakeholderError(InfoFlowError):
     """A stakeholder id does not exist in the network."""
 

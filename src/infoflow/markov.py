@@ -151,7 +151,7 @@ def _normalised(q: np.ndarray, r: np.ndarray, state_order: tuple[str, ...]):
         at = tuple(bad[0])
         i = int(at[-1])
         raise RowSumError(
-            f"row {i} ({state_order[i]!r}) sums to {sums[at]!r}, not 1"
+            f"row {i} ({state_order[i]!r}) sums to {float(sums[at])!r}, not 1"
         )
     q = q / sums[..., np.newaxis]
     r = r / sums[..., np.newaxis]

@@ -17,20 +17,14 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import dirichlet
-from .dirichlet import CountVector
-from .errors import UnknownStakeholderError, ValidationError
+from .dirichlet import CountVector, noninformative_posterior
+from .errors import ValidationError
 from .markov import ABSORBING_ORDER, TransitionMatrix, absorbing_reach, build_canonical
 
 LEVELS = ("federal", "state", "local")
 
 RAW_FREQUENCY = "raw"
 POSTERIOR_MEAN = "posterior-mean"
-_MODE_ALIASES = {
-    "raw": RAW_FREQUENCY,
-    "raw-frequency": RAW_FREQUENCY,
-    "posterior-mean": POSTERIOR_MEAN,
-}
 
 
 @dataclass(frozen=True)
@@ -143,22 +137,10 @@ def require_valid(spec: NetworkSpec) -> None:
         raise ValidationError(report)
 
 
-def counts_for(spec: NetworkSpec, stakeholder: str) -> CountVector:
-    """Outgoing frequencies of one stakeholder, labeled by interacting state.
-
-    Label order is deterministic: transient targets in declaration order,
-    then DI, S, US. Only states with a flow record present appear, so K is
-    the number of actually interacting states.
-    """
-    ids = spec.ids
-    if stakeholder not in ids:
-        raise UnknownStakeholderError(f"unknown stakeholder '{stakeholder}'")
-    position = {label: i for i, label in enumerate(ids + ABSORBING_ORDER)}
-    targets = {f.target: f.frequency for f in spec.flows if f.source == stakeholder}
-    return _ordered({t: c for t, c in targets.items() if t in position}, position)
-
-
 def _ordered(targets: dict[str, float], position: dict[str, int]) -> CountVector:
+    """One stakeholder's outgoing frequencies, labelled by interacting state:
+    transient targets in declaration order, then DI, S, US. Only states with
+    a flow record appear, so K is the number of actually interacting states."""
     order = sorted(targets, key=position.__getitem__)
     return CountVector(tuple(order), [targets[t] for t in order])
 
@@ -175,8 +157,7 @@ class _CompiledRow:
 
 
 def _compile_row(index: int, cv: CountVector, position: dict[str, int]) -> _CompiledRow:
-    alpha = 1.0 + cv.counts
-    alpha.flags.writeable = False
+    alpha = noninformative_posterior(cv).alpha
     cols = np.array([position[label] for label in cv.labels], dtype=np.intp)
     return _CompiledRow(index, cv, alpha, cols)
 
@@ -310,9 +291,9 @@ def _plug_in_qr(plan: _Plan, mode: str) -> np.ndarray:
     for row in plan.rows:
         if mode == RAW_FREQUENCY:
             qr[row.index, row.cols] = row.counts.counts / row.counts.total
-        else:
-            posterior = dirichlet.noninformative_posterior(row.counts)
-            qr[row.index, row.cols] = dirichlet.mean(posterior).theta
+        else:  # the posterior mean alpha / alpha.sum(), renormalised
+            theta = row.alpha / row.alpha.sum()
+            qr[row.index, row.cols] = theta / theta.sum()
     return qr
 
 
@@ -338,10 +319,8 @@ def _fill_draws(plan: _Plan, gammas: np.ndarray, qr: np.ndarray) -> None:
 def plug_in_chain(spec: NetworkSpec, mode: str = RAW_FREQUENCY) -> TransitionMatrix:
     """Deterministic chain: rows are normalized frequencies (raw mode) or the
     mean of the flat-prior posterior (posterior-mean mode)."""
-    try:
-        mode = _MODE_ALIASES[mode]
-    except KeyError:
-        raise ValueError(f"unknown plug-in mode {mode!r}") from None
+    if mode not in (RAW_FREQUENCY, POSTERIOR_MEAN):
+        raise ValueError(f"unknown plug-in mode {mode!r}")
     plan = _compiled(spec)
     return _chain(plan, _plug_in_qr(plan, mode))
 

@@ -51,6 +51,15 @@ _MODE_ALIASES = {
 _DI = "DI"
 
 
+def canonical_mode(mode: str) -> str:
+    """The canonical name of a sweep mode ("monte-carlo" or "plug-in"),
+    given that name or its short CLI form ("mc" or "plugin")."""
+    try:
+        return _MODE_ALIASES[mode]
+    except KeyError:
+        raise ValueError(f"unknown sweep mode {mode!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """One stakeholder's sweep over the grid `n_di_values`.
@@ -187,10 +196,7 @@ def sweep_ineffective(
     build and solve, and solves the whole curve the same way when
     `means` is first read.
     """
-    try:
-        mode = _MODE_ALIASES[mode]
-    except KeyError:
-        raise ValueError(f"unknown sweep mode {mode!r}") from None
+    mode = canonical_mode(mode)
     plan = network._compiled(spec)  # validates the spec
     if stakeholder not in spec.ids:
         raise UnknownStakeholderError(f"unknown stakeholder '{stakeholder}'")
@@ -261,6 +267,7 @@ def rank_details(
     chains per stakeholder; each result still solves its whole curve if
     its `means` is read.
     """
+    mode = canonical_mode(mode)  # before any sweep, so an empty ranking checks it too
     network._compiled(spec)  # validates once and warms the plan every sweep reads
     sweeps = [
         sweep_ineffective(spec, sid, iterations, seed, mode)

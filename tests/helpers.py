@@ -7,9 +7,13 @@ routes check each other.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
+from infoflow.dirichlet import CountVector
+from infoflow.errors import DimensionMismatchError
+from infoflow.markov import ABSORBING_ORDER
 from infoflow.network import FlowRecord, NetworkSpec, Stakeholder
 
 
@@ -52,6 +56,54 @@ def enumerate_paths_absorption(spec, absorbing=("DI", "S", "US")):
 
     walk(spec.start, 1.0, 0)
     return np.array([out[k] for k in absorbing])
+
+
+def flow_counts(spec, stakeholder):
+    """One stakeholder's outgoing frequencies, read off spec.flows: transient
+    targets in declaration order, then DI, S, US."""
+    frequency = {f.target: f.frequency for f in spec.flows if f.source == stakeholder}
+    labels = tuple(s for s in spec.ids + ABSORBING_ORDER if s in frequency)
+    return CountVector(labels, [frequency[s] for s in labels])
+
+
+def dirichlet_sample(params, rng):
+    """One Dirichlet(params.alpha) draw: independent gamma(alpha_j, 1)
+    variates normalised twice (theta = g / g.sum(), then theta / theta.sum()),
+    the same way each row of a posterior draw is. Deterministic given the
+    generator state."""
+    g = rng.standard_gamma(params.alpha)
+    total = g.sum()
+    if total <= 0.0:
+        raise ValueError("gamma draws underflowed to zero; alpha too small")
+    theta = g / total
+    return theta / theta.sum()
+
+
+def multinomial_pmf(counts, theta):
+    """Probability of observing the integer CountVector `counts` in
+    counts.total independent flows with probabilities `theta`, a
+    (labels, probabilities) pair.
+
+    Evaluated in log space with log-gamma and exponentiated at the end, so
+    large totals do not overflow the multinomial coefficient.
+    """
+    labels, probabilities = theta
+    if counts.labels != tuple(labels):
+        raise DimensionMismatchError(f"label mismatch: {counts.labels} vs {labels}")
+    c = counts.counts
+    rounded = np.rint(c)
+    if np.any(np.abs(c - rounded) > 1e-9):
+        raise ValueError(f"counts must be integers, got {c}")
+    c = rounded
+    log_coeff = math.lgamma(c.sum() + 1.0) - sum(math.lgamma(v + 1.0) for v in c)
+    log_prob = 0.0
+    for v, t in zip(c, probabilities):
+        if v == 0:
+            continue  # 0 * log(0) taken as 0
+        if t == 0.0:
+            return 0.0
+        log_prob += v * math.log(t)
+    return math.exp(log_coeff + log_prob)
 
 
 def random_valid_chain(rng, n_max=5):

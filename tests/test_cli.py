@@ -206,6 +206,20 @@ class TestRankCommand:
         assert lines[0] == "stakeholder,n_di_min,n_di_max,p_s_min,p_s_max,impact_ratio"
         assert lines[1].startswith("E,")
 
+    @pytest.mark.parametrize("mode, name", [("mc", "monte-carlo"), ("plugin", "plug-in")])
+    def test_empty_ranking_reports_the_canonical_mode(self, tmp_path, capsys, mode, name):
+        # The start is the only stakeholder, so nothing is swept.
+        path = tmp_path / "lone.json"
+        path.write_text(json.dumps({
+            "stakeholders": [{"id": "A", "level": "state"}],
+            "start": "A",
+            "flows": [{"from": "A", "to": "S", "frequency": 3}],
+        }))
+        assert cli_main(["rank", "--mode", mode, "--iterations", "2", "--seed", "1",
+                         str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert result == {"mode": name, "ranking": []}
+
 
 def test_module_entry_point(net_path):
     # The child imports the same infoflow this test imported.

@@ -1,5 +1,5 @@
 """Golden report digests: the SHA-256 of the CLI's stdout bytes for five
-seeded commands.
+seeded commands and two deterministic ones.
 
 The Monte Carlo rank on the reference network and the wide-row simulate
 were recorded before the posterior-draw engine was batched (one
@@ -8,7 +8,9 @@ layered network and the wide-row Monte Carlo sweep were recorded before
 sweeps were batched (all increments of a stakeholder in one stacked build
 and solve); the plug-in sweep on a layered network was recorded before
 plug-in sweeps left their interior points unsolved until the curve is
-read. All were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
+read; the posterior-mean evaluations on the reference and wide-row
+networks were recorded before the posterior-mean row was computed from the
+compiled row's alpha. All were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, x86-64), and every later engine must reproduce them bit
 for bit. The wide-row network has rows of 8 to 12 targets, where a change
 in how a row is summed shows in the last bits. A different numpy or BLAS
@@ -30,6 +32,8 @@ GOLDEN = {
     "rank-plugin-layered": "fe172d31e8e3f2d82af28cc13ec131232f393a8a3c8af2387ee6518246fbb411",
     "sweep-mc-wide-row": "a207add13a0725325dae29cae47b299fbcf5bac44178a71b6f6c7510cb13d5e1",
     "sweep-plugin-layered": "3190bd958b7a80cff55175983b2817eb1c0f60bd95a0ef942dfca08e884e2e43",
+    "evaluate-posterior-mean-reference": "e6fc1a8992254be6f3f5fca3f862b2c7a7bcdffef4051c25fdb794b3c0dee11c",
+    "evaluate-posterior-mean-wide-row": "e09582f2f198a094d15f011d8dffe2022d0aaae057f058d27912794a48c82216",
 }
 
 
@@ -75,3 +79,13 @@ def test_sweep_plugin_on_layered_network(tmp_path, capsys):
     argv = ["sweep", "--mode", "plugin", "--stakeholder", "N035", "--iterations", "1",
             "--seed", "101", str(path)]
     assert stdout_digest(argv, capsys) == GOLDEN["sweep-plugin-layered"]
+
+
+def test_evaluate_posterior_mean_on_reference_network(capsys):
+    argv = ["evaluate", "--mode", "posterior-mean", str(infoflow.reference_network_path())]
+    assert stdout_digest(argv, capsys) == GOLDEN["evaluate-posterior-mean-reference"]
+
+
+def test_evaluate_posterior_mean_on_wide_row_network(wide_row_path, capsys):
+    argv = ["evaluate", "--mode", "posterior-mean", str(wide_row_path)]
+    assert stdout_digest(argv, capsys) == GOLDEN["evaluate-posterior-mean-wide-row"]

@@ -32,6 +32,11 @@ class TestBuildCanonical:
         with pytest.raises(RowSumError):
             build_canonical([[0.5]], [[0.3, 0.3, 0.3]])
 
+    def test_row_sum_error_gives_the_sum_as_a_plain_float(self):
+        with pytest.raises(RowSumError) as exc:
+            build_canonical([[0.5]], [[0.1, 0.1, 0.1]])
+        assert str(exc.value) == "row 0 ('t0') sums to 0.8, not 1"
+
     def test_negative_entry_rejected(self):
         with pytest.raises(NegativeEntryError):
             build_canonical([[-0.1]], [[0.5, 0.3, 0.3]])

@@ -2,13 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import cyclic_spec, document_bytes, layered_network
+from helpers import cyclic_spec, dirichlet_sample, document_bytes, flow_counts, layered_network
 from hypothesis import example, given
 from hypothesis import strategies as st
 
 import infoflow
-from infoflow import dirichlet, network, sensitivity, simulation
-from infoflow.dirichlet import CountVector
+from infoflow import network, sensitivity, simulation
+from infoflow.dirichlet import CountVector, noninformative_posterior
 from infoflow.errors import (
     DegenerateRangeError,
     ExceedsTotalError,
@@ -24,7 +24,6 @@ from infoflow.network import (
     NetworkSpec,
     Stakeholder,
     _compiled,
-    counts_for,
     plug_in_chain,
     validate,
 )
@@ -215,6 +214,13 @@ class TestRank:
         ranking = _plug_in_ranking(two_hop_spec())
         assert len(ranking) == 1 and ranking[0][0] == "X"
 
+    def test_unknown_mode_is_refused_with_nothing_to_sweep(self):
+        # The start is the only stakeholder, so the ranking is empty.
+        spec = NetworkSpec((Stakeholder("A", "state"),), (FlowRecord("A", "S", 1.0),), "A")
+        assert rank_details(spec, 1, 0, "plugin") == []
+        with pytest.raises(ValueError, match="unknown sweep mode"):
+            rank_details(spec, 1, 0, "bogus")
+
     def test_symmetric_stakeholders_tie_and_order_by_id(self):
         ranking = _plug_in_ranking(symmetric_spec())
         assert [sid for sid, _ in ranking] == ["X", "Y"]
@@ -235,7 +241,7 @@ def rebuilt_sweep(spec, stakeholder, iterations, seed, mode):
     the public per-spec functions. Monte Carlo mode returns the samples
     (increments, iterations, 3), plug-in mode the means (increments, 3)."""
     s_idx = spec.ids.index(stakeholder)
-    base = counts_for(spec, stakeholder)
+    base = flow_counts(spec, stakeholder)
     out = []
     for i, di in enumerate(_di_grid(base.total, 1.0)):
         modified = _with_reallocated(spec, stakeholder, reallocate(base, di))
@@ -305,7 +311,7 @@ class TestSweepOverride:
     @pytest.mark.parametrize("mode", ["plugin"])
     def test_zero_discard_that_cuts_absorption_is_rejected(self, mode):
         spec = dead_loop_spec()
-        rebuilt = validate(_with_reallocated(spec, "X", reallocate(counts_for(spec, "X"), 0)))
+        rebuilt = validate(_with_reallocated(spec, "X", reallocate(flow_counts(spec, "X"), 0)))
         assert not rebuilt.ok
         with pytest.raises(ValidationError) as exc:
             sweep_ineffective(spec, "X", 5, 0, mode)
@@ -314,20 +320,20 @@ class TestSweepOverride:
     def test_monte_carlo_zero_discard_absorbs(self):
         # At zero discard X's raw-frequency chain cannot absorb, but every
         # flat-prior draw puts mass on the DI label reallocate gives X. The
-        # draws are per-row dirichlet.sample draws from stream (seed, s, 0, t)
+        # draws are per-row dirichlet_sample draws from stream (seed, s, 0, t)
         # in declaration order, assembled by the public build_canonical.
         spec = dead_loop_spec()
         sw = sweep_ineffective(spec, "X", 6, 3, "mc")
         np.testing.assert_allclose(sw.samples.sum(axis=2), 1.0, atol=1e-9)
-        zero = _with_reallocated(spec, "X", reallocate(counts_for(spec, "X"), 0))
+        zero = _with_reallocated(spec, "X", reallocate(flow_counts(spec, "X"), 0))
         states = zero.ids + ABSORBING_ORDER
         n = len(zero.ids)
         for t in range(6):
             rng = stream(3, zero.ids.index("X"), 0, t)
             qr = np.zeros((n, len(states)))
             for i, sid in enumerate(zero.ids):
-                cv = counts_for(zero, sid)
-                theta = dirichlet.sample(dirichlet.noninformative_posterior(cv), rng).theta
+                cv = flow_counts(zero, sid)
+                theta = dirichlet_sample(noninformative_posterior(cv), rng)
                 qr[i, [states.index(label) for label in cv.labels]] = theta
             tm = build_canonical(qr[:, :n], qr[:, n:], states)
             assert np.array_equal(sw.samples[0, t], absorption_probabilities(tm).row("A"))
@@ -405,7 +411,7 @@ class TestEndpointOnlyRank:
 
     def test_zero_discard_that_cuts_absorption_is_rejected(self):
         spec = dead_loop_spec()
-        rebuilt = validate(_with_reallocated(spec, "X", reallocate(counts_for(spec, "X"), 0)))
+        rebuilt = validate(_with_reallocated(spec, "X", reallocate(flow_counts(spec, "X"), 0)))
         assert not rebuilt.ok
         with pytest.raises(ValidationError) as exc:
             rank_details(spec, 1, 0, "plugin")
@@ -458,7 +464,7 @@ def test_reallocated_rows_keep_a_valid_network_valid(spec):
     assert validate(spec).ok
     plan = _compiled(spec)
     for s_idx, sid in enumerate(spec.ids):
-        base = counts_for(spec, sid)
+        base = flow_counts(spec, sid)
         for di in _di_grid(base.total, 1.0):
             try:
                 cv = reallocate(base, di)
