@@ -2,15 +2,17 @@
 
 Subcommands: validate, evaluate, simulate, sweep, rank. All accept
 --output PATH (default: stdout) and --format json|csv. Exit codes: 0 on
-success, 1 when the input fails parsing/validation, 2 on usage errors.
-Human-readable progress and diagnostics go to stderr; reports to stdout or
-the output file.
+success, 1 when the input fails parsing/validation or the computation is
+refused (a singular chain, or out of memory; always reported as `error:`
+lines on stderr), 2 on usage errors. Human-readable progress and
+diagnostics go to stderr; reports to stdout or the output file.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
 from . import documents, sensitivity, simulation
@@ -87,107 +89,66 @@ def _emit(report: dict, fmt: str, output: Path | None) -> None:
         output.write_bytes(data)
 
 
-def _info(msg: str) -> None:
-    print(msg, file=sys.stderr)
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    raw = Path(args.network).read_bytes()
-    digest = documents.input_digest(raw)
-
+def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], Callable[[], dict]]:
+    """A command's exit status, stderr summary lines and report result. The
+    result is built when called, after the summary is printed, because a
+    plug-in sweep's report solves the whole curve and may still fail."""
     if args.command == "validate":
         try:
             spec = documents.parse_network(raw)
         except ValidationError as exc:
             report = exc.report
-            for violation in report.violations:
-                _info(f"violation: {violation}")
+            lines = [f"violation: {violation}" for violation in report.violations]
         else:
             report = ValidationReport(())
-            _info(f"OK: {len(spec.stakeholders)} stakeholders, {len(spec.flows)} flows")
-        _emit(
-            documents.report_document("validate", digest, documents.validation_result(report)),
-            args.format,
-            args.output,
-        )
-        return 0 if report.ok else 1
+            lines = [f"OK: {len(spec.stakeholders)} stakeholders, {len(spec.flows)} flows"]
+        return (0 if report.ok else 1), lines, lambda: documents.validation_result(report)
 
     spec = documents.parse_network(raw)
 
     if args.command == "evaluate":
-        result = absorption_probabilities(plug_in_chain(spec, args.mode))
-        row = result.row(spec.start)
-        _info(
+        row = absorption_probabilities(plug_in_chain(spec, args.mode)).row(spec.start)
+        line = (
             f"{spec.start}: P_DI={row[0]:.3f} P_S={row[1]:.3f} P_US={row[2]:.3f} "
             f"({args.mode} plug-in)"
         )
-        _emit(
-            documents.report_document(
-                "evaluate", digest, documents.evaluate_result(args.mode, spec.start, row)
-            ),
-            args.format,
-            args.output,
-        )
-        return 0
+        return 0, [line], lambda: documents.evaluate_result(args.mode, spec.start, row)
 
     if args.command == "simulate":
         summary = simulation.run(spec, args.iterations, args.seed, bins=args.bins)
-        _info(
+        line = (
             f"mean P_S = {summary.mean_s:.3f} over {summary.iterations} iterations "
             f"(seed {summary.seed})"
         )
-        _emit(
-            documents.report_document(
-                "simulate",
-                digest,
-                documents.simulation_result(summary, spec.start),
-                seed=args.seed,
-                iterations=args.iterations,
-            ),
-            args.format,
-            args.output,
-        )
-        return 0
+        return 0, [line], lambda: documents.simulation_result(summary, spec.start)
 
     if args.command == "sweep":
         sweep = sensitivity.sweep_ineffective(
             spec, args.stakeholder, args.iterations, args.seed, args.mode
         )
-        _info(
+        line = (
             f"{sweep.stakeholder}: P_S {sweep.p_s_max:.3f} -> {sweep.p_s_min:.3f} "
             f"over n_di 0..{sweep.n_di_max:g}, impact ratio {sweep.impact_ratio:.5f}"
         )
-        _emit(
-            documents.report_document(
-                "sweep",
-                digest,
-                documents.sweep_result(sweep),
-                seed=args.seed,
-                iterations=args.iterations,
-            ),
-            args.format,
-            args.output,
-        )
-        return 0
+        return 0, [line], lambda: documents.sweep_result(sweep)
 
-    if args.command == "rank":
-        sweeps = sensitivity.rank_details(spec, args.iterations, args.seed, args.mode)
-        for sw in sweeps:
-            _info(f"{sw.stakeholder}: impact ratio {sw.impact_ratio:.5f}")
-        _emit(
-            documents.report_document(
-                "rank",
-                digest,
-                documents.rank_result(sweeps, sensitivity.canonical_mode(args.mode)),
-                seed=args.seed,
-                iterations=args.iterations,
-            ),
-            args.format,
-            args.output,
-        )
-        return 0
+    # rank, the last of the parser's commands
+    sweeps = sensitivity.rank_details(spec, args.iterations, args.seed, args.mode)
+    lines = [f"{sw.stakeholder}: impact ratio {sw.impact_ratio:.5f}" for sw in sweeps]
+    mode = sensitivity.canonical_mode(args.mode)
+    return 0, lines, lambda: documents.rank_result(sweeps, mode)
 
-    raise AssertionError(f"unhandled command {args.command!r}")
+
+def _dispatch(args: argparse.Namespace) -> int:
+    raw = Path(args.network).read_bytes()
+    digest = documents.input_digest(raw)
+    status, lines, result = _run(args, raw)
+    for line in lines:
+        print(line, file=sys.stderr)
+    seed, iterations = getattr(args, "seed", None), getattr(args, "iterations", None)
+    report = documents.report_document(args.command, digest, result(), seed, iterations)
+    _emit(report, args.format, args.output)
+    return status
 
 
 def cli_main(argv=None) -> int:
@@ -201,13 +162,11 @@ def cli_main(argv=None) -> int:
     except ValidationError as exc:
         for violation in exc.report.violations:
             print(f"error: {violation}", file=sys.stderr)
-        return 1
-    except InfoFlowError as exc:
+    except (InfoFlowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+    return 1
 
 
 def main() -> None:

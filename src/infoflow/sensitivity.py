@@ -207,7 +207,10 @@ def sweep_ineffective(
     def swept(points) -> list[network._Plan]:
         # reallocate always adds DI, so every override has the same row
         # labels and all increments share one draw layout.
-        return [plan.override(s_idx, reallocate(base, di)) for di in points]
+        try:
+            return [plan.override(s_idx, reallocate(base, di)) for di in points]
+        except NoNonDiTargetsError as exc:
+            raise NoNonDiTargetsError(f"stakeholder '{stakeholder}': {exc}") from None
 
     if mode == MONTE_CARLO:
         # A flat-prior draw puts mass on every label of every row, so its

@@ -221,6 +221,108 @@ class TestRankCommand:
         assert result == {"mode": name, "ranking": []}
 
 
+def _write(tmp_path, name, flows):
+    # Start A feeds X and S; `flows` are X's outflows.
+    path = tmp_path / name
+    path.write_text(json.dumps({
+        "stakeholders": [{"id": "A", "level": "federal"}, {"id": "X", "level": "local"}],
+        "start": "A",
+        "flows": [{"from": "A", "to": "X", "frequency": 3},
+                  {"from": "A", "to": "S", "frequency": 2}, *flows],
+    }))
+    return path
+
+
+class TestRefusedComputations:
+    # Each run asks numpy for more than 64 PiB (2.08 EiB of samples, or a
+    # 711 PiB discard grid for a total outflow of 1e17), which no machine
+    # grants, so nothing is allocated.
+    @pytest.mark.parametrize("argv, huge", [
+        (["simulate", "--iterations", "100000000000000000", "--seed", "1"], False),
+        (["sweep", "--stakeholder", "X", "--iterations", "1", "--seed", "1"], True),
+        (["rank", "--iterations", "1", "--seed", "1"], True),
+    ], ids=["simulate", "sweep", "rank"])
+    def test_out_of_memory_is_one_error_line(self, net_path, tmp_path, capsys, argv, huge):
+        path = _write(tmp_path, "huge.json", [{"from": "X", "to": "S", "frequency": 1e17}])
+        assert cli_main([*argv, str(path if huge else net_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: out of memory: Unable to allocate ")
+
+    @pytest.mark.parametrize("mode", ["mc", "plugin"])
+    @pytest.mark.parametrize("flows, reason", [
+        ([], "counts contain no non-DI entries"),
+        ([{"from": "X", "to": "S", "frequency": 0}, {"from": "X", "to": "US", "frequency": 0}],
+         "all outflow is already discarded; nothing to scale back up"),
+    ], ids=["di-only", "zero-others"])
+    def test_rank_names_a_discard_only_stakeholder(self, tmp_path, capsys, flows, reason, mode):
+        path = _write(tmp_path, "di.json", [{"from": "X", "to": "DI", "frequency": 4}, *flows])
+        assert cli_main(["simulate", "--iterations", "2", "--seed", "1", str(path)]) == 0
+        capsys.readouterr()
+        assert cli_main(["rank", "--mode", mode, "--iterations", "2", "--seed", "1",
+                         str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: stakeholder 'X': {reason}"]
+
+
+_RANK_MC = ["E: impact ratio 0.00753", "C: impact ratio 0.00634",
+            "D: impact ratio 0.00587", "B: impact ratio 0.00481"]
+_RANK_PLUGIN = ["E: impact ratio 0.00778", "C: impact ratio 0.00636",
+                "D: impact ratio 0.00600", "B: impact ratio 0.00555"]
+_BAD_NET_VIOLATIONS = [
+    "violation: dead-end transient state 'X' (no positive outflow)",
+    "violation: no absorbing state reachable from stakeholder 'A'",
+    "violation: no absorbing state reachable from stakeholder 'X'",
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("argv, code, err", [
+    (["validate"], 0, ["OK: 5 stakeholders, 13 flows"]),
+    (["validate", "bad"], 1, _BAD_NET_VIOLATIONS),
+    (["evaluate"], 0, ["A: P_DI=0.300 P_S=0.500 P_US=0.200 (raw plug-in)"]),
+    (["evaluate", "--mode", "posterior-mean"], 0,
+     ["A: P_DI=0.318 P_S=0.480 P_US=0.201 (posterior-mean plug-in)"]),
+    (["simulate", "--iterations", "20", "--seed", "1"], 0,
+     ["mean P_S = 0.474 over 20 iterations (seed 1)"]),
+    (["sweep", "--stakeholder", "D", "--iterations", "5", "--seed", "1"], 0,
+     ["D: P_S 0.518 -> 0.316 over n_di 0..30, impact ratio 0.00673"]),
+    (["sweep", "--stakeholder", "D", "--iterations", "5", "--seed", "1", "--mode", "plugin"],
+     0, ["D: P_S 0.530 -> 0.350 over n_di 0..30, impact ratio 0.00600"]),
+    (["rank", "--iterations", "3", "--seed", "1"], 0, _RANK_MC),
+    (["rank", "--iterations", "1", "--seed", "1", "--mode", "plugin"], 0, _RANK_PLUGIN),
+], ids=["validate", "validate-invalid", "evaluate-raw", "evaluate-posterior-mean",
+        "simulate", "sweep-mc", "sweep-plugin", "rank-mc", "rank-plugin"])
+def test_every_command_reports_through_one_tail(
+    net_path, bad_net, tmp_path, capsys, argv, code, err, fmt
+):
+    # Exit code, exact stderr summary, and the same report bytes on stdout
+    # and in --output; seed and iterations only for the commands that take
+    # them. An argv of ["validate", "bad"] validates the invalid network.
+    command, *rest = argv
+    path, rest = (bad_net, []) if rest == ["bad"] else (net_path, rest)
+    args = [command, *rest, "--format", fmt, str(path)]
+    assert cli_main(args) == code
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == err
+    out = tmp_path / f"report.{fmt}"
+    assert cli_main([*args, "--output", str(out)]) == code
+    again = capsys.readouterr()
+    assert again.out == ""
+    assert again.err == captured.err
+    assert out.read_bytes() == captured.out.encode("utf-8")
+    if fmt == "json":
+        report = json.loads(captured.out)
+        assert report["command"] == command
+        if command in ("validate", "evaluate"):
+            assert report["seed"] is None and report["iterations"] is None
+        else:
+            assert report["seed"] == int(rest[rest.index("--seed") + 1])
+            assert report["iterations"] == int(rest[rest.index("--iterations") + 1])
+
+
 def test_module_entry_point(net_path):
     # The child imports the same infoflow this test imported.
     src = str(Path(infoflow.__file__).resolve().parents[1])

@@ -178,6 +178,22 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_ineffective(reference_spec, "D", 1, 0, "bogus")
 
+    @pytest.mark.parametrize("mode", ["mc", "plugin"])
+    @pytest.mark.parametrize("zeros, reason", [
+        ((), "counts contain no non-DI entries"),
+        (("S", "US"), "all outflow is already discarded; nothing to scale back up"),
+    ], ids=["di-only", "zero-others"])
+    def test_discard_only_stakeholder_is_named(self, zeros, reason, mode):
+        spec = NetworkSpec(
+            (Stakeholder("A", "federal"), Stakeholder("X", "local")),
+            (FlowRecord("A", "X", 3.0), FlowRecord("A", "S", 2.0), FlowRecord("X", "DI", 4.0),
+             *(FlowRecord("X", to, 0.0) for to in zeros)),
+            "A",
+        )
+        assert validate(spec).ok
+        with pytest.raises(NoNonDiTargetsError, match=rf"^stakeholder 'X': {reason}$"):
+            sweep_ineffective(spec, "X", 2, 1, mode)
+
 
 def symmetric_spec():
     # Dyadic frequencies keep the two branches bit-for-bit identical.
