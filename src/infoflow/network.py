@@ -57,6 +57,15 @@ class NetworkSpec:
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.stakeholders)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.stakeholders, self.flows, self.start))
+
+    def __hash__(self) -> int:
+        # The spec is frozen, so its hash is computed once: every cached
+        # plan lookup (_compiled) hashes it, and rank looks it up per sweep.
+        return self._hash
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -177,10 +186,10 @@ class _Plan:
     """Assembly plan of a valid spec: state labels, one row per stakeholder
     in declaration order, and the start stakeholder's index.
 
-    The draw layout (`alpha`, `groups`, `cells`) is built on first use, so
-    plans that are only solved in plug-in mode never pay for it; so is the
-    raw-frequency [Q | R] (`raw_qr`), so plans that are only drawn from never
-    pay for that.
+    The draw layout (`alpha`, `groups`, `cells`, `reachable`) is built on
+    first use, so plans that are only solved in plug-in mode never pay for
+    it; so is the raw-frequency [Q | R] (`raw_qr`), so plans that are only
+    drawn from never pay for that.
     """
 
     state_order: tuple[str, ...]
@@ -232,6 +241,38 @@ class _Plan:
         in_q = flat % width < n
         flat = np.concatenate([flat[in_q], flat[~in_q]])
         return flat, flat // width, int(in_q.sum()), np.arange(n) * (width + 1)
+
+    @cached_property
+    def reachable(self) -> tuple[_Plan, np.ndarray]:
+        """(plan, positions): this plan restricted to the stakeholders the
+        start reaches over labelled cells, their transient columns
+        renumbered in declaration order, and the positions of their alphas
+        in `alpha`.
+
+        A flat-prior draw puts mass on every labelled cell, even one whose
+        count is 0, so these are the stakeholders a drawn chain can reach
+        from the start. No labelled cell leaves them, so the start's
+        absorption probabilities depend on their rows alone.
+        """
+        n = len(self.rows)
+        fed = np.zeros((n, n), dtype=bool)  # fed[j, i]: row i has a labelled cell to j
+        for row in self.rows:
+            fed[row.cols[row.cols < n], row.index] = True
+        start = np.zeros((n, 1), dtype=bool)
+        start[self.start] = True
+        # States that reach the start over reversed cells are those it reaches.
+        reach = absorbing_reach(fed, start)
+        keep = np.flatnonzero(reach)
+        column = np.empty(len(self.state_order), dtype=np.intp)
+        column[keep] = np.arange(len(keep))
+        column[n:] = np.arange(len(keep), len(keep) + len(self.state_order) - n)
+        rows = tuple(
+            _CompiledRow(k, self.rows[i].counts, self.rows[i].alpha, column[self.rows[i].cols])
+            for k, i in enumerate(keep)
+        )
+        state_order = tuple(self.state_order[i] for i in keep) + self.state_order[n:]
+        positions = np.flatnonzero(np.repeat(reach, [len(row.cols) for row in self.rows]))
+        return _Plan(state_order, rows, int(column[self.start])), positions
 
     def override(self, index: int, counts: CountVector) -> _Plan:
         """This plan with row `index` rebuilt from `counts`, whose labels

@@ -143,7 +143,10 @@ def impact_ratio(p_s_max: float, p_s_min: float, n_max: float, n_min: float) -> 
 def _di_grid(total: float, increment: float) -> tuple[float, ...]:
     if increment <= 0:
         raise ValueError(f"increment must be positive, got {increment}")
-    values = list(np.arange(0.0, total + increment * 1e-9, increment))
+    try:
+        values = list(np.arange(0.0, total + increment * 1e-9, increment))
+    except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
+        raise MemoryError(str(exc)) from None
     if not values or values[-1] < total - increment * 1e-9:
         values.append(total)
     values[-1] = total
@@ -156,8 +159,9 @@ def _plug_in_means(plan: network._Plan, swept: list[network._Plan], index: int) 
 
     Each chunk of increments stacks one copy of the plan's raw [Q | R] per
     increment, overwrites row `index`, and is checked and solved by one
-    stacked_absorption call. Chunks hold as many blocks as the Monte Carlo
-    engine's, so memory stays bounded whatever the increment count.
+    stacked_absorption call. Chunks hold as many (n, n + 3) blocks as fit
+    in simulation.CHUNK_BYTES, so memory stays bounded whatever the
+    increment count.
     """
     n = len(plan.rows)
     base = plan.raw_qr

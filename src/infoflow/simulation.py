@@ -1,6 +1,6 @@
 """Seeded Monte Carlo over posterior draws.
 
-Each iteration samples a full chain from the stakeholders' flat-prior
+Each iteration samples a chain from the stakeholders' flat-prior
 posteriors, solves for absorption probabilities, and records the start
 stakeholder's (P_DI, P_S, P_US) triple. Iteration t always uses the random
 stream derived from (seed, t), so the output is a pure function of
@@ -9,14 +9,18 @@ stream derived from (seed, t), so the output is a pure function of
 The engine takes a batch of plans that share one draw layout: one plan
 for a simulation, or every increment of a sweep, whose plans differ only
 in the alpha of the swept row. A draw costs one stream derivation and one
-standard_gamma call over its plan's concatenated alphas. The batch's draws
-then run back to back in chunks whose stacked (n, n + 3) blocks fit in
-CHUNK_BYTES. Each chunk has one staging buffer: the draws are normalised
-into it group by group with the shared layout, giving [Q | R]; the cells
-the draws wrote and the diagonal are then rewritten in place, giving
-[I - Q | R], which is solved as one stacked system. Memory is therefore
-bounded by that buffer plus the (plans, iterations, 3) output, whatever the
-iteration count, and the triples do not depend on the chunk size.
+standard_gamma call over its plan's concatenated alphas, every row's.
+Only the stakeholders the start reaches over labelled cells
+(`_Plan.reachable`) are normalised and solved: no labelled cell leaves
+them, so the start's row of B = (I - Q)^-1 R depends on their rows alone.
+The batch's draws run back to back in chunks whose stacked (m, m + 3)
+blocks, m the number of those stakeholders, fit in CHUNK_BYTES. Each chunk
+has one staging buffer: the draws are normalised into it group by group
+with the shared layout, giving [Q | R]; the cells the draws wrote and the
+diagonal are then rewritten in place, giving [I - Q | R], which is solved
+as one stacked system. Memory is therefore bounded by that buffer plus the
+(plans, iterations, 3) output, whatever the iteration count, and the
+triples do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -92,34 +96,43 @@ def _simulate_block(layout: _Plan, members, iterations: int, seed: int) -> np.nd
 
     `members` are (alpha, key) pairs of plans that share `layout`'s draw
     layout. Iteration t of a member draws from stream (seed, *key, t) with
-    one standard_gamma call over its alpha. The members' draws run back to
-    back in chunks of _chunk_size, so a chunk may hold the end of one member
-    and the start of the next. Each chunk's draws are normalised into one
-    staging buffer as a stacked [Q | R] by the helper sampled_chain uses.
-    Its rows are summed as build_canonical sums them; then only the drawn
-    cells are divided by their row's sum, Q's drawn cells are subtracted
-    from 0 and Q's diagonal (never drawn, as validate forbids self-loops) is
-    set to 1. The buffer then holds [I - Q | R] with the bits eye - Q gives,
-    and is solved as one stacked system. Its diagonal goes back to 0 and its
-    undrawn cells stay 0, so the next chunk's draws refill it as [Q | R].
-    So each triple equals what sampled_chain + absorption_probabilities give
-    for its stream and plan, whatever the chunk size, and only the output
-    grows with the number of draws.
+    one standard_gamma call over its whole alpha. Only the rows of the
+    stakeholders the start reaches, `layout.reachable`, are staged: the
+    others are neither normalised nor solved. The members' draws run back
+    to back in chunks of _chunk_size of that staged plan, so a chunk may
+    hold the end of one member and the start of the next. Each chunk's
+    staged draws are normalised into one staging buffer as a stacked
+    [Q | R] by the helper sampled_chain uses. Its rows are summed as
+    build_canonical sums them; then only the drawn cells are divided by
+    their row's sum, Q's drawn cells are subtracted from 0 and Q's diagonal
+    (never drawn, as validate forbids self-loops) is set to 1. The buffer
+    then holds [I - Q | R] with the bits eye - Q gives, and is solved as
+    one stacked system. Its diagonal goes back to 0 and its undrawn cells
+    stay 0, so the next chunk's draws refill it as [Q | R]. So each triple
+    equals, bit for bit, absorption_probabilities of the drawn chain
+    restricted to the stakeholders the start reaches, whatever the chunk
+    size; where the start reaches every stakeholder, that is what
+    sampled_chain + absorption_probabilities give for its stream and plan.
+    Only the output grows with the number of draws.
     """
-    n = len(layout.rows)
-    cells, rows, n_q, diagonal = layout.cells
+    staged, positions = layout.reachable
+    n = len(staged.rows)
+    cells, rows, n_q, diagonal = staged.cells
     total = len(members) * iterations
-    chunk = _chunk_size(layout, total)
-    out = np.empty((total, 3))
+    chunk = _chunk_size(staged, total)
+    try:
+        out = np.empty((total, 3))
+    except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
+        raise MemoryError(str(exc)) from None
     gammas = np.empty((chunk, layout.alpha.size))
-    qr_buf = np.zeros((chunk, n, len(layout.state_order)))  # cells no row draws stay 0
+    qr_buf = np.zeros((chunk, n, len(staged.state_order)))  # cells no row draws stay 0
     draws = ((alpha, key, t) for alpha, key in members for t in range(iterations))
     for first in range(0, total, chunk):
         m = min(chunk, total - first)
         for j, (alpha, key, t) in zip(range(m), draws):
             gammas[j] = stream(seed, *key, t).standard_gamma(alpha)
         qr = qr_buf[:m]
-        _fill_draws(layout, gammas[:m], qr)
+        _fill_draws(staged, np.take(gammas[:m], positions, axis=1), qr)
         a, r = qr[..., :n], qr[..., n:]  # a holds Q until rewritten as I - Q
         sums = a.sum(axis=2) + r.sum(axis=2)
         flat = qr.reshape(m, -1)
@@ -134,7 +147,7 @@ def _simulate_block(layout: _Plan, members, iterations: int, seed: int) -> np.nd
             b = None
         if b is None or not np.all(np.isfinite(b)):
             _raise_singular(a, r, first, iterations)
-        kept = b[:, layout.start, :]
+        kept = b[:, staged.start, :]
         totals = kept.sum(axis=1)
         bad = np.flatnonzero(np.abs(totals - 1.0) > ROW_SUM_TOL)
         if bad.size:  # a sticky loop: I - Q too ill-conditioned to solve
@@ -169,6 +182,12 @@ def draw_samples(
     key: tuple[int, ...] = (),
 ) -> np.ndarray:
     """(iterations, 3) start-state absorption triples, one per posterior draw.
+
+    Each triple is, bit for bit, absorption_probabilities of the drawn chain
+    restricted to the stakeholders the start reaches over labelled cells;
+    where the start reaches every stakeholder, that is the whole chain, as
+    sampled_chain draws it from the same stream. A loop the start cannot
+    reach is never solved, so it cannot make a draw fail.
 
     `key` prefixes the per-iteration stream path: iteration t draws from
     stream (seed, *key, t). `spec` may also be a plan compiled from a spec,

@@ -8,12 +8,13 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 
 import numpy as np
 
-from infoflow.dirichlet import CountVector
+from infoflow.dirichlet import CountVector, noninformative_posterior
 from infoflow.errors import DimensionMismatchError
-from infoflow.markov import ABSORBING_ORDER
+from infoflow.markov import ABSORBING_ORDER, absorption_probabilities, build_canonical
 from infoflow.network import FlowRecord, NetworkSpec, Stakeholder
 
 
@@ -77,6 +78,33 @@ def dirichlet_sample(params, rng):
         raise ValueError("gamma draws underflowed to zero; alpha too small")
     theta = g / total
     return theta / theta.sum()
+
+
+def reachable_sampled_absorption(spec, rng):
+    """Start-state absorption triple of one posterior draw, solved over the
+    stakeholders the start reaches.
+
+    Every stakeholder's row is drawn with dirichlet_sample, in declaration
+    order, from `rng`. The chain is then restricted to the stakeholders a
+    breadth-first search over spec.flows reaches from spec.start (every
+    flow record counts, whatever its frequency, as every drawn cell is
+    positive) and solved by build_canonical + absorption_probabilities.
+    """
+    drawn = {}
+    for sid in spec.ids:
+        params = noninformative_posterior(flow_counts(spec, sid))
+        drawn[sid] = dict(zip(params.labels, dirichlet_sample(params, rng)))
+    reached, queue = {spec.start}, deque([spec.start])
+    while queue:
+        for target in drawn[queue.popleft()]:
+            if target in drawn and target not in reached:
+                reached.add(target)
+                queue.append(target)
+    kept = [sid for sid in spec.ids if sid in reached]
+    q = [[drawn[a].get(b, 0.0) for b in kept] for a in kept]
+    r = [[drawn[a].get(k, 0.0) for k in ABSORBING_ORDER] for a in kept]
+    chain = build_canonical(q, r, tuple(kept) + ABSORBING_ORDER)
+    return absorption_probabilities(chain).row(spec.start)
 
 
 def multinomial_pmf(counts, theta):

@@ -235,20 +235,33 @@ def _write(tmp_path, name, flows):
 
 class TestRefusedComputations:
     # Each run asks numpy for more than 64 PiB (2.08 EiB of samples, or a
-    # 711 PiB discard grid for a total outflow of 1e17), which no machine
-    # grants, so nothing is allocated.
-    @pytest.mark.parametrize("argv, huge", [
-        (["simulate", "--iterations", "100000000000000000", "--seed", "1"], False),
-        (["sweep", "--stakeholder", "X", "--iterations", "1", "--seed", "1"], True),
-        (["rank", "--iterations", "1", "--seed", "1"], True),
-    ], ids=["simulate", "sweep", "rank"])
-    def test_out_of_memory_is_one_error_line(self, net_path, tmp_path, capsys, argv, huge):
-        path = _write(tmp_path, "huge.json", [{"from": "X", "to": "S", "frequency": 1e17}])
-        assert cli_main([*argv, str(path if huge else net_path)]) == 1
+    # 711 PiB discard grid for X's total outflow of 1e17), which no machine
+    # grants, or for more than numpy's size limit (9.6e18 bytes of samples
+    # for 4e17 iterations, or 1e19 grid points), which numpy refuses with a
+    # ValueError; so nothing is allocated.
+    @pytest.mark.parametrize("argv, outflow, message", [
+        (["simulate", "--iterations", "100000000000000000", "--seed", "1"], None,
+         "Unable to allocate "),
+        (["sweep", "--stakeholder", "X", "--iterations", "1", "--seed", "1"], 1e17,
+         "Unable to allocate "),
+        (["rank", "--iterations", "1", "--seed", "1"], 1e17, "Unable to allocate "),
+        (["simulate", "--iterations", "400000000000000000", "--seed", "1"], None,
+         "array is too big"),
+        (["sweep", "--mode", "plugin", "--stakeholder", "X", "--iterations", "1",
+          "--seed", "1"], 1e19, "Maximum allowed size exceeded"),
+    ], ids=["simulate", "sweep", "rank", "simulate-size-limit", "sweep-size-limit"])
+    def test_out_of_memory_is_one_error_line(
+        self, net_path, tmp_path, capsys, argv, outflow, message
+    ):
+        if outflow is None:
+            path = net_path
+        else:
+            path = _write(tmp_path, "huge.json", [{"from": "X", "to": "S", "frequency": outflow}])
+        assert cli_main([*argv, str(path)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         [line] = captured.err.splitlines()
-        assert line.startswith("error: out of memory: Unable to allocate ")
+        assert line.startswith(f"error: out of memory: {message}")
 
     @pytest.mark.parametrize("mode", ["mc", "plugin"])
     @pytest.mark.parametrize("flows, reason", [

@@ -4,7 +4,12 @@ On a loop whose flow almost never leaves it, I - Q is so ill-conditioned
 that the solve loses digits while every entry of B stays finite. Each row
 of B must sum to 1, as the rows of Q and R do, so every solve checks the
 rows it returns against markov.ROW_SUM_TOL and raises SingularSystemError.
+The Monte Carlo engine solves only the stakeholders the start reaches, so a
+loop the start cannot reach does not stop it; plug-in evaluation solves
+every row, so it still refuses such a network.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -95,3 +100,42 @@ class TestLooseLoopPasses:
         path.write_bytes(document_bytes(sticky_loop(LOOSE)))
         assert cli_main(["simulate", "--iterations", "20", "--seed", "1", str(path)]) == 0
         assert "error" not in capsys.readouterr().err
+
+
+def unreachable_loop():
+    """Start Z reaches only C; the sticky A-B loop is valid but unreachable.
+    At 1e17 a raw or drawn q_AB * q_BA rounds to 1, so its I - Q is singular."""
+    doc = sticky_loop(1e17)
+    doc["stakeholders"] += [{"id": "Z", "level": "federal"}, {"id": "C", "level": "state"}]
+    doc["start"] = "Z"
+    doc["flows"] += [
+        {"from": "Z", "to": "C", "frequency": 3},
+        {"from": "Z", "to": "DI", "frequency": 1},
+        {"from": "C", "to": "S", "frequency": 2},
+        {"from": "C", "to": "US", "frequency": 1},
+    ]
+    return doc
+
+
+class TestUnreachableLoopIsNotSolved:
+    @pytest.mark.parametrize("argv, key", [
+        (["simulate"], "samples"),
+        (["sweep", "--mode", "mc", "--stakeholder", "C"], "means"),
+    ], ids=["simulate", "sweep-mc"])
+    def test_monte_carlo_cli(self, tmp_path, capsys, argv, key):
+        path = tmp_path / "unreachable.json"
+        path.write_bytes(document_bytes(unreachable_loop()))
+        assert cli_main([*argv, "--iterations", "20", "--seed", "1", str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "error" not in err
+        triples = np.array(json.loads(out)["result"][key])
+        np.testing.assert_allclose(triples.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    def test_plug_in_evaluate_still_refuses(self, tmp_path, capsys):
+        path = tmp_path / "unreachable.json"
+        path.write_bytes(document_bytes(unreachable_loop()))
+        assert cli_main(["evaluate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith("error: I - Q is singular")

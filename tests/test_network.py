@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from helpers import dirichlet_sample, enumerate_paths_absorption, flow_counts
 
+from infoflow import parse_network
 from infoflow.dirichlet import noninformative_posterior
 from infoflow.errors import ValidationError
 from infoflow.markov import ABSORBING_ORDER, absorption_probabilities, build_canonical
@@ -98,6 +99,17 @@ def test_validate_matches_a_graph_walk_on_random_networks():
         expected = [f"dead-end transient state '{s}' (no positive outflow)" for s in ids if not out[s]]
         expected += [f"no absorbing state reachable from stakeholder '{s}'" for s in ids if not absorbs(s)]
         assert validate(spec_of(flows, ids=ids)).violations == tuple(expected)
+
+
+def test_equal_specs_built_separately_hash_equal_and_share_one_plan(reference_bytes):
+    # The hash is cached on the frozen spec; it must still be the hash of
+    # its fields, so equal specs built apart find one compiled plan.
+    a, b = parse_network(reference_bytes), parse_network(reference_bytes)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((a.stakeholders, a.flows, a.start))
+    assert _compiled(a) is _compiled(b)
+    other = NetworkSpec(a.stakeholders, a.flows, "B")
+    assert other != a and _compiled(other) is not _compiled(a)
 
 
 def counts_for(spec, stakeholder):

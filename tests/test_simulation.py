@@ -2,13 +2,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import cyclic_spec, document_bytes, layered_network
+from helpers import (
+    cyclic_spec,
+    document_bytes,
+    layered_network,
+    reachable_sampled_absorption,
+)
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import infoflow
 from infoflow import simulation
 from infoflow.dirichlet import CountVector
 from infoflow.errors import EmptySampleError, SingularSystemError, ValidationError
-from infoflow.markov import absorption_probabilities
+from infoflow.markov import ABSORBING_ORDER, absorption_probabilities
 from infoflow.network import (
     FlowRecord,
     NetworkSpec,
@@ -87,10 +94,18 @@ class TestRun:
             "layered": lambda: infoflow.parse_network(document_bytes(layered_network(60, 4))),
         }[network]()
         set_chunk(monkeypatch, spec, chunk, 30)
+        shapes = stacked_solve_shapes(monkeypatch)
         fast = draw_samples(spec, 30, 7)
-        slow = public_path(spec, [stream(7, t) for t in range(30)])
-        assert np.array_equal(fast, slow)
-        assert np.array_equal(np.signbit(fast), np.signbit(slow))
+        m = {"cyclic": 3, "layered": 49}[network]
+        assert shapes == [(min(chunk, 30 - first), m, m) for first in range(0, 30, chunk)]
+        whole = public_path(spec, [stream(7, t) for t in range(30)])
+        if network == "cyclic":
+            exact = whole
+        else:  # the start reaches 49 of the 60 stakeholders; only those are solved
+            exact = np.array([reachable_sampled_absorption(spec, stream(7, t)) for t in range(30)])
+            np.testing.assert_allclose(fast, whole, rtol=0, atol=1e-15)
+        assert np.array_equal(fast, exact)
+        assert np.array_equal(np.signbit(fast), np.signbit(exact))
 
     @pytest.mark.parametrize("chunk", [1, 7, 30])
     def test_exact_zero_draws_match_public_per_iteration_path(self, monkeypatch, chunk):
@@ -213,11 +228,26 @@ def public_path(spec, streams):
     ])
 
 
+def stacked_solve_shapes(monkeypatch):
+    """Record the shape of every stacked I - Q given to np.linalg.solve."""
+    solve, shapes = np.linalg.solve, []
+
+    def recording(a, b):
+        if a.ndim == 3:
+            shapes.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return shapes
+
+
 def set_chunk(monkeypatch, spec, chunk, iterations):
-    """Make the engine run `iterations` in chunks of `chunk` draws."""
-    n = len(spec.ids)
-    monkeypatch.setattr(simulation, "CHUNK_BYTES", chunk * 8 * n * (n + 3))
-    assert simulation._chunk_size(_compiled(spec), iterations) == min(chunk, iterations)
+    """Make the engine run `iterations` in chunks of `chunk` draws, each
+    draw one (m, m + 3) block of the m stakeholders it stages."""
+    staged = _compiled(spec).reachable[0]
+    m = len(staged.rows)
+    monkeypatch.setattr(simulation, "CHUNK_BYTES", chunk * 8 * m * (m + 3))
+    assert simulation._chunk_size(staged, iterations) == min(chunk, iterations)
 
 
 class TestChunking:
@@ -296,8 +326,11 @@ def test_memory_is_bounded_in_iterations():
 def test_one_staging_buffer_per_chunk(monkeypatch, chunks):
     # A chunk holds one (chunk, n, n + 3) buffer, [Q | R] and then
     # [I - Q | R] in place; a second (chunk, n, n) I - Q would double it.
+    # The start reaches 109 of the 150 stakeholders, so the staged block is
+    # (109, 112), about half the whole chain's (150, 153).
     spec = infoflow.parse_network(document_bytes(layered_network(150, 4)))
-    chunk, n = 4, len(spec.ids)
+    chunk, m = 4, len(_compiled(spec).reachable[0].rows)
+    assert m == 109
     set_chunk(monkeypatch, spec, chunk, chunk * chunks)
     draw_samples(spec, 1, 0)  # compile the plan and its draw layout
     tracemalloc.start()
@@ -307,7 +340,7 @@ def test_one_staging_buffer_per_chunk(monkeypatch, chunks):
     finally:
         tracemalloc.stop()
     output = 8 * 3 * chunk * chunks
-    assert peak < 1.5 * chunk * 8 * n * (n + 3) + output
+    assert peak < 1.5 * chunk * 8 * m * (m + 3) + output
 
 
 def test_batch_draws_each_plan_from_its_own_streams(reference_spec):
@@ -322,3 +355,38 @@ def test_batch_draws_each_plan_from_its_own_streams(reference_spec):
     narrower = plan.override(1, CountVector(("D", "E"), [3.0, 2.0]))
     with pytest.raises(ValueError, match="share one draw layout"):
         draw_samples([plan, narrower], 12, 5)
+
+
+@st.composite
+def partly_unreachable_specs(draw):
+    """Valid specs whose start R0 cannot reach the stakeholders U*: R* send
+    flow only to R*, U* to anyone. Every stakeholder also has a direct
+    absorbing flow, and flows between stakeholders may have frequency 0,
+    which a posterior draw still takes. Declaration order is shuffled."""
+    ids = [f"R{i}" for i in range(draw(st.integers(1, 5)))]
+    ids += [f"U{i}" for i in range(draw(st.integers(1, 4)))]
+    flows = []
+    for sid in ids:
+        pool = [t for t in ids if t != sid and (t[0] == "R" or sid[0] == "U")]
+        for target in draw(st.lists(st.sampled_from(pool), unique=True)) if pool else []:
+            flows.append(FlowRecord(sid, target, float(draw(st.integers(0, 20)))))
+        exits = draw(st.lists(st.sampled_from(ABSORBING_ORDER), min_size=1, unique=True))
+        for target in exits:
+            flows.append(FlowRecord(sid, target, float(draw(st.integers(1, 20)))))
+    order = draw(st.permutations(ids))
+    return NetworkSpec(tuple(Stakeholder(sid, "local") for sid in order), tuple(flows), "R0")
+
+
+@given(partly_unreachable_specs(), st.integers(0, 2**32))
+@settings(max_examples=50)
+def test_engine_solves_only_what_the_start_reaches(spec, seed):
+    # Exactly the chain restricted to the stakeholders the start reaches,
+    # and within rounding of the whole chain, whose other rows cannot
+    # change the start's absorption probabilities.
+    fast = draw_samples(spec, 6, seed)
+    exact = np.array([reachable_sampled_absorption(spec, stream(seed, t)) for t in range(6)])
+    assert np.array_equal(fast, exact)
+    assert np.array_equal(np.signbit(fast), np.signbit(exact))
+    whole = public_path(spec, [stream(seed, t) for t in range(6)])
+    np.testing.assert_allclose(fast, whole, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(fast.sum(axis=1), 1.0, rtol=0, atol=1e-12)
