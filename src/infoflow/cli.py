@@ -126,9 +126,10 @@ def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], Callable
         sweep = sensitivity.sweep_ineffective(
             spec, args.stakeholder, args.iterations, args.seed, args.mode
         )
+        grid = sweep.n_di_values  # before the summary, so a refused grid is the only line
         line = (
             f"{sweep.stakeholder}: P_S {sweep.p_s_max:.3f} -> {sweep.p_s_min:.3f} "
-            f"over n_di 0..{sweep.n_di_max:g}, impact ratio {sweep.impact_ratio:.5f}"
+            f"over n_di 0..{grid[-1]:g}, impact ratio {sweep.impact_ratio:.5f}"
         )
         return 0, [line], lambda: documents.sweep_result(sweep)
 

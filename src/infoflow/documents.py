@@ -170,7 +170,7 @@ def sweep_result(sweep: SweepResult) -> dict:
     return {
         "stakeholder": sweep.stakeholder,
         "mode": sweep.mode,
-        "n_di_values": list(sweep.n_di_values),
+        "n_di_values": sweep.n_di_values.tolist(),
         "means": sweep.means.tolist(),
         "p_s_max": sweep.p_s_max,
         "p_s_min": sweep.p_s_min,

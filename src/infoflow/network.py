@@ -276,23 +276,11 @@ class _Plan:
 
     def override(self, index: int, counts: CountVector) -> _Plan:
         """This plan with row `index` rebuilt from `counts`, whose labels
-        must be states of this plan."""
+        must be states of this plan: a sweep's layout plan."""
         position = {label: i for i, label in enumerate(self.state_order)}
         rows = list(self.rows)
         rows[index] = _compile_row(index, counts, position)
         return _Plan(self.state_order, tuple(rows), self.start)
-
-    def shares_layout(self, other: _Plan) -> bool:
-        """Whether `other` has this plan's states, start and interacting
-        states in every row, so that one draw layout (`groups`) serves both.
-        Overrides of one plan share every row object but one, so this costs
-        little more than one row comparison."""
-        return (
-            other.state_order == self.state_order
-            and other.start == self.start
-            and len(other.rows) == len(self.rows)
-            and all(a is b or np.array_equal(a.cols, b.cols) for a, b in zip(self.rows, other.rows))
-        )
 
     def require_valid(self) -> None:
         """Raise ValidationError, as validate would for the spec the rows

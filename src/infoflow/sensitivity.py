@@ -7,14 +7,15 @@ probabilities at each step. The impact ratio (drop in P_S per unit of
 discarded flow) ranks stakeholders by how much their discarding hurts
 overall satisfaction.
 
-A sweep compiles the spec once and reallocates each grid point's swept row
-into an override of that plan. Monte Carlo mode draws every increment up
-front, in one draw_samples call. Plug-in mode stacks copies of the plan's
-raw-frequency [Q | R], overwrites the swept row, and checks and solves the
-stack at once: up front only for the two endpoints (zero and total
-discard), which are all the impact ratio and a ranking use, and for the
-whole curve on the first read of SweepResult.means. Each increment's
-numbers are bit for bit those of a spec rebuilt for that increment alone.
+A sweep builds one layout plan, the compiled spec with the swept row at
+zero discard labelled as reallocate labels it (DI added where missing).
+reallocate is affine in the discard, so the whole sweep is one
+(increments, k) count matrix: Monte Carlo mode draws its alphas 1 + counts
+in one draw_samples call; plug-in mode writes counts over their row sums
+into stacked copies of the raw-frequency [Q | R] and solves the stack, up
+front only at the two endpoints (zero and total discard) that the impact
+ratio and a ranking use. Each increment's numbers are bit for bit those of
+a spec rebuilt for that increment alone.
 """
 
 from __future__ import annotations
@@ -62,21 +63,26 @@ def canonical_mode(mode: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """One stakeholder's sweep over the grid `n_di_values`.
-
-    The endpoints and the impact ratio are computed when the sweep runs.
-    `means` is the whole curve: Monte Carlo sweeps have it up front, plug-in
-    sweeps solve it by calling `curve` on its first read and keep it.
+    """One stakeholder's sweep over the grid `n_di_values`, n_di_min to
+    n_di_max (the total outflow) in steps of `increment`. The endpoints and
+    the impact ratio are computed when the sweep runs; the grid and the
+    curve `means` on first read (plug-in sweeps solve it by calling `curve`).
     """
 
     stakeholder: str
     mode: str
-    n_di_values: tuple[float, ...]
-    p_s_max: float  # mean P_S at n_di = 0
-    p_s_min: float  # mean P_S at n_di = total outflow
+    n_di_min: float
+    n_di_max: float
+    increment: float
+    p_s_max: float  # mean P_S at n_di_min
+    p_s_min: float  # mean P_S at n_di_max
     impact_ratio: float
     curve: Callable[[], np.ndarray] = field(repr=False)  # the means, (increments, 3)
     samples: np.ndarray | None = None  # (increments, iterations, 3), Monte Carlo only
+
+    @cached_property
+    def n_di_values(self) -> np.ndarray:  # read-only float64, one per increment
+        return _di_grid(self.n_di_max, self.increment)
 
     @cached_property
     def means(self) -> np.ndarray:
@@ -84,14 +90,6 @@ class SweepResult:
         means = self.curve()
         means.flags.writeable = False
         return means
-
-    @property
-    def n_di_min(self) -> float:
-        return self.n_di_values[0]
-
-    @property
-    def n_di_max(self) -> float:
-        return self.n_di_values[-1]
 
 
 def reallocate(counts: CountVector, di_value: float) -> CountVector:
@@ -140,40 +138,53 @@ def impact_ratio(p_s_max: float, p_s_min: float, n_max: float, n_min: float) -> 
     return (p_s_max - p_s_min) / (n_max - n_min)
 
 
-def _di_grid(total: float, increment: float) -> tuple[float, ...]:
-    if increment <= 0:
-        raise ValueError(f"increment must be positive, got {increment}")
+def _di_grid(total: float, increment: float) -> np.ndarray:
+    """Read-only discard grid 0, increment, 2 * increment, ... (increment
+    > 0) ending at `total`: a step within increment * 1e-9 of it becomes
+    it, and a total within that of 0 makes the grid that one point."""
     try:
-        values = list(np.arange(0.0, total + increment * 1e-9, increment))
+        grid = np.arange(0.0, total + increment * 1e-9, increment)
     except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
         raise MemoryError(str(exc)) from None
-    if not values or values[-1] < total - increment * 1e-9:
-        values.append(total)
-    values[-1] = total
-    return tuple(float(v) for v in values)
+    if grid[-1] < total - increment * 1e-9:
+        grid = np.append(grid, total)
+    grid[-1] = total
+    grid.flags.writeable = False
+    return grid
 
 
-def _plug_in_means(plan: network._Plan, swept: list[network._Plan], index: int) -> np.ndarray:
-    """(len(swept), 3) start-state absorption triples of the raw-frequency
-    chains of `swept`, plans that differ from `plan` only in row `index`.
+def _reallocated(base: CountVector, grid: np.ndarray) -> tuple[CountVector, np.ndarray]:
+    """reallocate(base, grid[0]) and the (len(grid), k) counts reallocate(base, d)
+    gives at each point d of a sweep's grid, bit for bit: DI becomes d and
+    every other count v becomes v * (T - d) / (T - d0), the same IEEE
+    operations on every point. Only the first point can fail."""
+    first = reallocate(base, grid[0])
+    values = dict(zip(base.labels, base.counts.tolist()))
+    total = sum(values.values())
+    rest = total - values.get(_DI, 0.0)
+    di = np.minimum(grid, total)
+    scale = (total - di) / rest if rest else np.zeros(len(grid))  # rest 0: d is T
+    counts = np.array([values.get(label, 0.0) for label in first.labels]) * scale[:, np.newaxis]
+    counts[:, first.labels.index(_DI)] = di
+    return first, counts
 
-    Each chunk of increments stacks one copy of the plan's raw [Q | R] per
-    increment, overwrites row `index`, and is checked and solved by one
-    stacked_absorption call. Chunks hold as many (n, n + 3) blocks as fit
-    in simulation.CHUNK_BYTES, so memory stays bounded whatever the
-    increment count.
-    """
+
+def _plug_in_means(
+    plan: network._Plan, row: network._CompiledRow, counts: np.ndarray
+) -> np.ndarray:
+    """(len(counts), 3) start triples of the raw-frequency chains of `plan`
+    with row `row.index` replaced by each row of `counts`, frequencies of
+    the states in columns `row.cols`. Each chunk of simulation._chunk_size
+    rows is one fancy-indexed write into stacked copies of the raw [Q | R]
+    and one stacked_absorption call, so memory stays bounded."""
     n = len(plan.rows)
-    base = plan.raw_qr
-    out = np.empty((len(swept), 3))
-    chunk = simulation._chunk_size(plan, len(swept))
-    for first in range(0, len(swept), chunk):
-        part = swept[first : first + chunk]
-        qr = np.repeat(base[np.newaxis], len(part), axis=0)
-        qr[:, index] = 0.0
-        for block, point in zip(qr, part):
-            row = point.rows[index]
-            block[index, row.cols] = row.counts.counts / row.counts.total
+    out = np.empty((len(counts), 3))
+    chunk = simulation._chunk_size(plan, len(counts))
+    for first in range(0, len(counts), chunk):
+        part = counts[first : first + chunk]
+        qr = np.repeat(plan.raw_qr[np.newaxis], len(part), axis=0)
+        qr[:, row.index] = 0.0
+        qr[:, row.index, row.cols] = part / part.sum(axis=1, keepdims=True)
         b = stacked_absorption(qr[..., :n], qr[..., n:], plan.state_order)
         out[first : first + len(part)] = b[:, plan.start]
     return out
@@ -190,37 +201,36 @@ def sweep_ineffective(
 ) -> SweepResult:
     """Sweep one stakeholder's discarded-flow frequency over 0..total outflow.
 
-    The spec is compiled once and each grid point's swept row is reallocated
-    into an override of that plan. Monte Carlo mode estimates every
-    increment's means from `iterations` posterior draws up front, all
-    increments in one draw_samples call; increment i of stakeholder s uses
-    streams derived from (seed, index(s), i, t). Plug-in mode evaluates the
-    raw-frequency chains deterministically and ignores `iterations`: it
-    checks and solves only the first and last grid points, in one stacked
-    build and solve, and solves the whole curve the same way when
-    `means` is first read.
+    Monte Carlo mode estimates every increment's means from `iterations`
+    posterior draws up front, in one draw_samples call; increment i of
+    stakeholder s uses streams derived from (seed, index(s), i, t). Plug-in
+    mode evaluates the raw-frequency chains deterministically and ignores
+    `iterations`: it solves only the first and last grid points, without
+    building the grid, and the whole curve when `means` is first read.
     """
     mode = canonical_mode(mode)
     plan = network._compiled(spec)  # validates the spec
     if stakeholder not in spec.ids:
         raise UnknownStakeholderError(f"unknown stakeholder '{stakeholder}'")
+    if increment <= 0:
+        raise ValueError(f"increment must be positive, got {increment}")
     s_idx = spec.ids.index(stakeholder)
     base = plan.rows[s_idx].counts
-    grid = _di_grid(base.total, increment)
-
-    def swept(points) -> list[network._Plan]:
-        # reallocate always adds DI, so every override has the same row
-        # labels and all increments share one draw layout.
-        try:
-            return [plan.override(s_idx, reallocate(base, di)) for di in points]
-        except NoNonDiTargetsError as exc:
-            raise NoNonDiTargetsError(f"stakeholder '{stakeholder}': {exc}") from None
-
+    total = base.total
+    n_di_min = 0.0 if total > increment * 1e-9 else total  # _di_grid's first point
+    grid = _di_grid(total, increment) if mode == MONTE_CARLO else np.array([n_di_min, total])
+    try:
+        zero, counts = _reallocated(base, grid)
+    except NoNonDiTargetsError as exc:
+        raise NoNonDiTargetsError(f"stakeholder '{stakeholder}': {exc}") from None
+    layout = plan.override(s_idx, zero)  # every grid point's labels
     if mode == MONTE_CARLO:
         # A flat-prior draw puts mass on every label of every row, so its
         # chain reaches absorption wherever the raw-frequency chain does, and
         # the swept row reaches DI directly; no check is needed.
-        all_samples = draw_samples(swept(grid), iterations, seed, key=(s_idx,))
+        all_samples = draw_samples(
+            layout, iterations, seed, key=(s_idx,), swept=(s_idx, 1.0 + counts)
+        )
         all_samples.flags.writeable = False
         means = all_samples.mean(axis=1)
         ends = means[[0, -1]]
@@ -228,36 +238,28 @@ def sweep_ineffective(
         def curve():
             return means
     else:
-        # Any positive discard gives the swept row a direct route to
-        # absorbing DI, and the other rows and the row total are unchanged;
-        # only zero discard (grid[0]) can cut a route to absorption. So the
-        # interior points pass stacked_absorption's checks whenever the
-        # endpoints do, and can wait until the curve is read.
-        # stacked_absorption's reachability check runs over the same positive
-        # support as require_valid's, so require_valid runs only when it
-        # fails, to report the violations as validate would.
+        # Any positive discard gives the swept row a direct route to DI and
+        # leaves the other rows as they are, so only zero discard can cut a
+        # route to absorption: the interior passes stacked_absorption's
+        # checks whenever the endpoints do. Those checks see the same
+        # positive support as require_valid, which runs only to report.
         all_samples = None
-        zero_and_total = swept((grid[0], grid[-1]))
         try:
-            ends = _plug_in_means(plan, zero_and_total, s_idx)
+            ends = _plug_in_means(plan, layout.rows[s_idx], counts)
         except AbsorptionUnreachableError:
-            zero_and_total[0].require_valid()
+            layout.require_valid()
             raise
 
         def curve():
-            return _plug_in_means(plan, swept(grid), s_idx)
+            grid = _di_grid(total, increment)
+            return _plug_in_means(plan, layout.rows[s_idx], _reallocated(base, grid)[1])
 
-    p_s_max = float(ends[0, 1])
-    p_s_min = float(ends[-1, 1])
+    p_s_max, p_s_min = ends[:, 1].tolist()
     return SweepResult(
-        stakeholder=stakeholder,
-        mode=mode,
-        n_di_values=grid,
-        p_s_max=p_s_max,
-        p_s_min=p_s_min,
-        impact_ratio=impact_ratio(p_s_max, p_s_min, grid[-1], grid[0]),
-        curve=curve,
-        samples=all_samples,
+        stakeholder=stakeholder, mode=mode, n_di_min=n_di_min, n_di_max=total,
+        increment=increment, p_s_max=p_s_max, p_s_min=p_s_min,
+        impact_ratio=impact_ratio(p_s_max, p_s_min, total, n_di_min),
+        curve=curve, samples=all_samples,
     )
 
 

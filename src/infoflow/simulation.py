@@ -6,26 +6,25 @@ stakeholder's (P_DI, P_S, P_US) triple. Iteration t always uses the random
 stream derived from (seed, t), so the output is a pure function of
 (spec, iterations, seed) no matter how iterations are scheduled.
 
-The engine takes a batch of plans that share one draw layout: one plan
-for a simulation, or every increment of a sweep, whose plans differ only
-in the alpha of the swept row. A draw costs one stream derivation and one
-standard_gamma call over its plan's concatenated alphas, every row's.
-Only the stakeholders the start reaches over labelled cells
-(`_Plan.reachable`) are normalised and solved: no labelled cell leaves
-them, so the start's row of B = (I - Q)^-1 R depends on their rows alone.
-The batch's draws run back to back in chunks whose stacked (m, m + 3)
-blocks, m the number of those stakeholders, fit in CHUNK_BYTES. Each chunk
-has one staging buffer: the draws are normalised into it group by group
-with the shared layout, giving [Q | R]; the cells the draws wrote and the
-diagonal are then rewritten in place, giving [I - Q | R], which is solved
-as one stacked system. Memory is therefore bounded by that buffer plus the
-(plans, iterations, 3) output, whatever the iteration count, and the
+The engine draws one plan, or a sweep of it: the plan with its swept row's
+alpha replaced by each row of an alpha matrix in turn, one increment at a
+time. A draw costs one stream derivation and one standard_gamma call over
+the plan's concatenated alphas, every row's. Only the stakeholders the
+start reaches over labelled cells (`_Plan.reachable`) are normalised and
+solved: no labelled cell leaves them, so the start's row of
+B = (I - Q)^-1 R depends on their rows alone. All draws run back to back
+in chunks whose stacked (m, m + 3) blocks, m the number of those
+stakeholders, fit in CHUNK_BYTES. Each chunk has one staging buffer: the
+draws are normalised into it group by group with the plan's layout,
+giving [Q | R]; the cells the draws wrote and the diagonal are then
+rewritten in place, giving [I - Q | R], which is solved as one stacked
+system. Memory is therefore bounded by that buffer plus the
+(increments, iterations, 3) output, whatever the iteration count, and the
 triples do not depend on the chunk size.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NoReturn
 
@@ -91,34 +90,32 @@ def _chunk_size(plan: _Plan, draws: int) -> int:
     return max(1, min(draws, CHUNK_BYTES // block))
 
 
-def _simulate_block(layout: _Plan, members, iterations: int, seed: int) -> np.ndarray:
-    """(members, iterations, 3) start-state absorption triples.
+def _simulate_block(layout: _Plan, alphas, keys, iterations: int, seed: int) -> np.ndarray:
+    """(len(keys), iterations, 3) start-state absorption triples.
 
-    `members` are (alpha, key) pairs of plans that share `layout`'s draw
-    layout. Iteration t of a member draws from stream (seed, *key, t) with
-    one standard_gamma call over its whole alpha. Only the rows of the
-    stakeholders the start reaches, `layout.reachable`, are staged: the
-    others are neither normalised nor solved. The members' draws run back
-    to back in chunks of _chunk_size of that staged plan, so a chunk may
-    hold the end of one member and the start of the next. Each chunk's
-    staged draws are normalised into one staging buffer as a stacked
-    [Q | R] by the helper sampled_chain uses. Its rows are summed as
-    build_canonical sums them; then only the drawn cells are divided by
-    their row's sum, Q's drawn cells are subtracted from 0 and Q's diagonal
-    (never drawn, as validate forbids self-loops) is set to 1. The buffer
-    then holds [I - Q | R] with the bits eye - Q gives, and is solved as
-    one stacked system. Its diagonal goes back to 0 and its undrawn cells
-    stay 0, so the next chunk's draws refill it as [Q | R]. So each triple
-    equals, bit for bit, absorption_probabilities of the drawn chain
-    restricted to the stakeholders the start reaches, whatever the chunk
-    size; where the start reaches every stakeholder, that is what
+    Member i is `layout` with the i-th of `alphas`, a whole concatenated
+    alpha read only while the member draws (so `alphas` may rewrite one
+    buffer); its iteration t draws from stream (seed, *keys[i], t) with one
+    standard_gamma call. Only the rows of `layout.reachable`, the
+    stakeholders the start reaches, are staged, normalised and solved. The
+    draws run back to back in chunks of _chunk_size of that staged plan, so
+    a chunk may hold the end of one member and the start of the next. Each
+    chunk's draws are normalised into one staging buffer as a stacked
+    [Q | R] by the helper sampled_chain uses, and its rows summed as
+    build_canonical sums them; only the drawn cells are then divided by
+    their row's sum, Q's drawn cells subtracted from 0 and Q's diagonal
+    (never drawn: validate forbids self-loops) set to 1. That is [I - Q | R]
+    with the bits eye - Q gives, solved as one stacked system; the diagonal
+    then goes back to 0 and undrawn cells stay 0 for the next chunk. So
+    each triple equals, bit for bit, absorption_probabilities of the drawn
+    chain restricted to the stakeholders the start reaches, whatever the
+    chunk size; where the start reaches every stakeholder, that is what
     sampled_chain + absorption_probabilities give for its stream and plan.
-    Only the output grows with the number of draws.
     """
     staged, positions = layout.reachable
     n = len(staged.rows)
     cells, rows, n_q, diagonal = staged.cells
-    total = len(members) * iterations
+    total = len(keys) * iterations
     chunk = _chunk_size(staged, total)
     try:
         out = np.empty((total, 3))
@@ -126,7 +123,7 @@ def _simulate_block(layout: _Plan, members, iterations: int, seed: int) -> np.nd
         raise MemoryError(str(exc)) from None
     gammas = np.empty((chunk, layout.alpha.size))
     qr_buf = np.zeros((chunk, n, len(staged.state_order)))  # cells no row draws stay 0
-    draws = ((alpha, key, t) for alpha, key in members for t in range(iterations))
+    draws = ((alpha, key, t) for alpha, key in zip(alphas, keys) for t in range(iterations))
     for first in range(0, total, chunk):
         m = min(chunk, total - first)
         for j, (alpha, key, t) in zip(range(m), draws):
@@ -157,7 +154,7 @@ def _simulate_block(layout: _Plan, members, iterations: int, seed: int) -> np.nd
             )
         out[first : first + m] = kept
         flat[:, diagonal] = 0.0
-    return out.reshape(len(members), iterations, 3)
+    return out.reshape(len(keys), iterations, 3)
 
 
 def _raise_singular(a: np.ndarray, r: np.ndarray, first: int, iterations: int) -> NoReturn:
@@ -175,11 +172,12 @@ def _raise_singular(a: np.ndarray, r: np.ndarray, first: int, iterations: int) -
 
 
 def draw_samples(
-    spec: NetworkSpec | _Plan | Sequence[_Plan],
+    spec: NetworkSpec | _Plan,
     iterations: int,
     seed: int,
     *,
     key: tuple[int, ...] = (),
+    swept: tuple[int, np.ndarray] | None = None,
 ) -> np.ndarray:
     """(iterations, 3) start-state absorption triples, one per posterior draw.
 
@@ -190,24 +188,32 @@ def draw_samples(
     reach is never solved, so it cannot make a draw fail.
 
     `key` prefixes the per-iteration stream path: iteration t draws from
-    stream (seed, *key, t). `spec` may also be a plan compiled from a spec,
-    or a batch: a sequence of plans that share one draw layout, as the
-    overrides of one row with counts of the same labels do. Plan i of a
-    batch draws from streams (seed, *key, i, t) and the result is
-    (plans, iterations, 3). Sweeps pass all increments of one stakeholder
-    as one batch, so each (stakeholder, increment) has its own family of
-    streams under one master seed.
+    stream (seed, *key, t). `spec` may also be a plan compiled from a spec.
+    `swept` = (index, alphas), alphas an (increments, k) matrix over the k
+    labels of the plan's row `index`, makes this a sweep: increment i draws
+    the plan with that row's alpha replaced by alphas[i], from streams
+    (seed, *key, i, t), exactly as a plan holding that row alone would, and
+    the result is (increments, iterations, 3). Sweeps key their streams by
+    the swept stakeholder, so each (stakeholder, increment) has its own
+    family of streams under one master seed.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if isinstance(spec, (NetworkSpec, _Plan)):
-        plan = spec if isinstance(spec, _Plan) else _compiled(spec)  # validates a spec
-        return _simulate_block(plan, [(plan.alpha, key)], iterations, seed)[0]
-    layout = spec[0]
-    if not all(layout.shares_layout(plan) for plan in spec):
-        raise ValueError("the plans of a batch must share one draw layout")
-    members = [(plan.alpha, (*key, i)) for i, plan in enumerate(spec)]
-    return _simulate_block(layout, members, iterations, seed)
+    plan = spec if isinstance(spec, _Plan) else _compiled(spec)  # validates a spec
+    if swept is None:
+        return _simulate_block(plan, [plan.alpha], [key], iterations, seed)[0]
+    index, alphas = swept
+    at = sum(len(row.cols) for row in plan.rows[:index])
+    segment = slice(at, at + len(plan.rows[index].cols))  # the swept row's alphas
+
+    def increments():
+        alpha = plan.alpha.copy()  # built one increment at a time, never all at once
+        for row in alphas:
+            alpha[segment] = row
+            yield alpha
+
+    keys = [(*key, i) for i in range(len(alphas))]
+    return _simulate_block(plan, increments(), keys, iterations, seed)
 
 
 def run(

@@ -263,6 +263,20 @@ class TestRefusedComputations:
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: out of memory: {message}")
 
+    def test_plug_in_rank_never_builds_the_discard_grid(self, tmp_path, capsys):
+        # X's total outflow of 1e12 makes a 7.28 TiB grid, but a plug-in
+        # ranking solves only its two endpoints.
+        path = _write(tmp_path, "wide.json", [{"from": "X", "to": "S", "frequency": 5e11},
+                                              {"from": "X", "to": "US", "frequency": 5e11}])
+        assert cli_main(["rank", "--mode", "plugin", "--iterations", "1", "--seed", "1",
+                         str(path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["X: impact ratio 0.00000"]
+        [entry] = json.loads(captured.out)["result"]["ranking"]
+        assert (entry["stakeholder"], entry["n_di_min"], entry["n_di_max"]) == ("X", 0.0, 1e12)
+        assert entry["p_s_max"] == pytest.approx(0.7) and entry["p_s_min"] == pytest.approx(0.4)
+        assert entry["impact_ratio"] == pytest.approx(0.3 / 1e12)
+
     @pytest.mark.parametrize("mode", ["mc", "plugin"])
     @pytest.mark.parametrize("flows, reason", [
         ([], "counts contain no non-DI entries"),

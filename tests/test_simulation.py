@@ -344,17 +344,21 @@ def test_one_staging_buffer_per_chunk(monkeypatch, chunks):
 
 
 def test_batch_draws_each_plan_from_its_own_streams(reference_spec):
-    # A batch is plans that share one draw layout; plan i draws from
-    # streams (seed, *key, i, t), exactly as it would alone.
+    # A sweep replaces one row's alpha by each row of an alpha matrix in
+    # turn; increment i draws from streams (seed, *key, i, t), exactly as a
+    # plan holding that row alone would.
     plan = _compiled(reference_spec)
-    other = plan.override(1, CountVector(("D", "E", "DI"), [3.0, 2.0, 1.0]))
-    batch = draw_samples([plan, other], 12, 5, key=(9,))
-    assert batch.shape == (2, 12, 3)
-    assert np.array_equal(batch[0], draw_samples(plan, 12, 5, key=(9, 0)))
-    assert np.array_equal(batch[1], draw_samples(other, 12, 5, key=(9, 1)))
-    narrower = plan.override(1, CountVector(("D", "E"), [3.0, 2.0]))
-    with pytest.raises(ValueError, match="share one draw layout"):
-        draw_samples([plan, narrower], 12, 5)
+    labels = plan.rows[1].counts.labels
+    alphas = np.array([[4.0, 3.0, 2.0], [1.0, 1.5, 7.0], [2.5, 1.0, 1.0]])
+    assert len(labels) == alphas.shape[1]
+    sweep = draw_samples(plan, 12, 5, key=(9,), swept=(1, alphas))
+    assert sweep.shape == (3, 12, 3)
+    for i, alpha in enumerate(alphas):
+        alone = plan.override(1, CountVector(labels, alpha - 1.0))
+        assert np.array_equal(sweep[i], draw_samples(alone, 12, 5, key=(9, i)))
+    for width in (2, 4):  # a matrix over other labels is refused, not spread over other rows
+        with pytest.raises(ValueError):
+            draw_samples(plan, 12, 5, swept=(1, np.ones((2, width))))
 
 
 @st.composite
