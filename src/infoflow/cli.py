@@ -17,8 +17,7 @@ from pathlib import Path
 
 from . import documents, sensitivity, simulation
 from .errors import InfoFlowError, ValidationError
-from .markov import absorption_probabilities
-from .network import ValidationReport, plug_in_chain
+from .network import ValidationReport
 from .simulation import DEFAULT_BINS
 
 
@@ -107,7 +106,7 @@ def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], Callable
     spec = documents.parse_network(raw)
 
     if args.command == "evaluate":
-        row = absorption_probabilities(plug_in_chain(spec, args.mode)).row(spec.start)
+        row = simulation.plug_in_start(spec, args.mode)
         line = (
             f"{spec.start}: P_DI={row[0]:.3f} P_S={row[1]:.3f} P_US={row[2]:.3f} "
             f"({args.mode} plug-in)"

@@ -1,10 +1,13 @@
-"""Absorbing-Markov-chain algebra.
+"""Absorbing-Markov-chain algebra of one chain.
 
 The chain is stored in canonical block form: Q holds transient-to-transient
 probabilities, R transient-to-absorbing. The absorbing block (O | I) is
 implicit and never stored. Absorption probabilities solve the linear system
 (I - Q) B = R; no explicit inverse is formed. A solution whose rows do not
-sum to 1 within ROW_SUM_TOL is refused as too ill-conditioned.
+sum to 1 within ROW_SUM_TOL is refused as too ill-conditioned. The program
+solves its stacks of chains, Monte Carlo draws and plug-in chains alike, in
+the simulation engine; build_canonical and absorption_probabilities are the
+public one-chain API, and the oracle that engine is tested against.
 """
 
 from __future__ import annotations
@@ -133,73 +136,41 @@ def build_canonical(
             f"state_order needs {n + m} unique labels, got {state_order}"
         )
 
-    q, r = _normalised(q, r, state_order)
+    if np.any(q < 0) or np.any(r < 0):
+        raise NegativeEntryError("transition probabilities must be non-negative")
+    sums = q.sum(axis=1) + r.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise RowSumError(f"row {i} ({state_order[i]!r}) sums to {float(sums[i])!r}, not 1")
+    q = q / sums[:, np.newaxis]
+    r = r / sums[:, np.newaxis]
+    _check_absorption_reachable(q, r)
     q.flags.writeable = False
     r.flags.writeable = False
     return TransitionMatrix(q=q, r=r, state_order=state_order)
 
 
-def _normalised(q: np.ndarray, r: np.ndarray, state_order: tuple[str, ...]):
-    """build_canonical's checks on Q and R blocks of one chain or of a stack
-    of chains (leading axes), and the blocks with every row renormalised."""
-    if np.any(q < 0) or np.any(r < 0):
-        raise NegativeEntryError("transition probabilities must be non-negative")
-
-    sums = q.sum(axis=-1) + r.sum(axis=-1)
-    bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
-    if bad.size:
-        at = tuple(bad[0])
-        i = int(at[-1])
-        raise RowSumError(
-            f"row {i} ({state_order[i]!r}) sums to {float(sums[at])!r}, not 1"
-        )
-    q = q / sums[..., np.newaxis]
-    r = r / sums[..., np.newaxis]
-
-    _check_absorption_reachable(q, r)
-    return q, r
-
-
-def _solve(q: np.ndarray, r: np.ndarray, state_order: tuple[str, ...]) -> np.ndarray:
-    """Solve (I - Q) B = R for one chain or a stack of chains.
+def absorption_probabilities(tm: TransitionMatrix) -> AbsorptionResult:
+    """Solve (I - Q) B = R; row i is the absorption distribution from state i.
 
     Every row of B must sum to 1, as the rows of Q and R do. A row that
     misses by more than ROW_SUM_TOL means I - Q is too ill-conditioned for
     the solve (a loop whose flow almost never leaves it), so it is refused.
     """
-    a = np.eye(q.shape[-1]) - q
     try:
-        b = np.linalg.solve(a, r)
+        b = np.linalg.solve(np.eye(tm.n_transient) - tm.q, tm.r)
     except np.linalg.LinAlgError as exc:
         raise SingularSystemError(f"I - Q is singular: {exc}") from exc
     if not np.all(np.isfinite(b)):
         raise SingularSystemError("I - Q is numerically singular (non-finite solution)")
-    sums = b.sum(axis=-1)
-    bad = np.argwhere(np.abs(sums - 1.0) > ROW_SUM_TOL)
+    sums = b.sum(axis=1)
+    bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL)
     if bad.size:
-        at = tuple(bad[0])
-        i = int(at[-1])
+        i = int(bad[0])
         raise SingularSystemError(
-            f"absorption probabilities of row {i} ({state_order[i]!r}) sum to "
-            f"{float(sums[at])!r}, not 1; I - Q is too ill-conditioned"
+            f"absorption probabilities of row {i} ({tm.state_order[i]!r}) sum to "
+            f"{float(sums[i])!r}, not 1; I - Q is too ill-conditioned"
         )
-    return b
-
-
-def absorption_probabilities(tm: TransitionMatrix) -> AbsorptionResult:
-    """Solve (I - Q) B = R; row i is the absorption distribution from state i."""
-    b = _solve(tm.q, tm.r, tm.state_order)
     b.flags.writeable = False
     return AbsorptionResult(b=b, state_order=tm.state_order)
-
-
-def stacked_absorption(q: np.ndarray, r: np.ndarray, state_order: tuple[str, ...]) -> np.ndarray:
-    """(chains, n, m) absorption probabilities of a stack of chains given as
-    (chains, n, n) Q and (chains, n, m) R blocks over the same states.
-
-    Every chain gets build_canonical's checks, with the same errors, and its
-    renormalisation; then one stacked solve of (I - Q) B = R. Chain k's
-    result equals, bit for bit, absorption_probabilities of build_canonical
-    of that chain alone.
-    """
-    return _solve(*_normalised(q, r, state_order), state_order)

@@ -234,10 +234,11 @@ class _Plan:
         """(flat, rows, n_q, diagonal): the flat positions in one (n, n + 3)
         block of every cell a draw writes, the n_q cells of Q first; the row
         of each; and the flat positions of Q's diagonal, which no draw
-        writes because validate forbids self-loops. With them the Monte
-        Carlo engine turns a drawn [Q | R] into [I - Q | R] in place."""
+        writes because validate forbids self-loops. With them the staged
+        solve turns a filled [Q | R] into [I - Q | R] in place."""
         n, width = len(self.rows), len(self.state_order)
-        flat = np.concatenate([row.cols + i * width for i, row in enumerate(self.rows)])
+        cols = [row.cols for row in self.rows]  # one numpy call, not one per row
+        flat = np.concatenate(cols) + np.repeat(np.arange(n) * width, [len(c) for c in cols])
         in_q = flat % width < n
         flat = np.concatenate([flat[in_q], flat[~in_q]])
         return flat, flat // width, int(in_q.sum()), np.arange(n) * (width + 1)
@@ -316,6 +317,8 @@ def _chain(plan: _Plan, qr: np.ndarray) -> TransitionMatrix:
 
 def _plug_in_qr(plan: _Plan, mode: str) -> np.ndarray:
     """(n, n + 3) stacked [Q | R] of `plan` in a canonical plug-in mode."""
+    if mode not in (RAW_FREQUENCY, POSTERIOR_MEAN):
+        raise ValueError(f"unknown plug-in mode {mode!r}")
     qr = np.zeros((len(plan.rows), len(plan.state_order)))
     for row in plan.rows:
         if mode == RAW_FREQUENCY:
@@ -332,9 +335,9 @@ def _fill_draws(plan: _Plan, gammas: np.ndarray, qr: np.ndarray) -> None:
     `gammas` is (draws, E): row d holds one standard_gamma call over
     `plan.alpha`. `qr` is the (draws, n, n + 3) stacked [Q | R] buffer, zero
     outside the plan's interacting states. Only the cells in `plan.cells` are
-    written, so the Monte Carlo engine keeps one staging buffer for every
-    chunk and turns it into [I - Q | R] in place between fills. Each row is
-    normalised twice, as theta = g / g.sum() and then theta / theta.sum().
+    written, so the engine keeps one staging buffer for every chunk, which
+    its staged solve turns into [I - Q | R] in place between fills. Each row
+    is normalised twice, as theta = g / g.sum() and then theta / theta.sum().
     The gather is C-contiguous so that every row sums along a contiguous last
     axis, which rounds exactly as the sum of that row alone would.
     """
@@ -348,8 +351,6 @@ def _fill_draws(plan: _Plan, gammas: np.ndarray, qr: np.ndarray) -> None:
 def plug_in_chain(spec: NetworkSpec, mode: str = RAW_FREQUENCY) -> TransitionMatrix:
     """Deterministic chain: rows are normalized frequencies (raw mode) or the
     mean of the flat-prior posterior (posterior-mean mode)."""
-    if mode not in (RAW_FREQUENCY, POSTERIOR_MEAN):
-        raise ValueError(f"unknown plug-in mode {mode!r}")
     plan = _compiled(spec)
     return _chain(plan, _plug_in_qr(plan, mode))
 

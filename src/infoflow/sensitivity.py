@@ -11,11 +11,11 @@ A sweep builds one layout plan, the compiled spec with the swept row at
 zero discard labelled as reallocate labels it (DI added where missing).
 reallocate is affine in the discard, so the whole sweep is one
 (increments, k) count matrix: Monte Carlo mode draws its alphas 1 + counts
-in one draw_samples call; plug-in mode writes counts over their row sums
-into stacked copies of the raw-frequency [Q | R] and solves the stack, up
-front only at the two endpoints (zero and total discard) that the impact
-ratio and a ranking use. Each increment's numbers are bit for bit those of
-a spec rebuilt for that increment alone.
+in one draw_samples call; plug-in mode copies the cached raw-frequency
+[Q | R] into the engine's staged solve with the swept row overwritten by
+counts over their row sums, up front only at the two endpoints (zero and
+total discard) that the impact ratio and a ranking use. Each increment's
+numbers are bit for bit those of a spec rebuilt for that increment alone.
 """
 
 from __future__ import annotations
@@ -29,14 +29,12 @@ import numpy as np
 from . import network, simulation
 from .dirichlet import CountVector
 from .errors import (
-    AbsorptionUnreachableError,
     DegenerateRangeError,
     ExceedsTotalError,
     NegativeEntryError,
     NoNonDiTargetsError,
     UnknownStakeholderError,
 )
-from .markov import stacked_absorption
 from .network import NetworkSpec
 from .simulation import draw_samples
 
@@ -63,7 +61,7 @@ def canonical_mode(mode: str) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
-    """One stakeholder's sweep over the grid `n_di_values`, n_di_min to
+    """One stakeholder's sweep over the grid `n_di_values`, n_di_min (0) to
     n_di_max (the total outflow) in steps of `increment`. The endpoints and
     the impact ratio are computed when the sweep runs; the grid and the
     curve `means` on first read (plug-in sweeps solve it by calling `curve`).
@@ -140,13 +138,13 @@ def impact_ratio(p_s_max: float, p_s_min: float, n_max: float, n_min: float) -> 
 
 def _di_grid(total: float, increment: float) -> np.ndarray:
     """Read-only discard grid 0, increment, 2 * increment, ... (increment
-    > 0) ending at `total`: a step within increment * 1e-9 of it becomes
-    it, and a total within that of 0 makes the grid that one point."""
+    > 0) ending at `total` (> 0, as validate ensures): a step but 0 within
+    increment * 1e-9 of it becomes it, so 0 and `total` are always in it."""
     try:
         grid = np.arange(0.0, total + increment * 1e-9, increment)
     except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
         raise MemoryError(str(exc)) from None
-    if grid[-1] < total - increment * 1e-9:
+    if len(grid) == 1 or grid[-1] < total - increment * 1e-9:
         grid = np.append(grid, total)
     grid[-1] = total
     grid.flags.writeable = False
@@ -167,27 +165,6 @@ def _reallocated(base: CountVector, grid: np.ndarray) -> tuple[CountVector, np.n
     counts = np.array([values.get(label, 0.0) for label in first.labels]) * scale[:, np.newaxis]
     counts[:, first.labels.index(_DI)] = di
     return first, counts
-
-
-def _plug_in_means(
-    plan: network._Plan, row: network._CompiledRow, counts: np.ndarray
-) -> np.ndarray:
-    """(len(counts), 3) start triples of the raw-frequency chains of `plan`
-    with row `row.index` replaced by each row of `counts`, frequencies of
-    the states in columns `row.cols`. Each chunk of simulation._chunk_size
-    rows is one fancy-indexed write into stacked copies of the raw [Q | R]
-    and one stacked_absorption call, so memory stays bounded."""
-    n = len(plan.rows)
-    out = np.empty((len(counts), 3))
-    chunk = simulation._chunk_size(plan, len(counts))
-    for first in range(0, len(counts), chunk):
-        part = counts[first : first + chunk]
-        qr = np.repeat(plan.raw_qr[np.newaxis], len(part), axis=0)
-        qr[:, row.index] = 0.0
-        qr[:, row.index, row.cols] = part / part.sum(axis=1, keepdims=True)
-        b = stacked_absorption(qr[..., :n], qr[..., n:], plan.state_order)
-        out[first : first + len(part)] = b[:, plan.start]
-    return out
 
 
 def sweep_ineffective(
@@ -217,8 +194,7 @@ def sweep_ineffective(
     s_idx = spec.ids.index(stakeholder)
     base = plan.rows[s_idx].counts
     total = base.total
-    n_di_min = 0.0 if total > increment * 1e-9 else total  # _di_grid's first point
-    grid = _di_grid(total, increment) if mode == MONTE_CARLO else np.array([n_di_min, total])
+    grid = _di_grid(total, increment) if mode == MONTE_CARLO else np.array([0.0, total])
     try:
         zero, counts = _reallocated(base, grid)
     except NoNonDiTargetsError as exc:
@@ -238,27 +214,31 @@ def sweep_ineffective(
         def curve():
             return means
     else:
-        # Any positive discard gives the swept row a direct route to DI and
-        # leaves the other rows as they are, so only zero discard can cut a
-        # route to absorption: the interior passes stacked_absorption's
-        # checks whenever the endpoints do. Those checks see the same
-        # positive support as require_valid, which runs only to report.
+        # Only zero discard can cut a route to absorption: any positive
+        # discard gives the swept row a direct route to DI and leaves the
+        # other rows as they are. So once the endpoints pass the staged
+        # solve's reachability check, the interior does too.
         all_samples = None
-        try:
-            ends = _plug_in_means(plan, layout.rows[s_idx], counts)
-        except AbsorptionUnreachableError:
-            layout.require_valid()
-            raise
+        cols = layout.rows[s_idx].cols  # every cell of raw_qr's swept row, and DI
+
+        def solve(counts):
+            def fill(qr, first):
+                part = counts[first : first + len(qr)]
+                qr[:] = plan.raw_qr
+                qr[:, s_idx, cols] = part / part.sum(axis=1, keepdims=True)
+
+            return simulation.plug_in_triples(layout, len(counts), fill)
+
+        ends = solve(counts)
 
         def curve():
-            grid = _di_grid(total, increment)
-            return _plug_in_means(plan, layout.rows[s_idx], _reallocated(base, grid)[1])
+            return solve(_reallocated(base, _di_grid(total, increment))[1])
 
     p_s_max, p_s_min = ends[:, 1].tolist()
     return SweepResult(
-        stakeholder=stakeholder, mode=mode, n_di_min=n_di_min, n_di_max=total,
+        stakeholder=stakeholder, mode=mode, n_di_min=0.0, n_di_max=total,
         increment=increment, p_s_max=p_s_max, p_s_min=p_s_min,
-        impact_ratio=impact_ratio(p_s_max, p_s_min, total, n_di_min),
+        impact_ratio=impact_ratio(p_s_max, p_s_min, total, 0.0),
         curve=curve, samples=all_samples,
     )
 

@@ -1,4 +1,5 @@
-"""Seeded Monte Carlo over posterior draws.
+"""Seeded Monte Carlo over posterior draws, and the one staged solve of
+absorbing chains that it shares with plug-in evaluation.
 
 Each iteration samples a chain from the stakeholders' flat-prior
 posteriors, solves for absorption probabilities, and records the start
@@ -16,11 +17,12 @@ B = (I - Q)^-1 R depends on their rows alone. All draws run back to back
 in chunks whose stacked (m, m + 3) blocks, m the number of those
 stakeholders, fit in CHUNK_BYTES. Each chunk has one staging buffer: the
 draws are normalised into it group by group with the plan's layout,
-giving [Q | R]; the cells the draws wrote and the diagonal are then
-rewritten in place, giving [I - Q | R], which is solved as one stacked
-system. Memory is therefore bounded by that buffer plus the
-(increments, iterations, 3) output, whatever the iteration count, and the
-triples do not depend on the chunk size.
+giving [Q | R], which the staged solve turns into [I - Q | R] in place and
+solves as one stacked system. Memory is therefore bounded by that buffer
+plus the (increments, iterations, 3) output, whatever the iteration count,
+and the triples do not depend on the chunk size. Plug-in chains go through
+the same staged solve, over every stakeholder of their plan, with buffers
+filled by copying a deterministic [Q | R].
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import EmptySampleError, SingularSystemError
-from .markov import ROW_SUM_TOL
-from .network import NetworkSpec, _compiled, _fill_draws, _Plan
+from .errors import AbsorptionUnreachableError, EmptySampleError, SingularSystemError
+from .markov import ROW_SUM_TOL, _check_absorption_reachable
+from .network import NetworkSpec, _compiled, _fill_draws, _Plan, _plug_in_qr
 from .rng import stream
 
 DEFAULT_BINS = 50
@@ -97,24 +99,16 @@ def _simulate_block(layout: _Plan, alphas, keys, iterations: int, seed: int) -> 
     alpha read only while the member draws (so `alphas` may rewrite one
     buffer); its iteration t draws from stream (seed, *keys[i], t) with one
     standard_gamma call. Only the rows of `layout.reachable`, the
-    stakeholders the start reaches, are staged, normalised and solved. The
-    draws run back to back in chunks of _chunk_size of that staged plan, so
-    a chunk may hold the end of one member and the start of the next. Each
-    chunk's draws are normalised into one staging buffer as a stacked
-    [Q | R] by the helper sampled_chain uses, and its rows summed as
-    build_canonical sums them; only the drawn cells are then divided by
-    their row's sum, Q's drawn cells subtracted from 0 and Q's diagonal
-    (never drawn: validate forbids self-loops) set to 1. That is [I - Q | R]
-    with the bits eye - Q gives, solved as one stacked system; the diagonal
-    then goes back to 0 and undrawn cells stay 0 for the next chunk. So
-    each triple equals, bit for bit, absorption_probabilities of the drawn
-    chain restricted to the stakeholders the start reaches, whatever the
-    chunk size; where the start reaches every stakeholder, that is what
-    sampled_chain + absorption_probabilities give for its stream and plan.
+    stakeholders the start reaches, are staged and solved, in chunks of
+    _chunk_size of that staged plan, so a chunk may hold the end of one
+    member and the start of the next. Each chunk's draws are normalised
+    into one buffer by the helper sampled_chain uses, and solved by
+    _absorb. So each triple equals, bit for bit, absorption_probabilities
+    of the drawn chain restricted to the stakeholders the start reaches,
+    whatever the chunk size; where the start reaches every stakeholder,
+    that is what sampled_chain + absorption_probabilities give.
     """
     staged, positions = layout.reachable
-    n = len(staged.rows)
-    cells, rows, n_q, diagonal = staged.cells
     total = len(keys) * iterations
     chunk = _chunk_size(staged, total)
     try:
@@ -122,52 +116,106 @@ def _simulate_block(layout: _Plan, alphas, keys, iterations: int, seed: int) -> 
     except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
         raise MemoryError(str(exc)) from None
     gammas = np.empty((chunk, layout.alpha.size))
-    qr_buf = np.zeros((chunk, n, len(staged.state_order)))  # cells no row draws stay 0
+    qr_buf = np.zeros((chunk, len(staged.rows), len(staged.state_order)))  # undrawn cells stay 0
     draws = ((alpha, key, t) for alpha, key in zip(alphas, keys) for t in range(iterations))
     for first in range(0, total, chunk):
         m = min(chunk, total - first)
         for j, (alpha, key, t) in zip(range(m), draws):
             gammas[j] = stream(seed, *key, t).standard_gamma(alpha)
-        qr = qr_buf[:m]
-        _fill_draws(staged, np.take(gammas[:m], positions, axis=1), qr)
-        a, r = qr[..., :n], qr[..., n:]  # a holds Q until rewritten as I - Q
-        sums = a.sum(axis=2) + r.sum(axis=2)
-        flat = qr.reshape(m, -1)
-        drawn = flat[:, cells]
-        drawn /= sums[:, rows]
-        np.subtract(0.0, drawn[:, :n_q], out=drawn[:, :n_q])  # not -x: 0 - 0 is +0
-        flat[:, cells] = drawn
-        flat[:, diagonal] = 1.0
-        try:
-            b = np.linalg.solve(a, r)
-        except np.linalg.LinAlgError:
-            b = None
-        if b is None or not np.all(np.isfinite(b)):
-            _raise_singular(a, r, first, iterations)
-        kept = b[:, staged.start, :]
-        totals = kept.sum(axis=1)
-        bad = np.flatnonzero(np.abs(totals - 1.0) > ROW_SUM_TOL)
-        if bad.size:  # a sticky loop: I - Q too ill-conditioned to solve
-            raise SingularSystemError(
-                f"iteration {(first + bad[0]) % iterations}: absorption probabilities "
-                f"sum to {float(totals[bad[0]])!r}, not 1; I - Q is too ill-conditioned"
-            )
-        out[first : first + m] = kept
-        flat[:, diagonal] = 0.0
+        _fill_draws(staged, np.take(gammas[:m], positions, axis=1), qr_buf[:m])
+        out[first : first + m] = _absorb(
+            staged, qr_buf[:m], lambda j: f"iteration {(first + j) % iterations}: "
+        )
     return out.reshape(len(keys), iterations, 3)
 
 
-def _raise_singular(a: np.ndarray, r: np.ndarray, first: int, iterations: int) -> NoReturn:
-    """Name the iteration, within its member, of the first draw of a chunk
-    starting at draw `first` whose I - Q is singular."""
+def plug_in_triples(layout: _Plan, chains: int, fill) -> np.ndarray:
+    """(chains, 3) start-state triples of deterministic chains over every
+    stakeholder of `layout`, in chunks of _chunk_size.
+
+    `fill(qr, first)` writes the [Q | R] rows of chains first, first + 1,
+    ... into the (len(qr), n, n + 3) buffer `qr`, 0 outside `layout.cells`.
+    A chunk whose positive support leaves any stakeholder unable to reach
+    absorption is refused with the ValidationError `layout.require_valid`
+    raises. Each triple equals, bit for bit, the start row of
+    absorption_probabilities of build_canonical of its chain.
+    """
+    n = len(layout.rows)
+    out = np.empty((chains, 3))
+    chunk = _chunk_size(layout, chains)
+    qr_buf = np.empty((chunk, n, len(layout.state_order)))
+    for first in range(0, chains, chunk):
+        qr = qr_buf[: min(chunk, chains - first)]
+        fill(qr, first)
+        try:
+            _check_absorption_reachable(qr[..., :n], qr[..., n:])
+        except AbsorptionUnreachableError:
+            layout.require_valid()  # names every stakeholder validate would
+            raise
+        out[first : first + len(qr)] = _absorb(layout, qr, lambda j: "")
+    return out
+
+
+def plug_in_start(spec: NetworkSpec, mode: str) -> np.ndarray:
+    """The start's (P_DI, P_S, P_US) in plug-in chain `mode`, raw or
+    posterior-mean: absorption_probabilities(plug_in_chain(spec, mode))
+    .row(spec.start), bit for bit."""
+    plan = _compiled(spec)  # validates the spec
+    qr = _plug_in_qr(plan, mode)
+    return plug_in_triples(plan, 1, lambda buf, first: np.copyto(buf, qr))[0]
+
+
+def _absorb(staged: _Plan, qr: np.ndarray, name) -> np.ndarray:
+    """(len(qr), 3) start-state triples of a stack of chains over the
+    stakeholders of `staged`, solved in the C-contiguous (chains, n, n + 3)
+    buffer `qr`.
+
+    `qr` holds each chain's [Q | R] rows, not yet normalised, in the cells
+    of `staged.cells`, and 0 elsewhere. Rows are summed as build_canonical
+    sums them; only those cells are divided by their row's sum, Q's cells
+    subtracted from 0 and Q's diagonal (never written: validate forbids
+    self-loops) set to 1. That is [I - Q | R] with the bits eye - Q gives,
+    solved as one stacked system; the diagonal then goes back to 0, so the
+    buffer can be filled again. Only the start row is reported, so only it
+    must sum to 1 within ROW_SUM_TOL. `name(j)` prefixes chain j's error.
+    """
+    n = len(staged.rows)
+    cells, rows, n_q, diagonal = staged.cells
+    a, r = qr[..., :n], qr[..., n:]  # a holds Q until rewritten as I - Q
+    sums = a.sum(axis=2) + r.sum(axis=2)
+    flat = qr.reshape(len(qr), -1)
+    filled = flat[:, cells]
+    filled /= sums[:, rows]
+    np.subtract(0.0, filled[:, :n_q], out=filled[:, :n_q])  # not -x: 0 - 0 is +0
+    flat[:, cells] = filled
+    flat[:, diagonal] = 1.0
+    try:
+        b = np.linalg.solve(a, r)
+    except np.linalg.LinAlgError:
+        b = None
+    if b is None or not np.all(np.isfinite(b)):
+        _raise_singular(a, r, name)
+    kept = b[:, staged.start, :]
+    totals = kept.sum(axis=1)
+    bad = np.flatnonzero(np.abs(totals - 1.0) > ROW_SUM_TOL)
+    if bad.size:  # a sticky loop: I - Q too ill-conditioned to solve
+        raise SingularSystemError(
+            f"{name(bad[0])}absorption probabilities sum to {float(totals[bad[0]])!r}, "
+            "not 1; I - Q is too ill-conditioned"
+        )
+    flat[:, diagonal] = 0.0
+    return kept
+
+
+def _raise_singular(a: np.ndarray, r: np.ndarray, name) -> NoReturn:
+    """Name, by `name(j)`, the first chain j whose I - Q is singular."""
     for j in range(len(a)):
         try:
             bj = np.linalg.solve(a[j], r[j])
         except np.linalg.LinAlgError:
             bj = None
         if bj is None or not np.all(np.isfinite(bj)):
-            t = (first + j) % iterations
-            raise SingularSystemError(f"iteration {t}: I - Q is singular")
+            raise SingularSystemError(f"{name(j)}I - Q is singular")
     raise SingularSystemError("I - Q is singular")
 
 

@@ -4,10 +4,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+from helpers import cyclic_spec, document_bytes, layered_network, wide_row_network
 
 import infoflow
 from infoflow.cli import cli_main
+from infoflow.documents import network_to_document
+from infoflow.markov import absorption_probabilities
+from infoflow.network import plug_in_chain
 
 
 @pytest.fixture(scope="module")
@@ -135,6 +140,24 @@ class TestEvaluateCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == "start,p_di,p_s,p_us"
         assert lines[1].startswith("A,")
+
+    @pytest.mark.parametrize("mode", ["raw", "posterior-mean"])
+    @pytest.mark.parametrize("network", ["reference", "cyclic", "wide_row", "layered"])
+    def test_equals_the_public_chain_bit_for_bit(self, tmp_path, capsys, network, mode):
+        # The report's floats round-trip through JSON exactly.
+        doc = {
+            "reference": lambda: json.loads(infoflow.reference_network_path().read_bytes()),
+            "cyclic": lambda: network_to_document(cyclic_spec()),
+            "wide_row": wide_row_network,
+            "layered": lambda: layered_network(60, 4),
+        }[network]()
+        path = tmp_path / "net.json"
+        path.write_bytes(document_bytes(doc))
+        assert cli_main(["evaluate", "--mode", mode, str(path)]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        spec = infoflow.parse_network(path.read_bytes())
+        want = absorption_probabilities(plug_in_chain(spec, mode)).row(spec.start)
+        assert np.array_equal([result["p_di"], result["p_s"], result["p_us"]], want)
 
 
 class TestSimulateCommand:
@@ -276,6 +299,27 @@ class TestRefusedComputations:
         assert (entry["stakeholder"], entry["n_di_min"], entry["n_di_max"]) == ("X", 0.0, 1e12)
         assert entry["p_s_max"] == pytest.approx(0.7) and entry["p_s_min"] == pytest.approx(0.4)
         assert entry["impact_ratio"] == pytest.approx(0.3 / 1e12)
+
+    @pytest.mark.parametrize("argv", [
+        ["rank", "--mode", "plugin"], ["rank", "--mode", "mc"],
+        ["sweep", "--mode", "plugin", "--stakeholder", "X"],
+        ["sweep", "--mode", "mc", "--stakeholder", "X"],
+    ], ids=["rank-plugin", "rank-mc", "sweep-plugin", "sweep-mc"])
+    def test_a_tiny_total_outflow_still_sweeps(self, tmp_path, capsys, argv):
+        # X's total outflow of 2e-10 is within 1e-9 of one increment of 0,
+        # but its discard grid still runs from 0 to it.
+        path = _write(tmp_path, "tiny.json", [{"from": "X", "to": "S", "frequency": 1e-10},
+                                              {"from": "X", "to": "US", "frequency": 1e-10}])
+        assert cli_main([*argv, "--iterations", "2", "--seed", "1", str(path)]) == 0
+        captured = capsys.readouterr()
+        result = json.loads(captured.out)["result"]
+        if argv[0] == "sweep":
+            assert result["n_di_values"] == [0.0, 2e-10]
+        else:
+            [entry] = result["ranking"]
+            assert (entry["n_di_min"], entry["n_di_max"]) == (0.0, 2e-10)
+        if argv[:3] == ["rank", "--mode", "plugin"]:  # (0.7 - 0.4) / 2e-10
+            assert captured.err.splitlines() == ["X: impact ratio 1500000000.00000"]
 
     @pytest.mark.parametrize("mode", ["mc", "plugin"])
     @pytest.mark.parametrize("flows, reason", [

@@ -1,12 +1,14 @@
-"""Absorption probabilities whose rows miss a sum of 1 are refused.
+"""Absorption probabilities whose reported rows miss a sum of 1 are refused.
 
 On a loop whose flow almost never leaves it, I - Q is so ill-conditioned
-that the solve loses digits while every entry of B stays finite. Each row
-of B must sum to 1, as the rows of Q and R do, so every solve checks the
-rows it returns against markov.ROW_SUM_TOL and raises SingularSystemError.
-The Monte Carlo engine solves only the stakeholders the start reaches, so a
-loop the start cannot reach does not stop it; plug-in evaluation solves
-every row, so it still refuses such a network.
+that the solve loses digits while every entry of B stays finite. The
+public absorption_probabilities checks every row of B it returns against
+markov.ROW_SUM_TOL and raises SingularSystemError. The program itself,
+Monte Carlo and plug-in alike, solves through the simulation engine's
+staged solve, which reports and so checks only the start stakeholder's
+row: a sticky loop the start cannot reach does not stop it unless its
+I - Q is exactly singular. Monte Carlo also leaves out of the solve the
+stakeholders the start cannot reach; plug-in solves every stakeholder.
 """
 
 import json
@@ -102,10 +104,10 @@ class TestLooseLoopPasses:
         assert "error" not in capsys.readouterr().err
 
 
-def unreachable_loop():
+def unreachable_loop(frequency=1e17):
     """Start Z reaches only C; the sticky A-B loop is valid but unreachable.
     At 1e17 a raw or drawn q_AB * q_BA rounds to 1, so its I - Q is singular."""
-    doc = sticky_loop(1e17)
+    doc = sticky_loop(frequency)
     doc["stakeholders"] += [{"id": "Z", "level": "federal"}, {"id": "C", "level": "state"}]
     doc["start"] = "Z"
     doc["flows"] += [
@@ -139,3 +141,30 @@ class TestUnreachableLoopIsNotSolved:
         assert out == ""
         [line] = err.splitlines()
         assert line.startswith("error: I - Q is singular")
+
+    @pytest.mark.parametrize("mode", ["raw", "posterior-mean"])
+    def test_plug_in_evaluate_solves_around_a_sticky_loop(self, tmp_path, capsys, mode):
+        # At 1e12 I - Q is ill-conditioned but not singular, and only Z's
+        # row is reported.
+        path = tmp_path / "unreachable.json"
+        path.write_bytes(document_bytes(unreachable_loop(STICKY)))
+        assert cli_main(["evaluate", "--mode", mode, str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "error" not in err
+        result = json.loads(out)["result"]
+        assert result["p_di"] + result["p_s"] + result["p_us"] == pytest.approx(1, abs=1e-12)
+
+    def test_plug_in_rank_solves_around_a_sticky_loop(self, tmp_path, capsys):
+        path = tmp_path / "unreachable.json"
+        path.write_bytes(document_bytes(unreachable_loop(STICKY)))
+        assert cli_main(["rank", "--mode", "plugin", "--iterations", "1", "--seed", "1",
+                         str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "error" not in err
+        assert [e["stakeholder"] for e in json.loads(out)["result"]["ranking"]] == ["C", "A", "B"]
+        # The ranked sweeps' chains, on grids of a few points each.
+        loop = infoflow.parse_network(document_bytes(unreachable_loop(STICKY)))
+        for sid in ("A", "B", "C"):
+            total = sum(f.frequency for f in loop.flows if f.source == sid)
+            sw = sweep_ineffective(loop, sid, 1, 1, "plugin", increment=total / 4)
+            np.testing.assert_allclose(sw.means.sum(axis=1), 1.0, rtol=0, atol=1e-12)

@@ -316,6 +316,20 @@ def rebuilt_sweep(spec, stakeholder, iterations, seed, mode):
     return np.array(out)
 
 
+def stuck_unreached_spec():
+    # At zero discard X passes all its flow around the X-Y and X-W loops, so
+    # none of X, Y, W reaches absorption, though the start A reaches none of
+    # them either.
+    ids = ("A", "X", "Y", "W")
+    flows = [("A", "S", 2.0), ("A", "US", 1.0), ("X", "Y", 1.0), ("X", "W", 2.0),
+             ("X", "DI", 5.0), ("Y", "X", 3.0), ("W", "X", 7.0)]
+    return NetworkSpec(
+        tuple(Stakeholder(sid, "state") for sid in ids),
+        tuple(FlowRecord(*flow) for flow in flows),
+        "A",
+    )
+
+
 def dead_loop_spec():
     # X's only route to absorption is its DI flow; at zero discard all of
     # X's flow goes to Y, which only returns it to X.
@@ -374,12 +388,12 @@ class TestSweepOverride:
     # Carlo mode accepts this point (test_monte_carlo_zero_discard_absorbs).
     @pytest.mark.parametrize("mode", ["plugin"])
     def test_zero_discard_that_cuts_absorption_is_rejected(self, mode):
-        spec = dead_loop_spec()
-        rebuilt = validate(_with_reallocated(spec, "X", reallocate(flow_counts(spec, "X"), 0)))
-        assert not rebuilt.ok
-        with pytest.raises(ValidationError) as exc:
-            sweep_ineffective(spec, "X", 5, 0, mode)
-        assert exc.value.report.violations == rebuilt.violations
+        for spec in (dead_loop_spec(), stuck_unreached_spec()):
+            rebuilt = validate(_with_reallocated(spec, "X", reallocate(flow_counts(spec, "X"), 0)))
+            assert not rebuilt.ok
+            with pytest.raises(ValidationError) as exc:
+                sweep_ineffective(spec, "X", 5, 0, mode)
+            assert exc.value.report.violations == rebuilt.violations
 
     def test_monte_carlo_zero_discard_absorbs(self):
         # At zero discard X's raw-frequency chain cannot absorb, but every
@@ -457,14 +471,14 @@ class TestEndpointOnlyRank:
             "wide_row": lambda: request.getfixturevalue("wide_row_spec"),
             "layered": lambda: infoflow.parse_network(document_bytes(layered_network(60, 4))),
         }[network]()
-        real = sensitivity.stacked_absorption
+        real = simulation._absorb
         chains = []
 
-        def counted(q, r, state_order):
-            chains.append(len(q))
-            return real(q, r, state_order)
+        def counted(staged, qr, name):
+            chains.append(len(qr))
+            return real(staged, qr, name)
 
-        monkeypatch.setattr(sensitivity, "stacked_absorption", counted)
+        monkeypatch.setattr(simulation, "_absorb", counted)
         ranked = rank_details(spec, 1, 0, "plugin")
         assert chains == [2] * (len(spec.ids) - 1)
         monkeypatch.undo()
@@ -474,12 +488,12 @@ class TestEndpointOnlyRank:
             assert np.array_equal(sw.means, curve) and not sw.means.flags.writeable
 
     def test_zero_discard_that_cuts_absorption_is_rejected(self):
-        spec = dead_loop_spec()
-        rebuilt = validate(_with_reallocated(spec, "X", reallocate(flow_counts(spec, "X"), 0)))
-        assert not rebuilt.ok
-        with pytest.raises(ValidationError) as exc:
-            rank_details(spec, 1, 0, "plugin")
-        assert exc.value.report.violations == rebuilt.violations
+        for spec in (dead_loop_spec(), stuck_unreached_spec()):
+            rebuilt = validate(_with_reallocated(spec, "X", reallocate(flow_counts(spec, "X"), 0)))
+            assert not rebuilt.ok
+            with pytest.raises(ValidationError) as exc:
+                rank_details(spec, 1, 0, "plugin")
+            assert exc.value.report.violations == rebuilt.violations
 
     def test_valid_sweeps_run_no_whole_network_check(self, reference_spec, monkeypatch):
         # The stacked solve checks the endpoints' reachability over the same
