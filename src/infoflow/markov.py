@@ -6,8 +6,9 @@ implicit and never stored. Absorption probabilities solve the linear system
 (I - Q) B = R; no explicit inverse is formed. A solution whose rows do not
 sum to 1 within ROW_SUM_TOL is refused as too ill-conditioned. The program
 solves its stacks of chains, Monte Carlo draws and plug-in chains alike, in
-the simulation engine; build_canonical and absorption_probabilities are the
-public one-chain API, and the oracle that engine is tested against.
+the simulation engine, over only the stakeholders the start reaches;
+build_canonical and absorption_probabilities are the public one-chain API,
+and, over that restricted chain, the oracle the engine is tested against.
 """
 
 from __future__ import annotations
@@ -81,7 +82,7 @@ def _default_labels(n: int, m: int) -> tuple[str, ...]:
 
 def absorbing_reach(q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Mask of the transient states that reach an absorbing state over the
-    positive support of Q and R, of one chain or of every chain in a stack."""
+    positive support of Q and R."""
     positive = q > 0.0
     reach = np.any(r > 0.0, axis=-1)
     changed = True
@@ -91,17 +92,6 @@ def absorbing_reach(q: np.ndarray, r: np.ndarray) -> np.ndarray:
         changed = bool(newly.any())
         reach |= newly
     return reach
-
-
-def _check_absorption_reachable(q: np.ndarray, r: np.ndarray) -> None:
-    """Raise naming the stuck states of the first chain that has one."""
-    reach = absorbing_reach(q, r)
-    if not reach.all():
-        stuck = ~reach.reshape(-1, reach.shape[-1])
-        first = stuck[np.argmax(stuck.any(axis=1))]
-        raise AbsorptionUnreachableError(
-            f"transient states {np.flatnonzero(first).tolist()} cannot reach any absorbing state"
-        )
 
 
 def build_canonical(
@@ -145,7 +135,11 @@ def build_canonical(
         raise RowSumError(f"row {i} ({state_order[i]!r}) sums to {float(sums[i])!r}, not 1")
     q = q / sums[:, np.newaxis]
     r = r / sums[:, np.newaxis]
-    _check_absorption_reachable(q, r)
+    reach = absorbing_reach(q, r)
+    if not reach.all():
+        raise AbsorptionUnreachableError(
+            f"transient states {np.flatnonzero(~reach).tolist()} cannot reach any absorbing state"
+        )
     q.flags.writeable = False
     r.flags.writeable = False
     return TransitionMatrix(q=q, r=r, state_order=state_order)

@@ -95,6 +95,7 @@ def validate(spec: NetworkSpec) -> ValidationReport:
         v.append(f"start stakeholder '{spec.start}' not declared")
 
     seen_pairs = set()
+    outflow: dict[str, float] = {}  # a source's total over its finite non-negative flows
     for f in spec.flows:
         if f.source not in id_set:
             v.append(f"flow from unknown stakeholder '{f.source}'")
@@ -106,10 +107,14 @@ def validate(spec: NetworkSpec) -> ValidationReport:
             v.append(f"non-finite frequency {f.frequency} on flow {f.source}->{f.target}")
         elif f.frequency < 0:
             v.append(f"negative frequency {f.frequency} on flow {f.source}->{f.target}")
+        else:
+            outflow[f.source] = outflow.get(f.source, 0.0) + f.frequency
         pair = (f.source, f.target)
         if pair in seen_pairs:
             v.append(f"duplicate flow {f.source}->{f.target}")
         seen_pairs.add(pair)
+    v += [f"non-finite total outflow {t} of stakeholder '{sid}'"
+          for sid, t in outflow.items() if math.isinf(t)]
 
     if v:
         return ValidationReport(tuple(v))

@@ -12,7 +12,7 @@ zero discard labelled as reallocate labels it (DI added where missing).
 reallocate is affine in the discard, so the whole sweep is one
 (increments, k) count matrix: Monte Carlo mode draws its alphas 1 + counts
 in one draw_samples call; plug-in mode copies the cached raw-frequency
-[Q | R] into the engine's staged solve with the swept row overwritten by
+[Q | R] of the stakeholders the start reaches, a reached swept row set to
 counts over their row sums, up front only at the two endpoints (zero and
 total discard) that the impact ratio and a ranking use. Each increment's
 numbers are bit for bit those of a spec rebuilt for that increment alone.
@@ -35,6 +35,7 @@ from .errors import (
     NoNonDiTargetsError,
     UnknownStakeholderError,
 )
+from .markov import absorbing_reach
 from .network import NetworkSpec
 from .simulation import draw_samples
 
@@ -199,11 +200,11 @@ def sweep_ineffective(
         zero, counts = _reallocated(base, grid)
     except NoNonDiTargetsError as exc:
         raise NoNonDiTargetsError(f"stakeholder '{stakeholder}': {exc}") from None
-    layout = plan.override(s_idx, zero)  # every grid point's labels
     if mode == MONTE_CARLO:
         # A flat-prior draw puts mass on every label of every row, so its
         # chain reaches absorption wherever the raw-frequency chain does, and
         # the swept row reaches DI directly; no check is needed.
+        layout = plan.override(s_idx, zero)  # every grid point's labels
         all_samples = draw_samples(
             layout, iterations, seed, key=(s_idx,), swept=(s_idx, 1.0 + counts)
         )
@@ -216,18 +217,30 @@ def sweep_ineffective(
     else:
         # Only zero discard can cut a route to absorption: any positive
         # discard gives the swept row a direct route to DI and leaves the
-        # other rows as they are. So once the endpoints pass the staged
-        # solve's reachability check, the interior does too.
+        # other rows as they are. So one check of the zero-discard support,
+        # over every stakeholder, covers the whole grid: it fails where
+        # validate fails for that point's spec, and require_valid names why.
         all_samples = None
-        cols = layout.rows[s_idx].cols  # every cell of raw_qr's swept row, and DI
+        q, r = np.split(plan.raw_qr > 0.0, [len(plan.rows)], axis=1)
+        r[s_idx, 0] = False  # zero discard: no flow to DI
+        if not absorbing_reach(q, r).all():
+            plan.override(s_idx, zero).require_valid()
+        # The chains are solved over the stakeholders the start reaches, the
+        # base plan's: a grid point only adds a DI label to the swept row.
+        sub = plan.reachable[0]
+        staged, row = sub, None  # an unreached swept row leaves every chain sub's
+        if stakeholder in sub.state_order:
+            row = sub.state_order.index(stakeholder)
+            staged = sub.override(row, zero)
 
         def solve(counts):
             def fill(qr, first):
-                part = counts[first : first + len(qr)]
-                qr[:] = plan.raw_qr
-                qr[:, s_idx, cols] = part / part.sum(axis=1, keepdims=True)
+                qr[:] = sub.raw_qr
+                if row is not None:
+                    part = counts[first : first + len(qr)]
+                    qr[:, row, staged.rows[row].cols] = part / part.sum(axis=1, keepdims=True)
 
-            return simulation.plug_in_triples(layout, len(counts), fill)
+            return simulation._solve_chunks(staged, len(counts), fill, lambda i: "")
 
         ends = solve(counts)
 

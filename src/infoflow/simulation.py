@@ -10,19 +10,20 @@ stream derived from (seed, t), so the output is a pure function of
 The engine draws one plan, or a sweep of it: the plan with its swept row's
 alpha replaced by each row of an alpha matrix in turn, one increment at a
 time. A draw costs one stream derivation and one standard_gamma call over
-the plan's concatenated alphas, every row's. Only the stakeholders the
-start reaches over labelled cells (`_Plan.reachable`) are normalised and
-solved: no labelled cell leaves them, so the start's row of
-B = (I - Q)^-1 R depends on their rows alone. All draws run back to back
-in chunks whose stacked (m, m + 3) blocks, m the number of those
-stakeholders, fit in CHUNK_BYTES. Each chunk has one staging buffer: the
-draws are normalised into it group by group with the plan's layout,
-giving [Q | R], which the staged solve turns into [I - Q | R] in place and
-solves as one stacked system. Memory is therefore bounded by that buffer
-plus the (increments, iterations, 3) output, whatever the iteration count,
-and the triples do not depend on the chunk size. Plug-in chains go through
-the same staged solve, over every stakeholder of their plan, with buffers
-filled by copying a deterministic [Q | R].
+the plan's concatenated alphas, every row's.
+
+Monte Carlo and plug-in chains share one staging rule and one chunk loop.
+Only the stakeholders the start reaches over labelled cells
+(`_Plan.reachable`) are staged and solved: no labelled cell leaves them,
+so the start's row of B = (I - Q)^-1 R depends on their rows alone. Chains
+run back to back in chunks whose stacked (m, m + 3) blocks, m the number
+of those stakeholders, fit in CHUNK_BYTES. Each chunk has one staging
+buffer, filled with [Q | R] (draws normalised group by group with the
+plan's layout, or copies of a deterministic plug-in [Q | R]), which the
+staged solve turns into [I - Q | R] in place and solves as one stacked
+system. Memory is therefore bounded by that buffer plus the output,
+whatever the iteration count, and the triples do not depend on the chunk
+size.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from typing import NoReturn
 
 import numpy as np
 
-from .errors import AbsorptionUnreachableError, EmptySampleError, SingularSystemError
-from .markov import ROW_SUM_TOL, _check_absorption_reachable
+from .errors import EmptySampleError, SingularSystemError
+from .markov import ROW_SUM_TOL
 from .network import NetworkSpec, _compiled, _fill_draws, _Plan, _plug_in_qr
 from .rng import stream
 
@@ -92,77 +93,64 @@ def _chunk_size(plan: _Plan, draws: int) -> int:
     return max(1, min(draws, CHUNK_BYTES // block))
 
 
+def _solve_chunks(staged: _Plan, total: int, fill, name) -> np.ndarray:
+    """(total, 3) start-state triples of `total` chains over the stakeholders
+    of `staged`, which both modes restrict to those the start reaches.
+
+    Chunk by chunk, `fill(qr, first)` writes the [Q | R] rows of chains
+    first, first + 1, ... into the one staging buffer `qr`, (len(qr), m,
+    m + 3) and 0 outside `staged.cells`, and _absorb solves them; `name(i)`
+    prefixes chain i's error. The triples do not depend on the chunk size.
+    """
+    chunk = _chunk_size(staged, total)
+    try:
+        out = np.empty((total, 3))
+    except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
+        raise MemoryError(str(exc)) from None
+    qr_buf = np.zeros((chunk, len(staged.rows), len(staged.state_order)))
+    for first in range(0, total, chunk):
+        qr = qr_buf[: min(chunk, total - first)]
+        fill(qr, first)
+        out[first : first + len(qr)] = _absorb(staged, qr, lambda j: name(first + j))
+    return out
+
+
 def _simulate_block(layout: _Plan, alphas, keys, iterations: int, seed: int) -> np.ndarray:
     """(len(keys), iterations, 3) start-state absorption triples.
 
     Member i is `layout` with the i-th of `alphas`, a whole concatenated
     alpha read only while the member draws (so `alphas` may rewrite one
     buffer); its iteration t draws from stream (seed, *keys[i], t) with one
-    standard_gamma call. Only the rows of `layout.reachable`, the
-    stakeholders the start reaches, are staged and solved, in chunks of
-    _chunk_size of that staged plan, so a chunk may hold the end of one
-    member and the start of the next. Each chunk's draws are normalised
-    into one buffer by the helper sampled_chain uses, and solved by
-    _absorb. So each triple equals, bit for bit, absorption_probabilities
-    of the drawn chain restricted to the stakeholders the start reaches,
-    whatever the chunk size; where the start reaches every stakeholder,
-    that is what sampled_chain + absorption_probabilities give.
+    standard_gamma call. Only the rows of `layout.reachable` are normalised,
+    by the helper sampled_chain uses, and solved, so a chunk may hold the
+    end of one member and the start of the next. Each triple equals, bit
+    for bit, absorption_probabilities of the drawn chain restricted to the
+    stakeholders the start reaches, whatever the chunk size; where the
+    start reaches every stakeholder, that is what sampled_chain +
+    absorption_probabilities give.
     """
     staged, positions = layout.reachable
-    total = len(keys) * iterations
-    chunk = _chunk_size(staged, total)
-    try:
-        out = np.empty((total, 3))
-    except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
-        raise MemoryError(str(exc)) from None
-    gammas = np.empty((chunk, layout.alpha.size))
-    qr_buf = np.zeros((chunk, len(staged.rows), len(staged.state_order)))  # undrawn cells stay 0
     draws = ((alpha, key, t) for alpha, key in zip(alphas, keys) for t in range(iterations))
-    for first in range(0, total, chunk):
-        m = min(chunk, total - first)
-        for j, (alpha, key, t) in zip(range(m), draws):
+
+    def fill(qr, first):
+        gammas = np.empty((len(qr), layout.alpha.size))
+        for j, (alpha, key, t) in zip(range(len(qr)), draws):
             gammas[j] = stream(seed, *key, t).standard_gamma(alpha)
-        _fill_draws(staged, np.take(gammas[:m], positions, axis=1), qr_buf[:m])
-        out[first : first + m] = _absorb(
-            staged, qr_buf[:m], lambda j: f"iteration {(first + j) % iterations}: "
-        )
+        _fill_draws(staged, np.take(gammas, positions, axis=1), qr)
+
+    out = _solve_chunks(
+        staged, len(keys) * iterations, fill, lambda i: f"iteration {i % iterations}: "
+    )
     return out.reshape(len(keys), iterations, 3)
-
-
-def plug_in_triples(layout: _Plan, chains: int, fill) -> np.ndarray:
-    """(chains, 3) start-state triples of deterministic chains over every
-    stakeholder of `layout`, in chunks of _chunk_size.
-
-    `fill(qr, first)` writes the [Q | R] rows of chains first, first + 1,
-    ... into the (len(qr), n, n + 3) buffer `qr`, 0 outside `layout.cells`.
-    A chunk whose positive support leaves any stakeholder unable to reach
-    absorption is refused with the ValidationError `layout.require_valid`
-    raises. Each triple equals, bit for bit, the start row of
-    absorption_probabilities of build_canonical of its chain.
-    """
-    n = len(layout.rows)
-    out = np.empty((chains, 3))
-    chunk = _chunk_size(layout, chains)
-    qr_buf = np.empty((chunk, n, len(layout.state_order)))
-    for first in range(0, chains, chunk):
-        qr = qr_buf[: min(chunk, chains - first)]
-        fill(qr, first)
-        try:
-            _check_absorption_reachable(qr[..., :n], qr[..., n:])
-        except AbsorptionUnreachableError:
-            layout.require_valid()  # names every stakeholder validate would
-            raise
-        out[first : first + len(qr)] = _absorb(layout, qr, lambda j: "")
-    return out
 
 
 def plug_in_start(spec: NetworkSpec, mode: str) -> np.ndarray:
     """The start's (P_DI, P_S, P_US) in plug-in chain `mode`, raw or
-    posterior-mean: absorption_probabilities(plug_in_chain(spec, mode))
-    .row(spec.start), bit for bit."""
-    plan = _compiled(spec)  # validates the spec
-    qr = _plug_in_qr(plan, mode)
-    return plug_in_triples(plan, 1, lambda buf, first: np.copyto(buf, qr))[0]
+    posterior-mean: plug_in_chain(spec, mode) restricted to the stakeholders
+    the start reaches, solved by absorption_probabilities, bit for bit."""
+    staged = _compiled(spec).reachable[0]  # validates the spec
+    qr = _plug_in_qr(staged, mode)
+    return _solve_chunks(staged, 1, lambda buf, first: np.copyto(buf, qr), lambda i: "")[0]
 
 
 def _absorb(staged: _Plan, qr: np.ndarray, name) -> np.ndarray:

@@ -67,6 +67,16 @@ def flow_counts(spec, stakeholder):
     return CountVector(labels, [frequency[s] for s in labels])
 
 
+def with_reallocated(spec, stakeholder, cv):
+    """The spec one sweep increment describes, rebuilt from scratch: the
+    stakeholder's flows replaced by the CountVector `cv`."""
+    kept = tuple(f for f in spec.flows if f.source != stakeholder)
+    new = tuple(
+        FlowRecord(stakeholder, label, float(v)) for label, v in zip(cv.labels, cv.counts)
+    )
+    return NetworkSpec(spec.stakeholders, kept + new, spec.start)
+
+
 def dirichlet_sample(params, rng):
     """One Dirichlet(params.alpha) draw: independent gamma(alpha_j, 1)
     variates normalised twice (theta = g / g.sum(), then theta / theta.sum()),
@@ -80,31 +90,58 @@ def dirichlet_sample(params, rng):
     return theta / theta.sum()
 
 
+def _reached_start_row(spec, rows):
+    """Start-state absorption triple of the chain whose stakeholder rows are
+    `rows` (id -> {label: probability}), restricted to the stakeholders a
+    breadth-first search over spec.flows reaches from spec.start and solved
+    by build_canonical + absorption_probabilities. Every flow record counts
+    for the search, whatever its frequency, as it labels a row's cell."""
+    reached, queue = {spec.start}, deque([spec.start])
+    while queue:
+        for target in rows[queue.popleft()]:
+            if target in rows and target not in reached:
+                reached.add(target)
+                queue.append(target)
+    kept = [sid for sid in spec.ids if sid in reached]
+    q = [[rows[a].get(b, 0.0) for b in kept] for a in kept]
+    r = [[rows[a].get(k, 0.0) for k in ABSORBING_ORDER] for a in kept]
+    chain = build_canonical(q, r, tuple(kept) + ABSORBING_ORDER)
+    return absorption_probabilities(chain).row(spec.start)
+
+
 def reachable_sampled_absorption(spec, rng):
     """Start-state absorption triple of one posterior draw, solved over the
     stakeholders the start reaches.
 
     Every stakeholder's row is drawn with dirichlet_sample, in declaration
-    order, from `rng`. The chain is then restricted to the stakeholders a
-    breadth-first search over spec.flows reaches from spec.start (every
-    flow record counts, whatever its frequency, as every drawn cell is
-    positive) and solved by build_canonical + absorption_probabilities.
+    order, from `rng`; every drawn cell is positive. The chain is then
+    restricted and solved by _reached_start_row.
     """
     drawn = {}
     for sid in spec.ids:
         params = noninformative_posterior(flow_counts(spec, sid))
         drawn[sid] = dict(zip(params.labels, dirichlet_sample(params, rng)))
-    reached, queue = {spec.start}, deque([spec.start])
-    while queue:
-        for target in drawn[queue.popleft()]:
-            if target in drawn and target not in reached:
-                reached.add(target)
-                queue.append(target)
-    kept = [sid for sid in spec.ids if sid in reached]
-    q = [[drawn[a].get(b, 0.0) for b in kept] for a in kept]
-    r = [[drawn[a].get(k, 0.0) for k in ABSORBING_ORDER] for a in kept]
-    chain = build_canonical(q, r, tuple(kept) + ABSORBING_ORDER)
-    return absorption_probabilities(chain).row(spec.start)
+    return _reached_start_row(spec, drawn)
+
+
+def reachable_plug_in_absorption(spec, mode="raw"):
+    """Start-state absorption triple of the plug-in chain in `mode`, solved
+    over the stakeholders the start reaches by _reached_start_row.
+
+    A raw row is the frequencies over their total; a posterior-mean row is
+    the flat-prior posterior mean alpha / alpha.sum(), renormalised.
+    """
+    rows = {}
+    for sid in spec.ids:
+        cv = flow_counts(spec, sid)
+        if mode == "raw":
+            p = cv.counts / cv.total
+        else:
+            alpha = noninformative_posterior(cv).alpha
+            theta = alpha / alpha.sum()
+            p = theta / theta.sum()
+        rows[sid] = dict(zip(cv.labels, p))
+    return _reached_start_row(spec, rows)
 
 
 def multinomial_pmf(counts, theta):

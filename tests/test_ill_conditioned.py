@@ -6,16 +6,16 @@ public absorption_probabilities checks every row of B it returns against
 markov.ROW_SUM_TOL and raises SingularSystemError. The program itself,
 Monte Carlo and plug-in alike, solves through the simulation engine's
 staged solve, which reports and so checks only the start stakeholder's
-row: a sticky loop the start cannot reach does not stop it unless its
-I - Q is exactly singular. Monte Carlo also leaves out of the solve the
-stakeholders the start cannot reach; plug-in solves every stakeholder.
+row, and stages only the stakeholders the start reaches. So a sticky loop
+the start cannot reach never stops it, even where its I - Q is exactly
+singular; one the start reaches is refused.
 """
 
 import json
 
 import numpy as np
 import pytest
-from helpers import document_bytes
+from helpers import document_bytes, reachable_plug_in_absorption
 
 import infoflow
 from infoflow.cli import cli_main
@@ -26,6 +26,7 @@ from infoflow.sensitivity import sweep_ineffective
 from infoflow.simulation import draw_samples
 
 STICKY = 1e12  # sums miss 1 by about 1e-5
+SINGULAR = 1e17  # q_AB * q_BA rounds to 1, so I - Q is exactly singular
 LOOSE = 1e3  # sums miss 1 by about 1e-13
 
 
@@ -66,6 +67,15 @@ class TestStickyLoopIsRefused:
         ):
             absorption_probabilities(plug_in_chain(spec(STICKY), mode))
 
+    @pytest.mark.parametrize("mode", ["raw", "posterior-mean"])
+    def test_plug_in_evaluate_cli_refuses_a_singular_loop(self, tmp_path, capsys, mode):
+        path = tmp_path / "singular.json"
+        path.write_bytes(document_bytes(sticky_loop(SINGULAR)))
+        assert cli_main(["evaluate", "--mode", mode, str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == ["error: I - Q is singular"]
+
     @pytest.mark.parametrize("mode", ["plugin", "mc"])
     def test_sweep(self, mode):
         # Zero discard keeps the loop; four increments keep the grid small.
@@ -104,9 +114,8 @@ class TestLooseLoopPasses:
         assert "error" not in capsys.readouterr().err
 
 
-def unreachable_loop(frequency=1e17):
-    """Start Z reaches only C; the sticky A-B loop is valid but unreachable.
-    At 1e17 a raw or drawn q_AB * q_BA rounds to 1, so its I - Q is singular."""
+def unreachable_loop(frequency=SINGULAR):
+    """Start Z reaches only C; the sticky A-B loop is valid but unreachable."""
     doc = sticky_loop(frequency)
     doc["stakeholders"] += [{"id": "Z", "level": "federal"}, {"id": "C", "level": "state"}]
     doc["start"] = "Z"
@@ -133,26 +142,21 @@ class TestUnreachableLoopIsNotSolved:
         triples = np.array(json.loads(out)["result"][key])
         np.testing.assert_allclose(triples.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
-    def test_plug_in_evaluate_still_refuses(self, tmp_path, capsys):
-        path = tmp_path / "unreachable.json"
-        path.write_bytes(document_bytes(unreachable_loop()))
-        assert cli_main(["evaluate", str(path)]) == 1
-        out, err = capsys.readouterr()
-        assert out == ""
-        [line] = err.splitlines()
-        assert line.startswith("error: I - Q is singular")
-
+    @pytest.mark.parametrize("frequency", [STICKY, SINGULAR], ids=["sticky", "singular"])
     @pytest.mark.parametrize("mode", ["raw", "posterior-mean"])
-    def test_plug_in_evaluate_solves_around_a_sticky_loop(self, tmp_path, capsys, mode):
-        # At 1e12 I - Q is ill-conditioned but not singular, and only Z's
-        # row is reported.
+    def test_plug_in_evaluate_solves_around_a_sticky_loop(self, tmp_path, capsys, mode, frequency):
+        # Only Z and C are solved, so the loop's I - Q, ill-conditioned at
+        # 1e12 and exactly singular at 1e17, never is.
         path = tmp_path / "unreachable.json"
-        path.write_bytes(document_bytes(unreachable_loop(STICKY)))
+        path.write_bytes(document_bytes(unreachable_loop(frequency)))
         assert cli_main(["evaluate", "--mode", mode, str(path)]) == 0
         out, err = capsys.readouterr()
         assert "error" not in err
         result = json.loads(out)["result"]
-        assert result["p_di"] + result["p_s"] + result["p_us"] == pytest.approx(1, abs=1e-12)
+        got = [result["p_di"], result["p_s"], result["p_us"]]
+        loop = infoflow.parse_network(path.read_bytes())
+        assert np.array_equal(got, reachable_plug_in_absorption(loop, mode))
+        assert sum(got) == pytest.approx(1, abs=1e-12)
 
     def test_plug_in_rank_solves_around_a_sticky_loop(self, tmp_path, capsys):
         path = tmp_path / "unreachable.json"

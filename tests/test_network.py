@@ -72,6 +72,12 @@ def test_non_finite_frequency_is_a_violation(frequency):
     assert validate(spec).violations == (f"non-finite frequency {frequency} on flow A->B",)
 
 
+def test_an_overflowing_total_outflow_is_a_violation():
+    # Each frequency is finite, but A's total overflows float64.
+    spec = spec_of([("A", "B", 1e308), ("A", "S", 1e308), ("B", "S", 1.0)], ids=["A", "B"])
+    assert validate(spec).violations == ("non-finite total outflow inf of stakeholder 'A'",)
+
+
 def test_validate_matches_a_graph_walk_on_random_networks():
     # Reference: a forward walk from each stakeholder over positive flows.
     rng = np.random.default_rng(5)

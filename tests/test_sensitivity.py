@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from helpers import cyclic_spec, dirichlet_sample, document_bytes, flow_counts, layered_network
+from helpers import (
+    cyclic_spec,
+    dirichlet_sample,
+    document_bytes,
+    flow_counts,
+    layered_network,
+    reachable_plug_in_absorption,
+)
+from helpers import with_reallocated as _with_reallocated
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
@@ -24,7 +32,6 @@ from infoflow.network import (
     NetworkSpec,
     Stakeholder,
     _compiled,
-    plug_in_chain,
     validate,
 )
 from infoflow.rng import stream
@@ -291,19 +298,12 @@ class TestRank:
         assert ranking[0][1] == ranking[1][1]
 
 
-def _with_reallocated(spec, stakeholder, cv):
-    """The spec one sweep increment describes, rebuilt from scratch."""
-    kept = tuple(f for f in spec.flows if f.source != stakeholder)
-    new = tuple(
-        FlowRecord(stakeholder, label, float(v)) for label, v in zip(cv.labels, cv.counts)
-    )
-    return NetworkSpec(spec.stakeholders, kept + new, spec.start)
-
-
 def rebuilt_sweep(spec, stakeholder, iterations, seed, mode):
     """Oracle for sweep_ineffective: a fresh spec per increment, evaluated by
-    the public per-spec functions. Monte Carlo mode returns the samples
-    (increments, iterations, 3), plug-in mode the means (increments, 3)."""
+    the public draw_samples or, in plug-in mode, by the restricted-chain
+    oracle reachable_plug_in_absorption. Monte Carlo mode returns the
+    samples (increments, iterations, 3), plug-in mode the means
+    (increments, 3)."""
     s_idx = spec.ids.index(stakeholder)
     base = flow_counts(spec, stakeholder)
     out = []
@@ -312,7 +312,7 @@ def rebuilt_sweep(spec, stakeholder, iterations, seed, mode):
         if mode == "mc":
             out.append(draw_samples(modified, iterations, seed, key=(s_idx, i)))
         else:
-            out.append(absorption_probabilities(plug_in_chain(modified, "raw")).row(spec.start))
+            out.append(reachable_plug_in_absorption(modified))
     return np.array(out)
 
 

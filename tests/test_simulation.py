@@ -5,16 +5,24 @@ import pytest
 from helpers import (
     cyclic_spec,
     document_bytes,
+    flow_counts,
     layered_network,
+    reachable_plug_in_absorption,
     reachable_sampled_absorption,
+    with_reallocated,
 )
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import infoflow
 from infoflow import simulation
 from infoflow.dirichlet import CountVector
-from infoflow.errors import EmptySampleError, SingularSystemError, ValidationError
+from infoflow.errors import (
+    EmptySampleError,
+    NoNonDiTargetsError,
+    SingularSystemError,
+    ValidationError,
+)
 from infoflow.markov import ABSORBING_ORDER, absorption_probabilities
 from infoflow.network import (
     FlowRecord,
@@ -25,7 +33,8 @@ from infoflow.network import (
     sampled_chain,
 )
 from infoflow.rng import stream
-from infoflow.simulation import draw_samples, run, summarize
+from infoflow.sensitivity import rank_details, reallocate
+from infoflow.simulation import draw_samples, plug_in_start, run, summarize
 
 
 def single_state_spec():
@@ -394,3 +403,37 @@ def test_engine_solves_only_what_the_start_reaches(spec, seed):
     whole = public_path(spec, [stream(seed, t) for t in range(6)])
     np.testing.assert_allclose(fast, whole, rtol=0, atol=1e-15)
     np.testing.assert_allclose(fast.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+
+def _plug_in_oracles(spec, mode):
+    """The start's plug-in triple in `mode`: exactly, over the stakeholders
+    the start reaches, and over the whole chain."""
+    whole = absorption_probabilities(plug_in_chain(spec, mode)).row(spec.start)
+    return reachable_plug_in_absorption(spec, mode), whole
+
+
+@given(partly_unreachable_specs())
+@settings(max_examples=50)
+def test_plug_in_solves_only_what_the_start_reaches(spec):
+    # evaluate and the endpoints of a plug-in rank solve exactly the chain
+    # restricted to the stakeholders the start reaches, within rounding of
+    # the whole chain; a stakeholder the start cannot reach has no impact.
+    for mode in ("raw", "posterior-mean"):
+        got = plug_in_start(spec, mode)
+        exact, whole = _plug_in_oracles(spec, mode)
+        assert np.array_equal(got, exact)
+        np.testing.assert_allclose(got, whole, rtol=0, atol=1e-15)
+    try:
+        ranked = rank_details(spec, 1, 0, "plugin")
+    except (ValidationError, NoNonDiTargetsError):
+        assume(False)  # zero discard cuts a row's only route to absorption
+    for sw in ranked:
+        base = flow_counts(spec, sw.stakeholder)
+        for di, p_s in ((0.0, sw.p_s_max), (base.total, sw.p_s_min)):
+            exact, whole = _plug_in_oracles(
+                with_reallocated(spec, sw.stakeholder, reallocate(base, di)), "raw"
+            )
+            assert p_s == exact[1]
+            assert abs(p_s - whole[1]) <= 1e-15
+        if sw.stakeholder.startswith("U"):  # the start cannot reach it
+            assert sw.impact_ratio == 0.0
