@@ -142,6 +142,20 @@ class TestUnreachableLoopIsNotSolved:
         triples = np.array(json.loads(out)["result"][key])
         np.testing.assert_allclose(triples.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
+    def test_plug_in_evaluate_still_refuses(self, tmp_path, capsys):
+        # Without its exits to S and US the unreached loop is stuck, not
+        # sticky: validation refuses the network before anything is solved.
+        doc = unreachable_loop()
+        doc["flows"] = [f for f in doc["flows"]
+                        if f["from"] not in ("A", "B") or f["to"] in ("A", "B")]
+        path = tmp_path / "stuck.json"
+        path.write_bytes(document_bytes(doc))
+        assert cli_main(["evaluate", str(path)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [
+            f"error: no absorbing state reachable from stakeholder '{sid}'" for sid in "AB"]
+
     @pytest.mark.parametrize("frequency", [STICKY, SINGULAR], ids=["sticky", "singular"])
     @pytest.mark.parametrize("mode", ["raw", "posterior-mean"])
     def test_plug_in_evaluate_solves_around_a_sticky_loop(self, tmp_path, capsys, mode, frequency):
