@@ -435,3 +435,22 @@ def test_module_entry_point(net_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["p_s"] == pytest.approx(0.5)
+
+
+def test_validate_leaves_numpy_random_unimported(net_path):
+    # Only a command that draws a stream imports numpy.random (10-15 ms).
+    src = str(Path(infoflow.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = (
+        "import sys\n"
+        "import infoflow\n"
+        "from infoflow.cli import cli_main\n"
+        "assert 'numpy.random' not in sys.modules, 'imported by import infoflow'\n"
+        f"assert cli_main(['validate', {str(net_path)!r}]) == 0\n"
+        "assert 'numpy.random' not in sys.modules, 'imported by validate'\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
