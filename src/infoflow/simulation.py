@@ -9,8 +9,10 @@ stream derived from (seed, t), so the output is a pure function of
 
 The engine draws one plan, or a sweep of it: the plan with its swept row's
 alpha replaced by each row of an alpha matrix in turn, one increment at a
-time. A draw costs one stream derivation and one standard_gamma call over
-the plan's concatenated alphas, every row's.
+time. A draw costs one stream and one standard_gamma call over the plan's
+concatenated alphas, every row's. The stream's seed words are one row of a
+block that rng derives for 64 consecutive iterations at once, so the
+stream costs little more than constructing its PCG64 generator.
 
 Monte Carlo and plug-in chains share one staging rule and one chunk loop.
 Only the stakeholders the start reaches over labelled cells

@@ -1,13 +1,21 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import infoflow
+from infoflow import rng
 from infoflow.rng import stream
 
 ALPHA = np.array([1.0, 2.5, 31.0, 1e9])
 seeds = st.integers(-2**70, 2**70)
 entries = st.integers(0, 2**70 - 1)
+# Streams come from blocks of 64 consecutive last entries; these sit at the
+# edges of a block, of a uint32 word, and of a uint64 word.
+EDGES = [0, 63, 64, 65, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**70]
+edges = st.sampled_from(EDGES)
 
 
 def numpy_stream(seed, path):
@@ -29,9 +37,12 @@ def assert_same_stream(got, want):
     (9, (np.int64(3), np.uint8(7))),
     (9, (np.uint64(2**64 - 1), np.int32(0))),
     (9, (True, False, 5)),
+    (np.int64(9), (3,)),
+    (np.uint64(2**64 - 1), (3,)),
+    (True, (3,)),
 ])
 def test_stream_is_default_rng_of_its_seed_sequence(seed, path):
-    want = np.random.default_rng(np.random.SeedSequence(seed & 2**64 - 1, spawn_key=path))
+    want = np.random.default_rng(np.random.SeedSequence(int(seed) & 2**64 - 1, spawn_key=path))
     got = stream(seed, *path)
     assert got.bit_generator.state == want.bit_generator.state
     alpha = np.array([1.0, 2.5, 31.0, 1e9])
@@ -49,21 +60,46 @@ def test_stream_matches_numpys_seed_sequence(seed, path):
     assert_same_stream(stream(seed, *path), numpy_stream(seed, tuple(path)))
 
 
+@given(seeds, st.lists(st.one_of(edges, entries), max_size=2), edges)
+def test_block_edges_match_numpys_seed_sequence(seed, prefix, last):
+    path = (*prefix, last)
+    assert_same_stream(stream(seed, *path), numpy_stream(seed, path))
+
+
 @given(
-    st.lists(st.tuples(seeds, st.lists(entries, max_size=3)), min_size=2, max_size=3),
-    st.lists(entries, min_size=2, max_size=12),
+    st.lists(
+        st.tuples(seeds, st.lists(entries, max_size=3), st.integers(0, 2**65)),
+        min_size=2, max_size=3,
+    ),
+    st.lists(st.integers(0, 63), min_size=3, max_size=12),
 )
-def test_interleaved_prefixes_match_numpy(prefixes, lasts):
-    # Paths take their (seed, prefix) in turn, A, B, A, ...: a cached prefix
-    # that went stale or was shared between prefixes would give a wrong stream.
-    for i, last in enumerate(lasts):
-        seed, prefix = prefixes[i % len(prefixes)]
-        path = (*prefix, last)
+def test_interleaved_prefixes_match_numpy(triples, offsets):
+    # Streams take their (seed, prefix, block) in turn, A, B, A, ...: a cached
+    # block that went stale or was shared between triples would give a
+    # wrong stream.
+    for i, offset in enumerate(offsets):
+        seed, prefix, block = triples[i % len(triples)]
+        path = (*prefix, 64 * block + offset)
         assert_same_stream(stream(seed, *path), numpy_stream(seed, path))
 
 
+def test_blocks_rebuilt_after_eviction_match_numpy():
+    # More (seed, prefix, block) triples than the block cache holds, taken in
+    # turn three times: every block is evicted and rebuilt.
+    triples = [(s, (s % 3,), s * 7) for s in range(2 * rng._BLOCK_CACHE_SIZE + 1)]
+    for rounds in range(3):
+        for seed, prefix, block in triples:
+            path = (*prefix, 64 * block + 5 * rounds)
+            assert_same_stream(stream(seed, *path), numpy_stream(seed, path))
+
+
 @pytest.mark.parametrize("path", [(-1,), (-1, 2), (2, -1), (3, -2**40, 1)])
-def test_negative_path_entry_is_a_value_error(path):
+def test_negative_path_entry_is_a_value_error(path, monkeypatch):
+    # Refused before a block index is formed: -1 >> 6 is a negative block.
+    def no_block(*args):
+        raise AssertionError(f"block looked up for {args}")
+
+    monkeypatch.setattr(rng, "_block", no_block)
     with pytest.raises(ValueError):
         stream(1, *path)
 
@@ -77,3 +113,36 @@ def test_non_integer_path_entry_is_a_type_error(path):
         stream(1, *path)
     with pytest.raises(TypeError):
         stream(1, *path, 0)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, "3", None])
+def test_non_integer_seed_is_a_type_error(seed):
+    with pytest.raises(TypeError):
+        stream(seed, 0)
+    with pytest.raises(TypeError):
+        stream(seed)
+
+
+def test_run_refuses_a_non_integer_seed(reference_spec):
+    with pytest.raises(TypeError):
+        infoflow.run(reference_spec, 5, 1.5)
+    samples = infoflow.run(reference_spec, 5, np.int64(1)).samples
+    assert np.array_equal(samples, infoflow.run(reference_spec, 5, 1).samples)
+
+
+def test_caches_stay_small_over_many_prefixes():
+    # Each distinct prefix caches a pool and each (seed, prefix, block) a
+    # (64, 4) block; both caches are bounded, so streams over 2,000 prefixes
+    # hold a few hundred of them, not 2,000 (about 5 MB).
+    def streams(first):
+        for prefix in range(first, first + 2000):
+            stream(7, prefix, 3, 0)
+
+    streams(0)  # fill both caches
+    tracemalloc.start()
+    try:
+        streams(2000)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20

@@ -347,9 +347,9 @@ def dead_loop_spec():
 
 
 class TestSweepOverride:
-    """A sweep overrides one row of the compiled base plan per increment and
-    evaluates all increments as one batch; it must match, bit for bit, a
-    sweep that rebuilds the spec every time."""
+    """A sweep builds one layout plan, the swept row at zero discard with
+    its DI label, and carries every increment's counts in one matrix; it
+    must match, bit for bit, a sweep that rebuilds the spec every time."""
 
     @pytest.mark.parametrize("stakeholder", ["B", "C", "D", "E"])
     @pytest.mark.parametrize("mode", ["mc", "plugin"])
@@ -496,8 +496,9 @@ class TestEndpointOnlyRank:
             assert exc.value.report.violations == rebuilt.violations
 
     def test_valid_sweeps_run_no_whole_network_check(self, reference_spec, monkeypatch):
-        # The stacked solve checks the endpoints' reachability over the same
-        # positive support; require_valid runs only to report a failure.
+        # One structural check of the zero-discard support, over every
+        # stakeholder, covers the whole grid; require_valid runs only to
+        # report a failure.
         real = network._Plan.require_valid
         calls = []
 
