@@ -48,6 +48,8 @@ class CountVector:
         _check_labels(self.labels, len(self.counts))
         if np.any(self.counts < 0):
             raise NegativeEntryError(f"negative count in {self.counts}")
+        if not np.all(np.isfinite(self.counts)):
+            raise ValueError(f"non-finite count in {self.counts}")
 
     @property
     def total(self) -> float:
@@ -68,8 +70,8 @@ class DirichletParams:
         object.__setattr__(self, "labels", tuple(self.labels))
         object.__setattr__(self, "alpha", _freeze(self.alpha))
         _check_labels(self.labels, len(self.alpha))
-        if np.any(self.alpha <= 0):
-            raise ValueError(f"alpha must be strictly positive, got {self.alpha}")
+        if not np.all((self.alpha > 0) & (self.alpha < np.inf)):  # NaN fails both
+            raise ValueError(f"alpha must be strictly positive and finite, got {self.alpha}")
 
     def __len__(self) -> int:
         return len(self.alpha)

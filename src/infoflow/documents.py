@@ -12,7 +12,8 @@ The network document is a UTF-8 JSON object:
 "to" may name a stakeholder or one of the absorbing states DI/S/US; those
 three labels are reserved and may not be stakeholder ids. Parsing checks
 only the document: ParseError if it is not UTF-8, not JSON, or holds a NaN
-or Infinity token; SchemaError if its shape or a field's type is wrong.
+or Infinity token; SchemaError if its shape or a field's type is wrong, or
+if an object repeats a key (JSON would silently keep the last).
 Every rule of the network's meaning (reserved ids, levels, duplicates,
 declared start and endpoints, frequencies, absorption) is network.validate's,
 raised as ValidationError with the full report. Reports are JSON
@@ -44,13 +45,23 @@ def _reject_constant(token: str):
     raise ParseError(f"non-finite number {token!r} is not allowed")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise SchemaError(f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def parse_network(data: bytes | str) -> NetworkSpec:
     """Parse and validate a network document.
 
     Raises ParseError if the bytes are not UTF-8, not JSON, or hold a NaN or
     Infinity token; SchemaError if the document has the wrong shape or field
-    types; and ValidationError, carrying validate's full report, if the
-    network it describes breaks a rule of the network's meaning.
+    types or an object repeats a key; and ValidationError, carrying
+    validate's full report, if the network it describes breaks a rule of the
+    network's meaning.
     """
     if isinstance(data, bytes):
         try:
@@ -58,7 +69,7 @@ def parse_network(data: bytes | str) -> NetworkSpec:
         except UnicodeDecodeError as exc:
             raise ParseError(f"document is not UTF-8: {exc}") from exc
     try:
-        obj = json.loads(data, parse_constant=_reject_constant)
+        obj = json.loads(data, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc}") from exc
 

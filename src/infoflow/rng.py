@@ -10,35 +10,29 @@ standard_gamma call on it. The stream is exactly the generator
 np.random.default_rng(SeedSequence(seed mod 2**64, spawn_key=path)) would
 return: PCG64 seeded by that SeedSequence's generate_state(4, uint64).
 
-This module computes that state itself, with the algorithm of numpy's
-SeedSequence (numpy >= 1.19, NEP 19; its hashmix and mix follow M. E.
-O'Neill's seed_seq_fe), in numpy uint32 arrays whose products wrap modulo
-2**32 exactly as SeedSequence's do:
+numpy's own SeedSequence (numpy >= 1.19, NEP 19; its hashmix and mix follow
+M. E. O'Neill's seed_seq_fe) mixes the seed and every path entry but the
+last. This module does the rest, for a block of 64 consecutive last
+entries, 64*b to 64*b + 63, at once, in numpy uint32 arrays whose products
+wrap modulo 2**32 exactly as SeedSequence's do:
 
-- The entropy is the seed's little-endian uint32 words, zero-padded to the
-  pool size 4, followed by each path entry's words. (numpy pads only when
-  there is a spawn key, but a pool word with no entropy behind it is
-  hashed from 0 either way, so padding always gives the same pool.)
-- The first 4 words are hashed into the pool (hashmix: constants INIT_A
-  and MULT_A, 16-bit xor-shift), every pool word is mixed into every other
-  (mix: MIX_MULT_L and MIX_MULT_R), and each later word is hashed and mixed
-  into every pool word in turn.
+- Start from SeedSequence(seed mod 2**64, spawn_key=path[:-1]).pool and
+  from the hash constant that pool's mixing ends on. That constant does not
+  depend on the data: setting up the pool of 4 words from the seed takes
+  4 + 4 * 3 = 16 hashes and each uint32 word of a spawn-key entry 4 more,
+  each hash stepping the constant from INIT_A by a factor MULT_A.
+- Hash each word of the last entry and mix it into every pool word, one row
+  per entry of the block. The entries of a block differ only in their
+  lowest word, since 64 divides 2**32.
 - generate_state hashes the pool cyclically (INIT_B, MULT_B) into 8 uint32
   words, read as 4 little-endian uint64 words. numpy seeds PCG64 from those
   words and does all of the drawing.
 
-The hash constants step through a sequence that does not depend on the
-data, so one routine hashes and mixes a word into any number of pools at
-once, a row each. Two caches use it:
-
-- The pool and hash constant after (seed, *path[:-1]), a 1-row array, for
-  the last 256 (seed, prefix) pairs.
-- The PCG64 seed words of a block of 64 consecutive last entries, 64*b to
-  64*b + 63, a read-only (64, 4) uint64 array built in one pass, for the
-  last 16 (seed, prefix, b) triples. The entries of a block differ only in
-  their lowest word, since 64 divides 2**32. The engine derives the streams
-  of one prefix in order of their last entry, so a stream is one row of a
-  cached block.
+The seed words of a block are a read-only (64, 4) uint64 array, cached for
+the last 16 (seed, prefix, b) triples. The engine derives the streams of one
+prefix in order of their last entry, so a stream is one row of a cached
+block. An empty path has no last entry; its stream is PCG64 seeded by
+SeedSequence(seed mod 2**64) itself.
 
 Every constant that meets a uint32 array is itself a numpy uint32 array or
 scalar, so the arithmetic stays uint32 under numpy 1.24's value-based
@@ -46,10 +40,10 @@ casting and under NEP 50 alike; the hash constants are stepped in Python
 integers, as no two numpy scalars may be multiplied (an overflowing numpy
 scalar warns, where array arithmetic wraps silently).
 
-The returned generator's bit_generator.seed_seq is a minimal ISeedSequence
-holding those 4 words, not a numpy SeedSequence (it cannot spawn or give
-other state); nothing in the package reads it. numpy.random is imported by
-the first stream, so a command that draws none does not pay for the import.
+The block streams' bit_generator.seed_seq is a minimal ISeedSequence holding
+those 4 words, not a numpy SeedSequence (it cannot spawn or give other
+state); nothing in the package reads it. numpy.random is imported by the
+first stream, so a command that draws none does not pay for the import.
 """
 
 from __future__ import annotations
@@ -72,7 +66,6 @@ _XSHIFT = np.uint32(16)
 _BLOCK_BITS = 6
 _BLOCK = 1 << _BLOCK_BITS  # last entries per block; divides 2**32
 _OFFSETS = np.arange(_BLOCK, dtype=np.uint32)[:, None]
-_PREFIX_CACHE_SIZE = 256
 _BLOCK_CACHE_SIZE = 16
 
 
@@ -86,27 +79,25 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     """
     seed = operator.index(seed) & _U64
     path = tuple(map(operator.index, path))
-    if not path:
-        words = _seed_words(_prefix_pool(seed, ())[0])[0]
-    elif min(path) < 0:
+    if path and min(path) < 0:
         raise ValueError(f"expected non-negative path entries, got {path}")
-    else:
-        last = path[-1]
-        words = _block(seed, path[:-1], last >> _BLOCK_BITS)[last & _BLOCK - 1]
-    generator, pcg64, seed_words = _numpy_random()
+    generator, pcg64, seed_sequence, seed_words = _numpy_random()
+    if not path:
+        return generator(pcg64(seed_sequence(seed)))
+    last = path[-1]
+    words = _block(seed, path[:-1], last >> _BLOCK_BITS)[last & _BLOCK - 1]
     return generator(pcg64(seed_words(words)))
 
 
-def _words(n: int) -> np.ndarray:
+def _words(n: int) -> list[int]:
     """The little-endian uint32 words of the non-negative `n`, [0] for 0,
-    as SeedSequence splits an entropy or spawn-key integer: a (1, k)
-    array."""
+    as SeedSequence splits an entropy or spawn-key integer."""
     words = [n & _M32]
     n >>= 32
     while n:
         words.append(n & _M32)
         n >>= 32
-    return np.array([words], dtype=np.uint32)
+    return words
 
 
 def _hash_consts(hash_const: int, steps: int, mult: int = _MULT_A) -> tuple[np.ndarray, int]:
@@ -133,67 +124,43 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _mix_in(pool: np.ndarray, hash_const: int, words: np.ndarray) -> tuple[np.ndarray, int]:
     """(pool, hash constant) after SeedSequence hashes each column of
-    `words` in turn and mixes it into every pool word. `pool` is (rows, 4)
-    and `words` (rows, k) uint32; either may have 1 row, which broadcasts."""
+    `words` in turn and mixes it into every pool word. `pool` is (4,) or
+    (rows, 4) and `words` (rows, k) uint32; a (1, k) `words` broadcasts."""
     for j in range(words.shape[1]):
         consts, hash_const = _hash_consts(hash_const, _POOL_SIZE)
         pool = _mix(pool, _hashmix(words[:, j : j + 1], consts))
     return pool, hash_const
 
 
-@functools.lru_cache(maxsize=_PREFIX_CACHE_SIZE)
-def _prefix_pool(seed: int, prefix: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """(pool, hash constant) once `seed` (a non-negative int below 2**64)
-    and the entries of `prefix` (non-negative ints) are mixed in; the pool
-    a read-only (1, 4) uint32 array."""
-    if prefix:
-        pool, hash_const = _mix_in(*_prefix_pool(seed, prefix[:-1]), _words(prefix[-1]))
-    else:
-        entropy = np.zeros((1, _POOL_SIZE), dtype=np.uint32)
-        seed_words = _words(seed)  # at most 2 words: no entropy beyond the pool
-        entropy[:, : seed_words.shape[1]] = seed_words
-        consts, hash_const = _hash_consts(_INIT_A, _POOL_SIZE)
-        pool = _hashmix(entropy, consts)
-        # Every pool word into every other; pool[src] does not change while
-        # it is mixed into the others.
-        for src in range(_POOL_SIZE):
-            dst = [i for i in range(_POOL_SIZE) if i != src]
-            consts, hash_const = _hash_consts(hash_const, _POOL_SIZE - 1)
-            pool[:, dst] = _mix(pool[:, dst], _hashmix(pool[:, src : src + 1], consts))
-    pool.flags.writeable = False
-    return pool, hash_const
+_OUTPUT_CONSTS = _hash_consts(_INIT_B, 2 * _POOL_SIZE, _MULT_B)[0]
 
 
 @functools.lru_cache(maxsize=_BLOCK_CACHE_SIZE)
 def _block(seed: int, prefix: tuple[int, ...], block: int) -> np.ndarray:
-    """The PCG64 seed words of paths (*prefix, 64 * block + i) under `seed`,
-    row i of a read-only (64, 4) uint64 array."""
+    """The PCG64 seed words of paths (*prefix, 64 * block + i) under `seed`
+    (a non-negative int below 2**64; `prefix` holds non-negative ints), row
+    i of a read-only (64, 4) uint64 array."""
     first = block << _BLOCK_BITS
-    pool, hash_const = _prefix_pool(seed, prefix)
+    seed_sequence = _numpy_random()[2]
+    pool = seed_sequence(seed, spawn_key=prefix).pool
+    # 16 hashes set up the pool, then 4 per spawn-key word.
+    hashes = _POOL_SIZE * (_POOL_SIZE + sum(len(_words(entry)) for entry in prefix))
+    hash_const = _INIT_A * pow(_MULT_A, hashes, _M32 + 1) & _M32
     pool, hash_const = _mix_in(pool, hash_const, np.uint32(first & _M32) + _OFFSETS)
     # The words above the lowest are the same for the whole block.
-    pool, _ = _mix_in(pool, hash_const, _words(first)[:, 1:])
-    words = _seed_words(pool)
+    pool, _ = _mix_in(pool, hash_const, np.array([_words(first)[1:]], dtype=np.uint32))
+    words = _hashmix(np.tile(pool, 2), _OUTPUT_CONSTS)
+    # Little-endian pairs of uint32 words make the uint64 words.
+    words = words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
     words.flags.writeable = False
     return words
 
 
-_OUTPUT_CONSTS = _hash_consts(_INIT_B, 2 * _POOL_SIZE, _MULT_B)[0]
-
-
-def _seed_words(pool: np.ndarray) -> np.ndarray:
-    """generate_state(4, uint64) of a SeedSequence for each row of `pool`,
-    a (rows, 4) uint32 array: a (rows, 4) uint64 array."""
-    words = _hashmix(np.tile(pool, 2), _OUTPUT_CONSTS)
-    # Little-endian pairs of uint32 words make the uint64 words.
-    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-
-
 @functools.cache
 def _numpy_random():
-    """(Generator, PCG64, an ISeedSequence that holds PCG64's seed), the
-    first use importing numpy.random."""
-    from numpy.random import PCG64, Generator
+    """(Generator, PCG64, SeedSequence, an ISeedSequence that holds PCG64's
+    seed), the first use importing numpy.random."""
+    from numpy.random import PCG64, Generator, SeedSequence
     from numpy.random.bit_generator import ISeedSequence
 
     class SeedWords(ISeedSequence):
@@ -207,4 +174,4 @@ def _numpy_random():
                 raise ValueError(f"holds only {len(self.words)} uint64 words")
             return self.words
 
-    return Generator, PCG64, SeedWords
+    return Generator, PCG64, SeedSequence, SeedWords

@@ -20,6 +20,7 @@ numbers are bit for bit those of a spec rebuilt for that increment alone.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -99,6 +100,8 @@ def reallocate(counts: CountVector, di_value: float) -> CountVector:
     (after transient targets, before S/US). Total outflow is preserved.
     """
     di = float(di_value)
+    if math.isnan(di):  # passes every comparison below
+        raise ValueError(f"di_value must be a number, got {di}")
     if di < 0:
         raise NegativeEntryError(f"di_value must be >= 0, got {di}")
     labels = list(counts.labels)
@@ -190,8 +193,8 @@ def sweep_ineffective(
     plan = network._compiled(spec)  # validates the spec
     if stakeholder not in spec.ids:
         raise UnknownStakeholderError(f"unknown stakeholder '{stakeholder}'")
-    if increment <= 0:
-        raise ValueError(f"increment must be positive, got {increment}")
+    if not 0 < increment < math.inf:
+        raise ValueError(f"increment must be positive and finite, got {increment}")
     s_idx = spec.ids.index(stakeholder)
     base = plan.rows[s_idx].counts
     total = base.total

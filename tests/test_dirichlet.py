@@ -46,6 +46,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             DirichletParams(("a", "b"), [1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_count_rejected(self, bad):
+        # NaN passes `x < 0`, so it needs its own check.
+        with pytest.raises(ValueError):
+            cv(1, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_alpha_rejected(self, bad):
+        with pytest.raises(ValueError):
+            DirichletParams(("a", "b"), [1.0, bad])
+
     def test_label_count_mismatch_rejected(self):
         with pytest.raises(DimensionMismatchError):
             CountVector(("a",), [1, 2])

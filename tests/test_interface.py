@@ -158,6 +158,21 @@ class TestParseNetwork:
             parse_network(text)
         assert exc.value.report.violations == (f"non-finite frequency {value} on flow A->B",)
 
+    @pytest.mark.parametrize("text, key", [
+        ('{"stakeholders": [{"id": "A", "level": "federal"}, {"id": "B", "level": "state"}],'
+         ' "start": "A", "flows": [{"from": "A", "to": "B", "to": "S", "frequency": 1},'
+         ' {"from": "B", "to": "S", "frequency": 1}]}', "to"),
+        ('{"stakeholders": [{"id": "A", "level": "federal", "id": "B"}],'
+         ' "start": "A", "flows": [{"from": "A", "to": "S", "frequency": 1}]}', "id"),
+        ('{"stakeholders": [{"id": "A", "level": "federal"}], "start": "A", "start": "A",'
+         ' "flows": [{"from": "A", "to": "S", "frequency": 1}]}', "start"),
+    ], ids=["flow", "stakeholder", "top-level"])
+    def test_duplicate_key_is_a_schema_error(self, text, key):
+        # json would keep the last value: the first flow would parse as A->S.
+        with pytest.raises(SchemaError, match=f"duplicate key '{key}'"):
+            parse_network(text)
+        assert json.loads(text)  # well-formed JSON, refused only for the repeat
+
     def test_semantic_violations_carry_report(self):
         bad = doc(flows=[{"from": "A", "to": "B", "frequency": 10}])
         with pytest.raises(ValidationError) as exc:

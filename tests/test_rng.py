@@ -40,6 +40,13 @@ def assert_same_stream(got, want):
     (np.int64(9), (3,)),
     (np.uint64(2**64 - 1), (3,)),
     (True, (3,)),
+    # The hash constant a block starts from counts the uint32 words of the
+    # prefix entries: 2 words each for 2**32 and 2**64 - 1, 3 for 2**70.
+    (11, (2**32, 5)),
+    (11, (2**64 - 1, 70)),
+    (11, (2**70, 64)),
+    (11, (2**64 - 1, 2**70, 0, 2**32 + 63)),
+    (2**40 + 3, ()),  # a 2-word seed and an empty path
 ])
 def test_stream_is_default_rng_of_its_seed_sequence(seed, path):
     want = np.random.default_rng(np.random.SeedSequence(int(seed) & 2**64 - 1, spawn_key=path))
@@ -106,8 +113,8 @@ def test_negative_path_entry_is_a_value_error(path, monkeypatch):
 
 @pytest.mark.parametrize("path", [(1.5,), (1.5, 2), (2, 1.5), (2, 1.0), ("1",)])
 def test_non_integer_path_entry_is_a_type_error(path):
-    # Caches the prefixes (2,) and (2, 1); an equal float such as 1.0 must
-    # not be served from them.
+    # Caches the block of prefix (2, 1) under seed 1; an equal float such as
+    # 1.0 must not be served from it.
     stream(1, 2, 1, 0)
     with pytest.raises(TypeError):
         stream(1, *path)
@@ -131,14 +138,14 @@ def test_run_refuses_a_non_integer_seed(reference_spec):
 
 
 def test_caches_stay_small_over_many_prefixes():
-    # Each distinct prefix caches a pool and each (seed, prefix, block) a
-    # (64, 4) block; both caches are bounded, so streams over 2,000 prefixes
-    # hold a few hundred of them, not 2,000 (about 5 MB).
+    # Each (seed, prefix, block) caches a (64, 4) uint64 block; the cache is
+    # bounded, so streams over 2,000 prefixes hold 16 blocks, not 2,000
+    # (about 4 MB).
     def streams(first):
         for prefix in range(first, first + 2000):
             stream(7, prefix, 3, 0)
 
-    streams(0)  # fill both caches
+    streams(0)  # fill the cache
     tracemalloc.start()
     try:
         streams(2000)

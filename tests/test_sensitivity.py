@@ -71,6 +71,11 @@ class TestReallocate:
         with pytest.raises(NegativeEntryError):
             reallocate(d_counts(), -1)
 
+    def test_nan_rejected(self):
+        # NaN passes every comparison, so it once gave counts that were all NaN.
+        with pytest.raises(ValueError):
+            reallocate(CountVector(("B", "S"), [3, 1]), float("nan"))
+
     def test_missing_di_entry_is_created_in_label_order(self):
         out = reallocate(CountVector(("X", "S"), [6.0, 4.0]), 2)
         assert out.labels == ("X", "DI", "S")
@@ -185,6 +190,14 @@ class TestSweep:
     def test_custom_increment_still_reaches_endpoint(self, reference_spec):
         sw = sweep_ineffective(reference_spec, "D", 1, 0, "plug-in", increment=7)
         assert np.array_equal(sw.n_di_values, [0.0, 7.0, 14.0, 21.0, 28.0, 30.0])
+
+    @pytest.mark.parametrize("mode", ["mc", "plugin"])
+    @pytest.mark.parametrize("increment", [0.0, -1.0, float("nan"), float("inf")])
+    def test_increment_must_be_positive_and_finite(self, reference_spec, mode, increment):
+        # NaN and inf once passed `increment <= 0`: Monte Carlo then failed
+        # building the grid, and plug-in on the first read of n_di_values.
+        with pytest.raises(ValueError, match="increment must be positive and finite"):
+            sweep_ineffective(reference_spec, "D", 1, 0, mode, increment=increment)
 
     def test_plug_in_discard_probability_is_linear(self):
         # Sweeping A in a chain where A only feeds X makes P_DI exactly d/10.
