@@ -22,9 +22,17 @@ for bit. The wide-row network has rows of 8 to 12 targets, where a change
 in how a row is summed shows in the last bits. A different numpy or BLAS
 may legitimately round differently; re-record only from a commit whose
 draws are known to be right.
+
+The CSV digests pin the `--format csv` bytes of the same commands on the
+same networks and seeds, one per table layout (simulate, sweep, rank,
+evaluate, and validate on a network with violations, whose report exits
+1). They were recorded before the CSV writer read every command's rows
+from one table, and a repr-precision float or a quoted field that changes
+shows in them.
 """
 
 import hashlib
+import json
 
 import pytest
 from helpers import document_bytes, layered_network, wide_row_network
@@ -43,6 +51,16 @@ GOLDEN = {
     "simulate-reference-200": "7c13707e404e3ad3c190fc4d78c170e92c11422ccc254044a8be2e23e43ae54e",
 }
 
+GOLDEN_CSV = {
+    "simulate-wide-row": "6be1cd01a1456f97e46c598e235bccecf9ca189acf8ab07821ff25ea8c728f09",
+    "sweep-mc-wide-row": "a9ecb1e9da9aa285e001fbe55a31366b5acc1d9a8e7caa1ec5618a9b8658dafc",
+    "sweep-plugin-layered": "34fd6664f6c82e87cb90013050dad648fdba961147197799e68785acd46a6663",
+    "rank-mc-reference": "c447a0c19fea87b827ce034567ac784fc230066ae213545dcdb035ed18d8c51f",
+    "rank-plugin-layered": "f33c1374db5202bffd9f8fbc25dfc95227186707e069a1ece24a63401969a2d2",
+    "evaluate-posterior-mean-wide-row": "d807bd4333b505ca3a2a360c1296f32f4efe7e53d8581a5160b94a73f720d748",
+    "validate-invalid": "eb9ea4c19052b6d2848b74d59880ec5945198386be0279e1e6576e929227bc07",
+}
+
 
 @pytest.fixture()
 def wide_row_path(tmp_path):
@@ -51,8 +69,8 @@ def wide_row_path(tmp_path):
     return path
 
 
-def stdout_digest(argv, capsys):
-    assert cli_main(argv) == 0
+def stdout_digest(argv, capsys, code=0):
+    assert cli_main(argv) == code
     return hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
 
 
@@ -104,3 +122,48 @@ def test_evaluate_posterior_mean_on_reference_network(capsys):
 def test_evaluate_posterior_mean_on_wide_row_network(wide_row_path, capsys):
     argv = ["evaluate", "--mode", "posterior-mean", str(wide_row_path)]
     assert stdout_digest(argv, capsys) == GOLDEN["evaluate-posterior-mean-wide-row"]
+
+
+# A network with four violations; the id with a comma and a double quote
+# makes the CSV writer quote its violation lines.
+_INVALID = {
+    "stakeholders": [{"id": "A", "level": "federal"},
+                     {"id": 'X, "depot"', "level": "county"}],
+    "start": "A",
+    "flows": [{"from": "A", "to": 'X, "depot"', "frequency": 5},
+              {"from": "A", "to": 'X, "depot"', "frequency": 1},
+              {"from": 'X, "depot"', "to": "Q", "frequency": -2},
+              {"from": "A", "to": "S", "frequency": 1}],
+}
+
+
+_CSV_CASES = [
+    ("simulate-wide-row", ["simulate", "--iterations", "50", "--seed", "101"], "wide", 0),
+    ("sweep-mc-wide-row", ["sweep", "--mode", "mc", "--stakeholder", "W05",
+                           "--iterations", "30", "--seed", "101"], "wide", 0),
+    ("sweep-plugin-layered", ["sweep", "--mode", "plugin", "--stakeholder", "N035",
+                              "--iterations", "1", "--seed", "101"], "layered-60-4", 0),
+    ("rank-mc-reference", ["rank", "--mode", "mc", "--iterations", "60", "--seed", "101"],
+     "reference", 0),
+    ("rank-plugin-layered", ["rank", "--mode", "plugin", "--iterations", "1", "--seed", "101"],
+     "layered-50-7", 0),
+    ("evaluate-posterior-mean-wide-row", ["evaluate", "--mode", "posterior-mean"], "wide", 0),
+    ("validate-invalid", ["validate"], "invalid", 1),
+]
+
+
+@pytest.mark.parametrize("name, argv, network, code", _CSV_CASES,
+                         ids=[case[0] for case in _CSV_CASES])
+def test_csv_report(tmp_path, capsys, name, argv, network, code):
+    path = tmp_path / "network.json"
+    if network == "reference":
+        path = infoflow.reference_network_path()
+    elif network == "wide":
+        path.write_bytes(document_bytes(wide_row_network()))
+    elif network == "invalid":
+        path.write_bytes(json.dumps(_INVALID).encode("utf-8"))
+    else:
+        _, size, seed = network.split("-")
+        path.write_bytes(document_bytes(layered_network(int(size), int(seed))))
+    argv = [*argv, "--format", "csv", str(path)]
+    assert stdout_digest(argv, capsys, code) == GOLDEN_CSV[name]

@@ -91,6 +91,51 @@ class TestReallocate:
             reallocate(stuck, 2)
         assert reallocate(stuck, 5).counts.tolist() == [0.0, 5.0]
 
+    # (labels, counts, di_value, expected): expected is (labels, counts as
+    # float64 bytes in hex) or (exception type, exact message), recorded
+    # while reallocate still had an implementation of its own.
+    _D = (("S", "US", "DI"), [15.0, 10.0, 5.0])
+    _WIDE = (tuple(f"T{i}" for i in range(8)) + ("S",),
+             [16.6, 9.6, 58.2, 31.0, 7.0, 37.4, 46.6, 36.8, 55.0])  # sum 298.2
+    _PINNED = {
+        "nan": (*_D, float("nan"), (ValueError, "di_value must be a number, got nan")),
+        "negative": (*_D, -1, (NegativeEntryError, "di_value must be >= 0, got -1.0")),
+        "negative-zero": (*_D, -0.0, (
+            ("S", "US", "DI"), "000000000000324000000000000028400000000000000080")),
+        "above-total": (*_D, 31, (
+            ExceedsTotalError, "di_value 31.0 exceeds total outflow 30.0")),
+        "above-tolerance": (*_D, 30.0000000001, (
+            ExceedsTotalError, "di_value 30.0000000001 exceeds total outflow 30.0")),
+        "total": (*_D, 30, (
+            ("S", "US", "DI"), "000000000000000000000000000000000000000000003e40")),
+        "numpy-scalar": (*_D, np.float32(2.5), (
+            ("S", "US", "DI"), "000000000080304000000000000026400000000000000440")),
+        "di-only": (("DI",), [5.0], 2, (
+            NoNonDiTargetsError, "counts contain no non-DI entries")),
+        "all-discarded-below-total": (("S", "DI"), [0.0, 5.0], 2, (
+            NoNonDiTargetsError, "all outflow is already discarded; nothing to scale back up")),
+        "all-discarded-at-total": (("S", "DI"), [0.0, 5.0], 5, (
+            ("S", "DI"), "00000000000000000000000000001440")),
+        "missing-di": (("X", "S"), [6.0, 4.0], 2, (
+            ("X", "DI", "S"), "343333333333134000000000000000409a99999999990940")),
+        # numpy's sum 298.20000000000005 is within tolerance and clamped to 298.2.
+        "clamped": (*_WIDE, 298.20000000000005, (
+            _WIDE[0][:8] + ("DI", "S"), "00" * 64 + "3333333333a37240" + "00" * 8)),
+    }
+
+    @pytest.mark.parametrize("labels, counts, di_value, expected",
+                             list(_PINNED.values()), ids=list(_PINNED))
+    def test_pinned_outputs_and_messages(self, labels, counts, di_value, expected):
+        base = CountVector(labels, counts)
+        if isinstance(expected[0], type):
+            error, message = expected
+            with pytest.raises(error) as exc:
+                reallocate(base, di_value)
+            assert type(exc.value) is error and str(exc.value) == message
+        else:
+            out = reallocate(base, di_value)
+            assert (out.labels, out.counts.tobytes().hex()) == expected
+
     @given(
         st.lists(st.integers(1, 50), min_size=1, max_size=4),
         st.integers(0, 60),
