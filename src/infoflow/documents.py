@@ -18,9 +18,10 @@ Every rule of the network's meaning (reserved ids, levels, duplicates,
 declared start and endpoints, frequencies, absorption) is network.validate's,
 raised as ValidationError with the full report. Reports are JSON
 objects carrying the command name, a SHA-256 digest of the input bytes, the
-seed/iterations used, and the result payload; the CSV variant flattens the
-numeric table. All floats are serialized with repr precision, so reparsing
-reproduces them bit for bit.
+seed/iterations used, and the result payload; the CSV variant writes only
+the result's table, one header and its rows per command, both read from
+one table of layouts (_CSV_TABLES). All floats are serialized with repr
+precision, so reparsing reproduces them bit for bit.
 """
 
 from __future__ import annotations
@@ -224,55 +225,30 @@ def report_to_json_bytes(report: dict) -> bytes:
     return (json.dumps(report, indent=2) + "\n").encode("utf-8")
 
 
-def _csv_bytes(header: list[str], rows) -> bytes:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
-    return buf.getvalue().encode("utf-8")
+# command -> (CSV header, the rows of its report's result)
+_CSV_TABLES = {
+    "simulate": (["iteration", "p_di", "p_s", "p_us"],
+                 lambda r: [(i, *triple) for i, triple in enumerate(r["samples"])]),
+    "sweep": (["n_di", "mean_p_di", "mean_p_s", "mean_p_us"],
+              lambda r: [(n, *mean) for n, mean in zip(r["n_di_values"], r["means"])]),
+    "rank": (["stakeholder", "n_di_min", "n_di_max", "p_s_min", "p_s_max", "impact_ratio"],
+             lambda r: [(e["stakeholder"], e["n_di_min"], e["n_di_max"], e["p_s_min"],
+                         e["p_s_max"], e["impact_ratio"]) for e in r["ranking"]]),
+    "evaluate": (["start", "p_di", "p_s", "p_us"],
+                 lambda r: [(r["start"], r["p_di"], r["p_s"], r["p_us"])]),
+    "validate": (["violation"], lambda r: [(v,) for v in r["violations"]]),
+}
 
 
 def report_to_csv_bytes(report: dict) -> bytes:
     """Flatten the report's numeric table; values match the JSON variant."""
     command = report["command"]
-    result = report["result"]
-    if command == "simulate":
-        rows = [
-            (i, *(float(x) for x in triple))
-            for i, triple in enumerate(result["samples"])
-        ]
-        return _csv_bytes(["iteration", "p_di", "p_s", "p_us"], rows)
-    if command == "sweep":
-        rows = [
-            (float(n), *(float(x) for x in mean))
-            for n, mean in zip(result["n_di_values"], result["means"])
-        ]
-        return _csv_bytes(["n_di", "mean_p_di", "mean_p_s", "mean_p_us"], rows)
-    if command == "rank":
-        rows = [
-            (
-                entry["stakeholder"],
-                float(entry["n_di_min"]),
-                float(entry["n_di_max"]),
-                float(entry["p_s_min"]),
-                float(entry["p_s_max"]),
-                float(entry["impact_ratio"]),
-            )
-            for entry in result["ranking"]
-        ]
-        return _csv_bytes(
-            ["stakeholder", "n_di_min", "n_di_max", "p_s_min", "p_s_max", "impact_ratio"],
-            rows,
-        )
-    if command == "evaluate":
-        row = (
-            result["start"],
-            float(result["p_di"]),
-            float(result["p_s"]),
-            float(result["p_us"]),
-        )
-        return _csv_bytes(["start", "p_di", "p_s", "p_us"], [row])
-    if command == "validate":
-        return _csv_bytes(["violation"], [(v,) for v in result["violations"]])
-    raise ValueError(f"no CSV layout for command {command!r}")
+    if command not in _CSV_TABLES:
+        raise ValueError(f"no CSV layout for command {command!r}")
+    header, rows = _CSV_TABLES[command]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows(report["result"]):
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v for v in row])
+    return buf.getvalue().encode("utf-8")

@@ -162,18 +162,18 @@ def _ordered(targets: dict[str, float], position: dict[str, int]) -> CountVector
 @dataclass(frozen=True, eq=False)
 class _CompiledRow:
     """Assembly plan for one stakeholder row: posterior parameters plus the
-    column of each interacting state in the stacked [Q | R] row."""
+    column of each interacting state in the stacked [Q | R] row. A row's
+    index is its position in _Plan.rows."""
 
-    index: int
     counts: CountVector
     alpha: np.ndarray  # flat-prior posterior, 1 + counts
     cols: np.ndarray
 
 
-def _compile_row(index: int, cv: CountVector, position: dict[str, int]) -> _CompiledRow:
+def _compile_row(cv: CountVector, position: dict[str, int]) -> _CompiledRow:
     alpha = noninformative_posterior(cv).alpha
     cols = np.array([position[label] for label in cv.labels], dtype=np.intp)
-    return _CompiledRow(index, cv, alpha, cols)
+    return _CompiledRow(cv, alpha, cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -262,8 +262,8 @@ class _Plan:
         """
         n = len(self.rows)
         fed = np.zeros((n, n), dtype=bool)  # fed[j, i]: row i has a labelled cell to j
-        for row in self.rows:
-            fed[row.cols[row.cols < n], row.index] = True
+        for i, row in enumerate(self.rows):
+            fed[row.cols[row.cols < n], i] = True
         start = np.zeros((n, 1), dtype=bool)
         start[self.start] = True
         # States that reach the start over reversed cells are those it reaches.
@@ -273,8 +273,8 @@ class _Plan:
         column[keep] = np.arange(len(keep))
         column[n:] = np.arange(len(keep), len(keep) + len(self.state_order) - n)
         rows = tuple(
-            _CompiledRow(k, self.rows[i].counts, self.rows[i].alpha, column[self.rows[i].cols])
-            for k, i in enumerate(keep)
+            _CompiledRow(self.rows[i].counts, self.rows[i].alpha, column[self.rows[i].cols])
+            for i in keep
         )
         state_order = tuple(self.state_order[i] for i in keep) + self.state_order[n:]
         positions = np.flatnonzero(np.repeat(reach, [len(row.cols) for row in self.rows]))
@@ -285,15 +285,15 @@ class _Plan:
         must be states of this plan: a sweep's layout plan."""
         position = {label: i for i, label in enumerate(self.state_order)}
         rows = list(self.rows)
-        rows[index] = _compile_row(index, counts, position)
+        rows[index] = _compile_row(counts, position)
         return _Plan(self.state_order, tuple(rows), self.start)
 
     def require_valid(self) -> None:
         """Raise ValidationError, as validate would for the spec the rows
         describe, if a row is a dead end or cannot reach absorption."""
         support = np.zeros((len(self.rows), len(self.state_order)), dtype=bool)
-        for row in self.rows:
-            support[row.index, row.cols] = row.counts.counts > 0
+        for i, row in enumerate(self.rows):
+            support[i, row.cols] = row.counts.counts > 0
         v = _flow_violations(self.state_order[: len(self.rows)], support)
         if v:
             raise ValidationError(ValidationReport(tuple(v)))
@@ -309,8 +309,7 @@ def _compiled(spec: NetworkSpec) -> _Plan:
     for f in spec.flows:
         outflows[f.source][f.target] = f.frequency
     rows = tuple(
-        _compile_row(i, _ordered(targets, position), position)
-        for i, targets in enumerate(outflows.values())
+        _compile_row(_ordered(targets, position), position) for targets in outflows.values()
     )
     return _Plan(state_order, rows, position[spec.start])
 
@@ -325,12 +324,12 @@ def _plug_in_qr(plan: _Plan, mode: str) -> np.ndarray:
     if mode not in (RAW_FREQUENCY, POSTERIOR_MEAN):
         raise ValueError(f"unknown plug-in mode {mode!r}")
     qr = np.zeros((len(plan.rows), len(plan.state_order)))
-    for row in plan.rows:
+    for i, row in enumerate(plan.rows):
         if mode == RAW_FREQUENCY:
-            qr[row.index, row.cols] = row.counts.counts / row.counts.total
+            qr[i, row.cols] = row.counts.counts / row.counts.total
         else:  # the posterior mean alpha / alpha.sum(), renormalised
             theta = row.alpha / row.alpha.sum()
-            qr[row.index, row.cols] = theta / theta.sum()
+            qr[i, row.cols] = theta / theta.sum()
     return qr
 
 

@@ -7,14 +7,15 @@ probabilities at each step. The impact ratio (drop in P_S per unit of
 discarded flow) ranks stakeholders by how much their discarding hurts
 overall satisfaction.
 
-A sweep builds one layout plan, the compiled spec with the swept row at
-zero discard labelled as reallocate labels it (DI added where missing).
-reallocate is affine in the discard, so the whole sweep is one
-(increments, k) count matrix: Monte Carlo mode draws its alphas 1 + counts
-in one draw_samples call; plug-in mode copies the cached raw-frequency
-[Q | R] of the stakeholders the start reaches, a reached swept row set to
-counts over their row sums, up front only at the two endpoints (zero and
-total discard) that the impact ratio and a ranking use. Each increment's
+The reallocation rule has one home, _reallocated. It is affine in the
+discard, so it gives a whole sweep as one (increments, k) count matrix;
+reallocate is its one-point case. A sweep builds one layout plan, the
+compiled spec with the swept row at zero discard labelled as the rule
+labels it (DI added where missing). Monte Carlo mode draws its alphas
+1 + counts in one draw_samples call; plug-in mode copies the cached
+raw-frequency [Q | R] of the stakeholders the start reaches, a reached
+swept row set to counts over their row sums, up front only at the two
+endpoints (zero and total discard) that the impact ratio and a ranking use. Each increment's
 numbers are bit for bit those of a spec rebuilt for that increment alone.
 """
 
@@ -98,39 +99,9 @@ def reallocate(counts: CountVector, di_value: float) -> CountVector:
 
     A missing DI entry is created at the conventional label position
     (after transient targets, before S/US). Total outflow is preserved.
+    The rule is _reallocated's, applied at the one point `di_value`.
     """
-    di = float(di_value)
-    if math.isnan(di):  # passes every comparison below
-        raise ValueError(f"di_value must be a number, got {di}")
-    if di < 0:
-        raise NegativeEntryError(f"di_value must be >= 0, got {di}")
-    labels = list(counts.labels)
-    values = dict(zip(labels, counts.counts))
-    if _DI not in values:
-        insert_at = len(labels)
-        for tail in ("S", "US"):
-            if tail in labels:
-                insert_at = min(insert_at, labels.index(tail))
-        labels.insert(insert_at, _DI)
-        values[_DI] = 0.0
-    non_di = [lab for lab in labels if lab != _DI]
-    if not non_di:
-        raise NoNonDiTargetsError("counts contain no non-DI entries")
-    total = sum(values.values())
-    if di > total * (1 + 1e-12) + 1e-12:
-        raise ExceedsTotalError(f"di_value {di} exceeds total outflow {total}")
-    di = min(di, total)
-    rest = total - values[_DI]
-    if rest == 0.0:
-        if di != total:
-            raise NoNonDiTargetsError(
-                "all outflow is already discarded; nothing to scale back up"
-            )
-        scale = 0.0
-    else:
-        scale = (total - di) / rest
-    new = [di if lab == _DI else values[lab] * scale for lab in labels]
-    return CountVector(tuple(labels), new)
+    return _reallocated(counts, np.array([float(di_value)]))[0]
 
 
 def impact_ratio(p_s_max: float, p_s_min: float, n_max: float, n_min: float) -> float:
@@ -156,19 +127,38 @@ def _di_grid(total: float, increment: float) -> np.ndarray:
 
 
 def _reallocated(base: CountVector, grid: np.ndarray) -> tuple[CountVector, np.ndarray]:
-    """reallocate(base, grid[0]) and the (len(grid), k) counts reallocate(base, d)
-    gives at each point d of a sweep's grid, bit for bit: DI becomes d and
-    every other count v becomes v * (T - d) / (T - d0), the same IEEE
-    operations on every point. Only the first point can fail."""
-    first = reallocate(base, grid[0])
-    values = dict(zip(base.labels, base.counts.tolist()))
+    """The reallocation rule at every discard d of `grid`: the CountVector
+    at grid[0] and the (len(grid), k) counts, row i at grid[i]. DI, added
+    before S/US where missing, becomes min(d, T) and every other count v
+    becomes v * (T - d) / (T - d0), T the counts' Python sum and d0 the
+    original DI count, by the same IEEE operations at every point. A point
+    that is NaN, negative, above T beyond a 1e-12 tolerance, or below T on
+    a row already all discarded refuses the whole grid, as does a row of
+    nothing but DI."""
+    nan = np.isnan(grid)  # NaN passes every comparison below
+    if nan.any():
+        raise ValueError(f"di_value must be a number, got {grid[nan][0]}")
+    if (grid < 0).any():
+        raise NegativeEntryError(f"di_value must be >= 0, got {grid[grid < 0][0]}")
+    labels = list(base.labels)
+    values = dict(zip(labels, base.counts.tolist()))
+    if _DI not in values:
+        tails = [i for i, label in enumerate(labels) if label in ("S", "US")]
+        labels.insert(tails[0] if tails else len(labels), _DI)
+    if labels == [_DI]:
+        raise NoNonDiTargetsError("counts contain no non-DI entries")
     total = sum(values.values())
+    over = grid > total * (1 + 1e-12) + 1e-12
+    if over.any():
+        raise ExceedsTotalError(f"di_value {grid[over][0]} exceeds total outflow {total}")
+    di = np.where(grid > total, total, grid)  # Python's min(d, T): -0.0 stays against T = 0.0
     rest = total - values.get(_DI, 0.0)
-    di = np.minimum(grid, total)
+    if rest == 0.0 and (di != total).any():
+        raise NoNonDiTargetsError("all outflow is already discarded; nothing to scale back up")
     scale = (total - di) / rest if rest else np.zeros(len(grid))  # rest 0: d is T
-    counts = np.array([values.get(label, 0.0) for label in first.labels]) * scale[:, np.newaxis]
-    counts[:, first.labels.index(_DI)] = di
-    return first, counts
+    counts = np.array([values.get(label, 0.0) for label in labels]) * scale[:, np.newaxis]
+    counts[:, labels.index(_DI)] = di
+    return CountVector(tuple(labels), counts[0]), counts
 
 
 def sweep_ineffective(

@@ -82,7 +82,10 @@ def summarize(values, bins: int = DEFAULT_BINS) -> SampleStats:
         raise EmptySampleError("cannot summarize an empty sample set")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    edges = np.linspace(0.0, 1.0, bins + 1)
+    try:
+        edges = np.linspace(0.0, 1.0, bins + 1)
+    except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
+        raise MemoryError(str(exc)) from None
     counts, _ = np.histogram(np.clip(values, 0.0, 1.0), bins=edges)
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return SampleStats(edges, counts, float(values.mean()), std)

@@ -291,8 +291,8 @@ class TestRefusedComputations:
     # Each run asks numpy for more than 64 PiB (2.08 EiB of samples, or a
     # 711 PiB discard grid for X's total outflow of 1e17), which no machine
     # grants, or for more than numpy's size limit (9.6e18 bytes of samples
-    # for 4e17 iterations, or 1e19 grid points), which numpy refuses with a
-    # ValueError; so nothing is allocated.
+    # for 4e17 iterations, 1e19 grid points, or 1e20 + 1 histogram edges),
+    # which numpy refuses with a ValueError; so nothing is allocated.
     @pytest.mark.parametrize("argv, outflow, message", [
         (["simulate", "--iterations", "100000000000000000", "--seed", "1"], None,
          "Unable to allocate "),
@@ -303,7 +303,10 @@ class TestRefusedComputations:
          "array is too big"),
         (["sweep", "--mode", "plugin", "--stakeholder", "X", "--iterations", "1",
           "--seed", "1"], 1e19, "Maximum allowed size exceeded"),
-    ], ids=["simulate", "sweep", "rank", "simulate-size-limit", "sweep-size-limit"])
+        (["simulate", "--iterations", "3", "--seed", "1", "--bins", "100000000000000000000"],
+         None, "Maximum allowed size exceeded"),
+    ], ids=["simulate", "sweep", "rank", "simulate-size-limit", "sweep-size-limit",
+            "bins-size-limit"])
     def test_out_of_memory_is_one_error_line(
         self, net_path, tmp_path, capsys, argv, outflow, message
     ):

@@ -102,6 +102,8 @@ class TestReallocate:
         "negative": (*_D, -1, (NegativeEntryError, "di_value must be >= 0, got -1.0")),
         "negative-zero": (*_D, -0.0, (
             ("S", "US", "DI"), "000000000000324000000000000028400000000000000080")),
+        "negative-zero-zero-total": (("T0", "DI"), [0.0, 0.0], -0.0, (
+            ("T0", "DI"), "0000000000000000" + "0000000000000080")),
         "above-total": (*_D, 31, (
             ExceedsTotalError, "di_value 31.0 exceeds total outflow 30.0")),
         "above-tolerance": (*_D, 30.0000000001, (
