@@ -162,8 +162,7 @@ def _ordered(targets: dict[str, float], position: dict[str, int]) -> CountVector
 @dataclass(frozen=True, eq=False)
 class _CompiledRow:
     """Assembly plan for one stakeholder row: posterior parameters plus the
-    column of each interacting state in the stacked [Q | R] row. A row's
-    index is its position in _Plan.rows."""
+    column of each interacting state in the stacked [Q | R] row."""
 
     counts: CountVector
     alpha: np.ndarray  # flat-prior posterior, 1 + counts

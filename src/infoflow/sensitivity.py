@@ -15,8 +15,9 @@ labels it (DI added where missing). Monte Carlo mode draws its alphas
 1 + counts in one draw_samples call; plug-in mode copies the cached
 raw-frequency [Q | R] of the stakeholders the start reaches, a reached
 swept row set to counts over their row sums, up front only at the two
-endpoints (zero and total discard) that the impact ratio and a ranking use. Each increment's
-numbers are bit for bit those of a spec rebuilt for that increment alone.
+endpoints (zero and total discard) that the impact ratio and a ranking
+use. Each increment's numbers are bit for bit those of a spec rebuilt for
+that increment alone.
 """
 
 from __future__ import annotations
@@ -135,11 +136,11 @@ def _reallocated(base: CountVector, grid: np.ndarray) -> tuple[CountVector, np.n
     that is NaN, negative, above T beyond a 1e-12 tolerance, or below T on
     a row already all discarded refuses the whole grid, as does a row of
     nothing but DI."""
-    nan = np.isnan(grid)  # NaN passes every comparison below
-    if nan.any():
-        raise ValueError(f"di_value must be a number, got {grid[nan][0]}")
-    if (grid < 0).any():
-        raise NegativeEntryError(f"di_value must be >= 0, got {grid[grid < 0][0]}")
+    low, high = float(grid.min()), float(grid.max())  # both NaN if a point is
+    if math.isnan(low):  # NaN passes every comparison below
+        raise ValueError(f"di_value must be a number, got {low}")
+    if low < 0:
+        raise NegativeEntryError(f"di_value must be >= 0, got {low}")
     labels = list(base.labels)
     values = dict(zip(labels, base.counts.tolist()))
     if _DI not in values:
@@ -148,9 +149,8 @@ def _reallocated(base: CountVector, grid: np.ndarray) -> tuple[CountVector, np.n
     if labels == [_DI]:
         raise NoNonDiTargetsError("counts contain no non-DI entries")
     total = sum(values.values())
-    over = grid > total * (1 + 1e-12) + 1e-12
-    if over.any():
-        raise ExceedsTotalError(f"di_value {grid[over][0]} exceeds total outflow {total}")
+    if high > total * (1 + 1e-12) + 1e-12:
+        raise ExceedsTotalError(f"di_value {high} exceeds total outflow {total}")
     di = np.where(grid > total, total, grid)  # Python's min(d, T): -0.0 stays against T = 0.0
     rest = total - values.get(_DI, 0.0)
     if rest == 0.0 and (di != total).any():
