@@ -137,33 +137,31 @@ _INVALID = {
 }
 
 
+def _wide():
+    return document_bytes(wide_row_network())
+
+
 _CSV_CASES = [
-    ("simulate-wide-row", ["simulate", "--iterations", "50", "--seed", "101"], "wide", 0),
+    ("simulate-wide-row", ["simulate", "--iterations", "50", "--seed", "101"], _wide, 0),
     ("sweep-mc-wide-row", ["sweep", "--mode", "mc", "--stakeholder", "W05",
-                           "--iterations", "30", "--seed", "101"], "wide", 0),
+                           "--iterations", "30", "--seed", "101"], _wide, 0),
     ("sweep-plugin-layered", ["sweep", "--mode", "plugin", "--stakeholder", "N035",
-                              "--iterations", "1", "--seed", "101"], "layered-60-4", 0),
+                              "--iterations", "1", "--seed", "101"],
+     lambda: document_bytes(layered_network(60, 4)), 0),
     ("rank-mc-reference", ["rank", "--mode", "mc", "--iterations", "60", "--seed", "101"],
-     "reference", 0),
+     infoflow.reference_network_path().read_bytes, 0),
     ("rank-plugin-layered", ["rank", "--mode", "plugin", "--iterations", "1", "--seed", "101"],
-     "layered-50-7", 0),
-    ("evaluate-posterior-mean-wide-row", ["evaluate", "--mode", "posterior-mean"], "wide", 0),
-    ("validate-invalid", ["validate"], "invalid", 1),
+     lambda: document_bytes(layered_network(50, 7)), 0),
+    ("evaluate-posterior-mean-wide-row", ["evaluate", "--mode", "posterior-mean"], _wide, 0),
+    ("validate-invalid", ["validate"], lambda: json.dumps(_INVALID).encode("utf-8"), 1),
 ]
 
 
 @pytest.mark.parametrize("name, argv, network, code", _CSV_CASES,
                          ids=[case[0] for case in _CSV_CASES])
 def test_csv_report(tmp_path, capsys, name, argv, network, code):
+    # `network` makes the document's bytes.
     path = tmp_path / "network.json"
-    if network == "reference":
-        path = infoflow.reference_network_path()
-    elif network == "wide":
-        path.write_bytes(document_bytes(wide_row_network()))
-    elif network == "invalid":
-        path.write_bytes(json.dumps(_INVALID).encode("utf-8"))
-    else:
-        _, size, seed = network.split("-")
-        path.write_bytes(document_bytes(layered_network(int(size), int(seed))))
+    path.write_bytes(network())
     argv = [*argv, "--format", "csv", str(path)]
     assert stdout_digest(argv, capsys, code) == GOLDEN_CSV[name]
