@@ -323,12 +323,11 @@ def _plug_in_qr(plan: _Plan, mode: str) -> np.ndarray:
     if mode not in (RAW_FREQUENCY, POSTERIOR_MEAN):
         raise ValueError(f"unknown plug-in mode {mode!r}")
     qr = np.zeros((len(plan.rows), len(plan.state_order)))
-    for i, row in enumerate(plan.rows):
-        if mode == RAW_FREQUENCY:
+    if mode == POSTERIOR_MEAN:  # each row's posterior mean, normalised as a draw is
+        _fill_draws(plan, plan.alpha[np.newaxis], qr[np.newaxis])
+    else:
+        for i, row in enumerate(plan.rows):
             qr[i, row.cols] = row.counts.counts / row.counts.total
-        else:  # the posterior mean alpha / alpha.sum(), renormalised
-            theta = row.alpha / row.alpha.sum()
-            qr[i, row.cols] = theta / theta.sum()
     return qr
 
 
@@ -336,7 +335,8 @@ def _fill_draws(plan: _Plan, gammas: np.ndarray, qr: np.ndarray) -> None:
     """Write the rows of a batch of posterior draws into `qr`.
 
     `gammas` is (draws, E): row d holds one standard_gamma call over
-    `plan.alpha`. `qr` is the (draws, n, n + 3) stacked [Q | R] buffer, zero
+    `plan.alpha`; given `plan.alpha` itself, it writes the posterior-mean
+    plug-in rows. `qr` is the (draws, n, n + 3) stacked [Q | R] buffer, zero
     outside the plan's interacting states. Only the cells in `plan.cells` are
     written, so the engine keeps one staging buffer for every chunk, which
     its staged solve turns into [I - Q | R] in place between fills. Each row

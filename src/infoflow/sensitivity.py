@@ -116,10 +116,8 @@ def _di_grid(total: float, increment: float) -> np.ndarray:
     """Read-only discard grid 0, increment, 2 * increment, ... (increment
     > 0) ending at `total` (> 0, as validate ensures): a step but 0 within
     increment * 1e-9 of it becomes it, so 0 and `total` are always in it."""
-    try:
-        grid = np.arange(0.0, total + increment * 1e-9, increment)
-    except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
-        raise MemoryError(str(exc)) from None
+    stop = total + increment * 1e-9
+    grid = simulation._sized(lambda: np.arange(0.0, stop, increment), stop / increment)
     if len(grid) == 1 or grid[-1] < total - increment * 1e-9:
         grid = np.append(grid, total)
     grid[-1] = total

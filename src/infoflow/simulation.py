@@ -82,13 +82,26 @@ def summarize(values, bins: int = DEFAULT_BINS) -> SampleStats:
         raise EmptySampleError("cannot summarize an empty sample set")
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    try:
-        edges = np.linspace(0.0, 1.0, bins + 1)
-    except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
-        raise MemoryError(str(exc)) from None
+    edges = _sized(lambda: np.linspace(0.0, 1.0, bins + 1), bins + 1)
     counts, _ = np.histogram(np.clip(values, 0.0, 1.0), bins=edges)
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return SampleStats(edges, counts, float(values.mean()), std)
+
+
+def _sized(make, count: float = 0):
+    """make(), or MemoryError where numpy's size limit refuses the array it
+    builds. numpy refuses with ValueError, except that np.linspace and
+    np.arange wrap a length of 2**63 to an empty array; so `count`, the
+    length they are asked for, is refused first where np.intp cannot hold
+    it as the double they compute it as, with numpy's message for longer
+    ones."""
+    limit = np.iinfo(np.intp).max
+    if float(min(count, limit + 1)) > limit:  # min: an int past float's range converts
+        raise MemoryError("Maximum allowed size exceeded")
+    try:
+        return make()
+    except ValueError as exc:
+        raise MemoryError(str(exc)) from None
 
 
 def _chunk_size(plan: _Plan, draws: int) -> int:
@@ -108,45 +121,13 @@ def _solve_chunks(staged: _Plan, total: int, fill, name) -> np.ndarray:
     prefixes chain i's error. The triples do not depend on the chunk size.
     """
     chunk = _chunk_size(staged, total)
-    try:
-        out = np.empty((total, 3))
-    except ValueError as exc:  # beyond numpy's size limit: no memory could hold it
-        raise MemoryError(str(exc)) from None
+    out = _sized(lambda: np.empty((total, 3)))
     qr_buf = np.zeros((chunk, len(staged.rows), len(staged.state_order)))
     for first in range(0, total, chunk):
         qr = qr_buf[: min(chunk, total - first)]
         fill(qr, first)
         out[first : first + len(qr)] = _absorb(staged, qr, lambda j: name(first + j))
     return out
-
-
-def _simulate_block(layout: _Plan, alphas, keys, iterations: int, seed: int) -> np.ndarray:
-    """(len(keys), iterations, 3) start-state absorption triples.
-
-    Member i is `layout` with the i-th of `alphas`, a whole concatenated
-    alpha read only while the member draws (so `alphas` may rewrite one
-    buffer); its iteration t draws from stream (seed, *keys[i], t) with one
-    standard_gamma call. Only the rows of `layout.reachable` are normalised,
-    by the helper sampled_chain uses, and solved, so a chunk may hold the
-    end of one member and the start of the next. Each triple equals, bit
-    for bit, absorption_probabilities of the drawn chain restricted to the
-    stakeholders the start reaches, whatever the chunk size; where the
-    start reaches every stakeholder, that is what sampled_chain +
-    absorption_probabilities give.
-    """
-    staged, positions = layout.reachable
-    draws = ((alpha, key, t) for alpha, key in zip(alphas, keys) for t in range(iterations))
-
-    def fill(qr, first):
-        gammas = np.empty((len(qr), layout.alpha.size))
-        for j, (alpha, key, t) in zip(range(len(qr)), draws):
-            gammas[j] = stream(seed, *key, t).standard_gamma(alpha)
-        _fill_draws(staged, np.take(gammas, positions, axis=1), qr)
-
-    out = _solve_chunks(
-        staged, len(keys) * iterations, fill, lambda i: f"iteration {i % iterations}: "
-    )
-    return out.reshape(len(keys), iterations, 3)
 
 
 def plug_in_start(spec: NetworkSpec, mode: str) -> np.ndarray:
@@ -222,39 +203,52 @@ def draw_samples(
 ) -> np.ndarray:
     """(iterations, 3) start-state absorption triples, one per posterior draw.
 
-    Each triple is, bit for bit, absorption_probabilities of the drawn chain
-    restricted to the stakeholders the start reaches over labelled cells;
-    where the start reaches every stakeholder, that is the whole chain, as
-    sampled_chain draws it from the same stream. A loop the start cannot
-    reach is never solved, so it cannot make a draw fail.
-
-    `key` prefixes the per-iteration stream path: iteration t draws from
-    stream (seed, *key, t). `spec` may also be a plan compiled from a spec.
+    Iteration t draws from stream (seed, *key, t), one standard_gamma call
+    over the plan's concatenated alphas; `spec` may also be a compiled plan.
     `swept` = (index, alphas), alphas an (increments, k) matrix over the k
-    labels of the plan's row `index`, makes this a sweep: increment i draws
-    the plan with that row's alpha replaced by alphas[i], from streams
-    (seed, *key, i, t), exactly as a plan holding that row alone would, and
-    the result is (increments, iterations, 3). Sweeps key their streams by
-    the swept stakeholder, so each (stakeholder, increment) has its own
-    family of streams under one master seed.
+    labels of the plan's row `index`, makes this a sweep of (increments,
+    iterations, 3) triples: increment i draws the plan with that row's alpha
+    replaced by alphas[i], exactly as a plan holding that row would, from
+    streams (seed, *key, i, t). Keyed by the swept stakeholder, each
+    (stakeholder, increment) has its own streams under one master seed. An
+    unswept call is the one-member case.
+
+    Each triple equals, bit for bit, absorption_probabilities of the drawn
+    chain restricted to the stakeholders the start reaches over labelled
+    cells (`_Plan.reachable`), the only rows normalised and solved; where
+    the start reaches every stakeholder, that is sampled_chain's chain from
+    the same stream. So a loop the start cannot reach cannot make a draw
+    fail. Chunks may straddle members; the triples do not depend on them.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     plan = spec if isinstance(spec, _Plan) else _compiled(spec)  # validates a spec
-    if swept is None:
-        return _simulate_block(plan, [plan.alpha], [key], iterations, seed)[0]
-    index, alphas = swept
-    at = sum(len(row.cols) for row in plan.rows[:index])
-    segment = slice(at, at + len(plan.rows[index].cols))  # the swept row's alphas
+    alphas, keys = [plan.alpha], [key]
+    if swept is not None:
+        index, matrix = swept
+        at = sum(len(row.cols) for row in plan.rows[:index])
+        segment = slice(at, at + len(plan.rows[index].cols))  # the swept row's alphas
 
-    def increments():
-        alpha = plan.alpha.copy()  # built one increment at a time, never all at once
-        for row in alphas:
-            alpha[segment] = row
-            yield alpha
+        def increments():
+            alpha = plan.alpha.copy()  # built one increment at a time, never all at once
+            for row in matrix:
+                alpha[segment] = row
+                yield alpha  # read only while its increment draws
 
-    keys = [(*key, i) for i in range(len(alphas))]
-    return _simulate_block(plan, increments(), keys, iterations, seed)
+        alphas, keys = increments(), [(*key, i) for i in range(len(matrix))]
+    staged, positions = plan.reachable
+    draws = ((alpha, k, t) for alpha, k in zip(alphas, keys) for t in range(iterations))
+
+    def fill(qr, first):
+        gammas = np.empty((len(qr), plan.alpha.size))
+        for j, (alpha, k, t) in zip(range(len(qr)), draws):
+            gammas[j] = stream(seed, *k, t).standard_gamma(alpha)
+        _fill_draws(staged, np.take(gammas, positions, axis=1), qr)
+
+    out = _solve_chunks(
+        staged, len(keys) * iterations, fill, lambda i: f"iteration {i % iterations}: "
+    ).reshape(len(keys), iterations, 3)
+    return out[0] if swept is None else out
 
 
 def run(
@@ -265,6 +259,7 @@ def run(
     bins: int = DEFAULT_BINS,
 ) -> SimulationSummary:
     """Monte Carlo estimate of the absorption distribution from the start state."""
+    _sized(lambda: None, bins + 1)  # a histogram no memory holds is refused before any draw
     samples = draw_samples(spec, iterations, seed)
     stats = summarize(samples[:, 1], bins=bins)
     mean_di, mean_s, mean_us = samples.mean(axis=0)

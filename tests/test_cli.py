@@ -15,10 +15,12 @@ from helpers import (
 )
 
 import infoflow
+from infoflow import simulation
 from infoflow.cli import cli_main
 from infoflow.documents import network_to_document
 from infoflow.markov import absorption_probabilities
 from infoflow.network import plug_in_chain
+from infoflow.rng import stream
 
 
 @pytest.fixture(scope="module")
@@ -292,7 +294,10 @@ class TestRefusedComputations:
     # 711 PiB discard grid for X's total outflow of 1e17), which no machine
     # grants, or for more than numpy's size limit (9.6e18 bytes of samples
     # for 4e17 iterations, 1e19 grid points, or 1e20 + 1 histogram edges),
-    # which numpy refuses with a ValueError; so nothing is allocated.
+    # which numpy refuses with a ValueError; so nothing is allocated. A
+    # length that rounds to 2**63 (2**63 - 1 to 2**63 + 1 histogram edges,
+    # 2**63 grid points), which np.linspace and np.arange would wrap to an
+    # empty array, is refused before numpy is asked.
     @pytest.mark.parametrize("argv, outflow, message", [
         (["simulate", "--iterations", "100000000000000000", "--seed", "1"], None,
          "Unable to allocate "),
@@ -305,8 +310,21 @@ class TestRefusedComputations:
           "--seed", "1"], 1e19, "Maximum allowed size exceeded"),
         (["simulate", "--iterations", "3", "--seed", "1", "--bins", "100000000000000000000"],
          None, "Maximum allowed size exceeded"),
+        (["simulate", "--iterations", "3", "--seed", "1", "--bins", "9223372036854775806"],
+         None, "Maximum allowed size exceeded"),
+        (["simulate", "--iterations", "3", "--seed", "1", "--bins", "9223372036854775807"],
+         None, "Maximum allowed size exceeded"),
+        (["simulate", "--iterations", "3", "--seed", "1", "--bins", "9223372036854775808"],
+         None, "Maximum allowed size exceeded"),
+        (["simulate", "--iterations", "3", "--seed", "1", "--bins", str(10**400)],
+         None, "Maximum allowed size exceeded"),
+        (["sweep", "--stakeholder", "X", "--iterations", "1", "--seed", "1"], 2.0**63,
+         "Maximum allowed size exceeded"),
+        (["sweep", "--mode", "plugin", "--stakeholder", "X", "--iterations", "1",
+          "--seed", "1"], 2.0**63, "Maximum allowed size exceeded"),
     ], ids=["simulate", "sweep", "rank", "simulate-size-limit", "sweep-size-limit",
-            "bins-size-limit"])
+            "bins-size-limit", "bins-2**63-2", "bins-2**63-1", "bins-2**63", "bins-10**400",
+            "sweep-2**63-points", "sweep-plugin-2**63-points"])
     def test_out_of_memory_is_one_error_line(
         self, net_path, tmp_path, capsys, argv, outflow, message
     ):
@@ -319,6 +337,21 @@ class TestRefusedComputations:
         assert captured.out == ""
         [line] = captured.err.splitlines()
         assert line.startswith(f"error: out of memory: {message}")
+
+    def test_an_impossible_histogram_is_refused_before_any_draw(
+        self, net_path, capsys, monkeypatch
+    ):
+        calls = []
+
+        def counted(*path):
+            calls.append(path)
+            return stream(*path)
+
+        monkeypatch.setattr(simulation, "stream", counted)
+        assert cli_main(["simulate", "--iterations", "3", "--seed", "1",
+                         "--bins", "100000000000000000000", str(net_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: out of memory: ")
+        assert calls == []
 
     def test_plug_in_rank_never_builds_the_discard_grid(self, tmp_path, capsys):
         # X's total outflow of 1e12 makes a 7.28 TiB grid, but a plug-in

@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from helpers import dirichlet_sample, enumerate_paths_absorption, flow_counts
+from helpers import (
+    dirichlet_sample,
+    document_bytes,
+    enumerate_paths_absorption,
+    flow_counts,
+    layered_network,
+)
 
 from infoflow import parse_network
 from infoflow.dirichlet import noninformative_posterior
@@ -11,6 +17,7 @@ from infoflow.network import (
     NetworkSpec,
     Stakeholder,
     _compiled,
+    _plug_in_qr,
     plug_in_chain,
     sampled_chain,
     validate,
@@ -173,6 +180,26 @@ class TestPlugInChain:
         assert tm.q[i, tm.state_order.index("D")] == pytest.approx(31 / 63)
         assert tm.q[i, tm.state_order.index("E")] == pytest.approx(21 / 63)
         assert tm.r[i, 0] == pytest.approx(11 / 63)
+
+    @pytest.mark.parametrize("network", ["reference", "wide_row", "layered"])
+    def test_rows_are_counts_over_total_and_renormalised_posterior_means(
+        self, request, network
+    ):
+        # Bit for bit: raw rows are counts / total; posterior-mean rows are
+        # theta / theta.sum() for theta = alpha / alpha.sum().
+        if network == "layered":
+            spec = parse_network(document_bytes(layered_network(60, 4)))
+        else:
+            spec = request.getfixturevalue(f"{network}_spec")
+        plan = _compiled(spec)
+        raw, mean = _plug_in_qr(plan, "raw"), _plug_in_qr(plan, "posterior-mean")
+        for i, row in enumerate(plan.rows):
+            want_raw, want_mean = np.zeros(len(plan.state_order)), np.zeros(len(plan.state_order))
+            want_raw[row.cols] = row.counts.counts / row.counts.total
+            theta = row.alpha / row.alpha.sum()
+            want_mean[row.cols] = theta / theta.sum()
+            np.testing.assert_array_equal(raw[i], want_raw)
+            np.testing.assert_array_equal(mean[i], want_mean)
 
     @pytest.mark.parametrize("mode", ["raw-frequency", "bogus"])
     def test_only_the_cli_modes_are_accepted(self, reference_spec, mode):
