@@ -91,7 +91,8 @@ def _emit(report: dict, fmt: str, output: Path | None) -> None:
 def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], Callable[[], dict]]:
     """A command's exit status, stderr summary lines and report result. The
     result is built when called, after the summary is printed, because a
-    plug-in sweep's report solves the whole curve and may still fail."""
+    plug-in sweep's report evaluates the whole curve, whose check may still
+    fail."""
     if args.command == "validate":
         try:
             spec = documents.parse_network(raw)

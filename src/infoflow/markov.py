@@ -5,10 +5,11 @@ probabilities, R transient-to-absorbing. The absorbing block (O | I) is
 implicit and never stored. Absorption probabilities solve the linear system
 (I - Q) B = R; no explicit inverse is formed. A solution whose rows do not
 sum to 1 within ROW_SUM_TOL is refused as too ill-conditioned. The program
-solves its stacks of chains, Monte Carlo draws and plug-in chains alike, in
-the simulation engine, over only the stakeholders the start reaches;
+solves its stacks of chains, Monte Carlo draws and plug-in evaluate alike,
+in the simulation engine, and plug-in sweeps in closed form off one solve
+of the base chain, always over only the stakeholders the start reaches;
 build_canonical and absorption_probabilities are the public one-chain API,
-and, over that restricted chain, the oracle the engine is tested against.
+and, over that restricted chain, the oracle both are tested against.
 """
 
 from __future__ import annotations

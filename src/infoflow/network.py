@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dirichlet import CountVector, noninformative_posterior
-from .errors import ValidationError
+from .errors import SingularSystemError, ValidationError
 from .markov import ABSORBING_ORDER, TransitionMatrix, absorbing_reach, build_canonical
 
 LEVELS = ("federal", "state", "local")
@@ -192,8 +192,8 @@ class _Plan:
 
     The draw layout (`alpha`, `groups`, `cells`, `reachable`) is built on
     first use, so plans that are only solved in plug-in mode never pay for
-    it; so is the raw-frequency [Q | R] (`raw_qr`), so plans that are only
-    drawn from never pay for that.
+    it; so are the raw-frequency [Q | R] (`raw_qr`) and its solution
+    (`raw_nb`), so plans that are only drawn from never pay for those.
     """
 
     state_order: tuple[str, ...]
@@ -207,6 +207,31 @@ class _Plan:
         qr = _plug_in_qr(self, RAW_FREQUENCY)
         qr.flags.writeable = False
         return qr
+
+    @cached_property
+    def raw_nb(self) -> np.ndarray:
+        """Read-only (n, n + 3) [N | B] of the raw-frequency chain, from one
+        solve of (I - Q) [N | B] = [I | R]: N[i, j] is the expected number of
+        visits to j from i, and B = N R the absorption probabilities. Plug-in
+        sweeps read every swept stakeholder's endpoints and curve from it.
+        In the start's row, N is exactly 0 where the start reaches no
+        positive flow, not the solve's rounding, so a stakeholder it never
+        reaches has no effect on it. Raises SingularSystemError where I - Q
+        is singular."""
+        n = len(self.rows)
+        eye = np.eye(n)
+        q = self.raw_qr[:, :n]
+        try:
+            nb = np.linalg.solve(eye - q, np.hstack([eye, self.raw_qr[:, n:]]))
+        except np.linalg.LinAlgError:
+            nb = None
+        if nb is None or not np.all(np.isfinite(nb)):
+            raise SingularSystemError("I - Q is singular")
+        start = eye[:, self.start, np.newaxis] > 0.0
+        # States that reach the start over reversed flows are those it reaches.
+        nb[self.start, :n][~absorbing_reach(q.T, start)] = 0.0
+        nb.flags.writeable = False
+        return nb
 
     @cached_property
     def alpha(self) -> np.ndarray:

@@ -9,15 +9,14 @@ overall satisfaction.
 
 The reallocation rule has one home, _reallocated. It is affine in the
 discard, so it gives a whole sweep as one (increments, k) count matrix;
-reallocate is its one-point case. A sweep builds one layout plan, the
-compiled spec with the swept row at zero discard labelled as the rule
-labels it (DI added where missing). Monte Carlo mode draws its alphas
-1 + counts in one draw_samples call; plug-in mode copies the cached
-raw-frequency [Q | R] of the stakeholders the start reaches, a reached
-swept row set to counts over their row sums, up front only at the two
-endpoints (zero and total discard) that the impact ratio and a ranking
-use. Each increment's numbers are bit for bit those of a spec rebuilt for
-that increment alone.
+reallocate is its one-point case. Monte Carlo mode builds one layout plan,
+the compiled spec with the swept row at zero discard labelled as the rule
+labels it (DI added where missing), and draws its alphas 1 + counts in one
+draw_samples call. Plug-in mode solves no chain of its own: the swept row
+moves on a line from its zero-discard row to all DI, a rank-one change of
+I - Q, so every stakeholder's endpoints, impact ratio and curve follow in
+closed form from the one cached solve of the raw-frequency chain of the
+stakeholders the start reaches (`_Plan.raw_nb`; see _closed_form).
 """
 
 from __future__ import annotations
@@ -36,9 +35,10 @@ from .errors import (
     ExceedsTotalError,
     NegativeEntryError,
     NoNonDiTargetsError,
+    SingularSystemError,
     UnknownStakeholderError,
 )
-from .markov import absorbing_reach
+from .markov import ROW_SUM_TOL, absorbing_reach
 from .network import NetworkSpec
 from .simulation import draw_samples
 
@@ -68,7 +68,8 @@ class SweepResult:
     """One stakeholder's sweep over the grid `n_di_values`, n_di_min (0) to
     n_di_max (the total outflow) in steps of `increment`. The endpoints and
     the impact ratio are computed when the sweep runs; the grid and the
-    curve `means` on first read (plug-in sweeps solve it by calling `curve`).
+    curve `means` on first read (plug-in sweeps evaluate their closed form
+    over the grid by calling `curve`).
     """
 
     stakeholder: str
@@ -159,6 +160,76 @@ def _reallocated(base: CountVector, grid: np.ndarray) -> tuple[CountVector, np.n
     return CountVector(tuple(labels), counts[0]), counts
 
 
+def _closed_form(
+    sub: network._Plan, stakeholder: str, zero: CountVector, total: float, increment: float
+) -> tuple[np.ndarray, float, Callable[[], np.ndarray]]:
+    """A plug-in sweep of `stakeholder`, whose total outflow is `total` and
+    whose zero-discard counts are `zero`, read off `sub.raw_nb` = [N | B],
+    the one solve of the raw-frequency chain of `sub`, the stakeholders the
+    start reaches: the (2, 3) start triples at zero and total discard, the
+    impact ratio, and the curve over the discard grid of `increment`.
+
+    The swept row s moves on a line, (1 - lam) r0 + lam e_DI at discard
+    lam * total, r0 its zero-discard row, so each point is a rank-one change
+    of I - Q (Sherman and Morrison, Ann. Math. Statist. 21, 1950). With a
+    the start, r0 minus the raw row s split into its Q part dq and R part
+    dr, and den = 1 - dq . N[:, s], the zero-discard chain has N0[:, s] =
+    N[:, s] / den and B0[s] = B[s] + N[s, s] (dq B + dr) / den. The chance
+    that a ever reaches s, f = N[a, s] / N[s, s] (Kemeny and Snell, Finite
+    Markov Chains, ch. III), does not depend on row s. So the start's triple
+    is P1 = B[a] - f (B[s] - e_DI) at total discard and P0 = P1 + f (B0[s] -
+    e_DI) at zero, the ratio f B0[s, S] / total is not a difference of
+    nearly equal endpoints, and P(lam) = P0 + lam N0[a, s] (e_DI - B0[s]) /
+    (1 + lam (N0[s, s] - 1)), with P0 and P1 themselves at its ends. Where a
+    never reaches s, both endpoints are B[a], the curve is flat and the
+    ratio is exactly 0. Every triple is checked as the staged solve checks a
+    start row.
+    """
+    m = len(sub.rows)
+    visits, b = sub.raw_nb[:, :m], sub.raw_nb[:, m:]
+    a = sub.start
+    s = sub.state_order.index(stakeholder) if stakeholder in sub.state_order else None
+    if s is None or visits[a, s] == 0.0:  # the start never reaches s
+        p0 = p1 = b[a]
+        ratio, step, bend = 0.0, np.zeros(3), 0.0
+    else:
+        e_di = np.array([1.0, 0.0, 0.0])  # the triple of a row that discards everything
+        delta = -sub.raw_qr[s]
+        delta[[sub.state_order.index(label) for label in zero.labels]] += zero.counts / zero.total
+        with np.errstate(all="ignore"):  # a singular point shows as a non-finite triple
+            den = 1.0 - delta[:m] @ visits[:, s]
+            b0s = b[s] + visits[s, s] * (delta[:m] @ b + delta[m:]) / den
+            f = visits[a, s] / visits[s, s]
+            p1 = b[a] - f * (b[s] - e_di)
+            p0 = p1 + f * (b0s - e_di)
+            ratio = float(f * b0s[1] / total)
+            step, bend = visits[a, s] / den * (e_di - b0s), visits[s, s] / den - 1.0
+    ends = _checked(np.array([p0, p1]))
+
+    def curve() -> np.ndarray:
+        lam = _di_grid(total, increment)[:, np.newaxis] / total
+        with np.errstate(all="ignore"):
+            means = p0 + lam / (1.0 + lam * bend) * step
+        means[[0, -1]] = ends
+        return _checked(means)
+
+    return ends, ratio, curve
+
+
+def _checked(triples: np.ndarray) -> np.ndarray:
+    """`triples`, (k, 3), refused with SingularSystemError, as the staged
+    solve refuses a start row, if one misses a sum of 1 by more than
+    ROW_SUM_TOL or is not finite."""
+    totals = triples.sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= ROW_SUM_TOL))  # NaN is bad too
+    if bad.size:
+        raise SingularSystemError(
+            f"absorption probabilities sum to {float(totals[bad[0]])!r}, "
+            "not 1; I - Q is too ill-conditioned"
+        )
+    return triples
+
+
 def sweep_ineffective(
     spec: NetworkSpec,
     stakeholder: str,
@@ -174,19 +245,22 @@ def sweep_ineffective(
     posterior draws up front, in one draw_samples call; increment i of
     stakeholder s uses streams derived from (seed, index(s), i, t). Plug-in
     mode evaluates the raw-frequency chains deterministically and ignores
-    `iterations`: it solves only the first and last grid points, without
-    building the grid, and the whole curve when `means` is first read.
+    `iterations`: it solves no chain, reading the endpoints and the impact
+    ratio off the plan's one base solve without building the grid, and
+    evaluates the curve over the grid when `means` is first read.
     """
     mode = canonical_mode(mode)
     plan = network._compiled(spec)  # validates the spec
-    if stakeholder not in spec.ids:
+    n = len(plan.rows)
+    ids = plan.state_order[:n]  # spec.ids, without building it again
+    if stakeholder not in ids:
         raise UnknownStakeholderError(f"unknown stakeholder '{stakeholder}'")
     if not 0 < increment < math.inf:
         raise ValueError(f"increment must be positive and finite, got {increment}")
-    s_idx = spec.ids.index(stakeholder)
+    s_idx = ids.index(stakeholder)
     base = plan.rows[s_idx].counts
     total = base.total
-    grid = _di_grid(total, increment) if mode == MONTE_CARLO else np.array([0.0, total])
+    grid = _di_grid(total, increment) if mode == MONTE_CARLO else np.zeros(1)
     try:
         zero, counts = _reallocated(base, grid)
     except NoNonDiTargetsError as exc:
@@ -202,6 +276,7 @@ def sweep_ineffective(
         all_samples.flags.writeable = False
         means = all_samples.mean(axis=1)
         ends = means[[0, -1]]
+        ratio = impact_ratio(*ends[:, 1].tolist(), total, 0.0)
 
         def curve():
             return means
@@ -211,38 +286,21 @@ def sweep_ineffective(
         # other rows as they are. So one check of the zero-discard support,
         # over every stakeholder, covers the whole grid: it fails where
         # validate fails for that point's spec, and require_valid names why.
+        # A swept row with a direct flow to S or US keeps every route
+        # through it, so only a row without one needs the check.
         all_samples = None
-        q, r = np.split(plan.raw_qr > 0.0, [len(plan.rows)], axis=1)
-        r[s_idx, 0] = False  # zero discard: no flow to DI
-        if not absorbing_reach(q, r).all():
-            plan.override(s_idx, zero).require_valid()
-        # The chains are solved over the stakeholders the start reaches, the
-        # base plan's: a grid point only adds a DI label to the swept row.
-        sub = plan.reachable[0]
-        staged, row = sub, None  # an unreached swept row leaves every chain sub's
-        if stakeholder in sub.state_order:
-            row = sub.state_order.index(stakeholder)
-            staged = sub.override(row, zero)
-
-        def solve(counts):
-            def fill(qr, first):
-                qr[:] = sub.raw_qr
-                if row is not None:
-                    part = counts[first : first + len(qr)]
-                    qr[:, row, staged.rows[row].cols] = part / part.sum(axis=1, keepdims=True)
-
-            return simulation._solve_chunks(staged, len(counts), fill, lambda i: "")
-
-        ends = solve(counts)
-
-        def curve():
-            return solve(_reallocated(base, _di_grid(total, increment))[1])
+        if not (plan.raw_qr[s_idx, n + 1 :] > 0.0).any():
+            q, r = np.split(plan.raw_qr > 0.0, [n], axis=1)
+            r[s_idx, 0] = False  # zero discard: no flow to DI
+            if not absorbing_reach(q, r).all():
+                plan.override(s_idx, zero).require_valid()
+        ends, ratio, curve = _closed_form(plan.reachable[0], stakeholder, zero, total, increment)
 
     p_s_max, p_s_min = ends[:, 1].tolist()
     return SweepResult(
         stakeholder=stakeholder, mode=mode, n_di_min=0.0, n_di_max=total,
         increment=increment, p_s_max=p_s_max, p_s_min=p_s_min,
-        impact_ratio=impact_ratio(p_s_max, p_s_min, total, 0.0),
+        impact_ratio=ratio,
         curve=curve, samples=all_samples,
     )
 
@@ -256,9 +314,9 @@ def rank_details(
     """Sweep every stakeholder except the start; most impactful first.
 
     Ties in the impact ratio break by ascending stakeholder id. The ranking
-    reads only each sweep's endpoints, so a plug-in ranking solves two
-    chains per stakeholder; each result still solves its whole curve if
-    its `means` is read.
+    reads only each sweep's endpoints and ratio, so a plug-in ranking makes
+    one solve of the base chain in all and builds no grid; each result
+    still evaluates its whole curve if its `means` is read.
     """
     mode = canonical_mode(mode)  # before any sweep, so an empty ranking checks it too
     network._compiled(spec)  # validates once and warms the plan every sweep reads

@@ -1,5 +1,5 @@
 """Seeded Monte Carlo over posterior draws, and the one staged solve of
-absorbing chains that it shares with plug-in evaluation.
+absorbing chains that it shares with plug-in evaluation (evaluate).
 
 Each iteration samples a chain from the stakeholders' flat-prior
 posteriors, solves for absorption probabilities, and records the start
@@ -14,10 +14,13 @@ concatenated alphas, every row's. The stream's seed words are one row of a
 block that rng derives for 64 consecutive iterations at once, so the
 stream costs little more than constructing its PCG64 generator.
 
-Monte Carlo and plug-in chains share one staging rule and one chunk loop.
-Only the stakeholders the start reaches over labelled cells
-(`_Plan.reachable`) are staged and solved: no labelled cell leaves them,
-so the start's row of B = (I - Q)^-1 R depends on their rows alone. Chains
+Monte Carlo draws and plug-in evaluate share one staging rule and one
+chunk loop. Plug-in sweeps and rankings solve no chain here: they read
+theirs in closed form off one solve of the same stakeholders' raw-frequency
+chain (network._Plan.raw_nb). Only the stakeholders the start reaches over
+labelled cells (`_Plan.reachable`) are staged and solved: no labelled cell
+leaves them, so the start's row of B = (I - Q)^-1 R depends on their rows
+alone. Chains
 run back to back in chunks whose stacked (m, m + 3) blocks, m the number
 of those stakeholders, fit in CHUNK_BYTES. Each chunk has one staging
 buffer, filled with [Q | R] (draws normalised group by group with the
@@ -259,7 +262,9 @@ def run(
     bins: int = DEFAULT_BINS,
 ) -> SimulationSummary:
     """Monte Carlo estimate of the absorption distribution from the start state."""
-    _sized(lambda: None, bins + 1)  # a histogram no memory holds is refused before any draw
+    # The histogram's bins + 1 float64 edges are refused before any draw
+    # where numpy's size limit refuses their 8 * (bins + 1) bytes.
+    _sized(lambda: None, 8 * (bins + 1))
     samples = draw_samples(spec, iterations, seed)
     stats = summarize(samples[:, 1], bins=bins)
     mean_di, mean_s, mean_us = samples.mean(axis=0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 
@@ -142,6 +143,53 @@ def reachable_plug_in_absorption(spec, mode="raw"):
             p = theta / theta.sum()
         rows[sid] = dict(zip(cv.labels, p))
     return _reached_start_row(spec, rows)
+
+
+def exact_rows(spec):
+    """Every stakeholder's raw-frequency row in exact rational arithmetic:
+    id -> {label: Fraction(frequency) / Fraction(total)}. Each float
+    frequency is the Fraction it is exactly."""
+    counts = {sid: {} for sid in spec.ids}
+    for f in spec.flows:
+        counts[f.source][f.target] = Fraction(f.frequency)
+    return {sid: {t: v / sum(row.values()) for t, v in row.items()}
+            for sid, row in counts.items()}
+
+
+def exact_start_absorption(spec, rows):
+    """Exact start-state (P_DI, P_S, P_US) of the chain whose stakeholder
+    rows are `rows` (id -> {label: Fraction}), by Gauss-Jordan elimination
+    of [I - Q | R] in Fractions over the stakeholders the start reaches
+    over positive probabilities, every one of which must reach absorption."""
+    reached, queue = {spec.start}, deque([spec.start])
+    while queue:
+        for target, p in rows[queue.popleft()].items():
+            if p > 0 and target in rows and target not in reached:
+                reached.add(target)
+                queue.append(target)
+    kept = [sid for sid in spec.ids if sid in reached]
+    index = {sid: i for i, sid in enumerate(kept)}
+    m = len(kept)
+    matrix = []
+    for sid in kept:
+        row = [Fraction(int(j == index[sid])) for j in range(m)] + [Fraction(0)] * 3
+        for target, p in rows[sid].items():
+            if p == 0:
+                continue  # perhaps to a stakeholder the start does not reach
+            if target in index:
+                row[index[target]] -= p
+            else:
+                row[m + ABSORBING_ORDER.index(target)] += p
+        matrix.append(row)
+    for c in range(m):
+        pivot = next(r for r in range(c, m) if matrix[r][c] != 0)
+        matrix[c], matrix[pivot] = matrix[pivot], matrix[c]
+        matrix[c] = [x / matrix[c][c] for x in matrix[c]]
+        for r in range(m):
+            if r != c and matrix[r][c] != 0:
+                factor = matrix[r][c]
+                matrix[r] = [x - factor * y for x, y in zip(matrix[r], matrix[c])]
+    return tuple(matrix[index[spec.start]][m:])
 
 
 def multinomial_pmf(counts, theta):

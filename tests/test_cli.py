@@ -353,6 +353,27 @@ class TestRefusedComputations:
         assert capsys.readouterr().err.startswith("error: out of memory: ")
         assert calls == []
 
+    @pytest.mark.parametrize("bins", [2**60, 2**62, 2**63 - 514],
+                             ids=["2**60", "2**62", "2**63-514"])
+    def test_histogram_bytes_past_the_size_limit_are_refused_before_any_draw(
+        self, net_path, capsys, monkeypatch, bins
+    ):
+        # bins + 1 edges fit np.intp, but their 8 * (bins + 1) bytes do not.
+        calls = []
+
+        def counted(*path):
+            calls.append(path)
+            return stream(*path)
+
+        monkeypatch.setattr(simulation, "stream", counted)
+        assert cli_main(["simulate", "--iterations", "300", "--seed", "1",
+                         "--bins", str(bins), str(net_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert line.startswith("error: out of memory: ")
+        assert calls == []
+
     def test_plug_in_rank_never_builds_the_discard_grid(self, tmp_path, capsys):
         # X's total outflow of 1e12 makes a 7.28 TiB grid, but a plug-in
         # ranking solves only its two endpoints.

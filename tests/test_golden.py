@@ -16,7 +16,12 @@ digests on layered networks were re-recorded once, when plug-in chains
 began to be solved as Monte Carlo draws are, over only the stakeholders
 the start reaches (42 of 50 and 49 of 60 here): a smaller solve rounds
 differently, so numbers moved by at most 1.1e-16, and the ranking order
-did not change. All were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
+did not change. They and their CSV digests were re-recorded again when
+plug-in sweeps and rankings began to read their endpoints, impact ratios
+and curves off one solve of the base chain in closed form: endpoints and
+curve points moved by at most 1.1e-16, and impact ratios, no longer a
+difference of nearly equal endpoints, by up to 2.0e-9 relative (6.5e-19
+absolute); the ranking order did not change. All were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, x86-64), and every later engine must reproduce them bit
 for bit. The wide-row network has rows of 8 to 12 targets, where a change
 in how a row is summed shows in the last bits. A different numpy or BLAS
@@ -43,9 +48,9 @@ from infoflow.cli import cli_main
 GOLDEN = {
     "rank-mc-reference": "db2917b33833a8b73f98647cbb14ecd2586da4d93bb233c909838447267eef24",
     "simulate-wide-row": "1547742a7e2e8e5cd13983723962f81c7c45d234ca36804f1397d755a898efcc",
-    "rank-plugin-layered": "c1f95329330937e87a0bbd68dcacefb77586d18613ca7a3afb6fa95e3b81d2a5",
+    "rank-plugin-layered": "628e49476d2977e957e79f9a858f896a128c1f18cd47804d47db974c8c5d0733",
     "sweep-mc-wide-row": "a207add13a0725325dae29cae47b299fbcf5bac44178a71b6f6c7510cb13d5e1",
-    "sweep-plugin-layered": "2d3421c8213fdb4220d8e11b8d182d336a0da9634700864c31ad8a78100eb6de",
+    "sweep-plugin-layered": "0e9c482f81f5114f51228a7061d6dab29ae87ee40179c1a06d6689b0b14558f1",
     "evaluate-posterior-mean-reference": "e6fc1a8992254be6f3f5fca3f862b2c7a7bcdffef4051c25fdb794b3c0dee11c",
     "evaluate-posterior-mean-wide-row": "e09582f2f198a094d15f011d8dffe2022d0aaae057f058d27912794a48c82216",
     "simulate-reference-200": "7c13707e404e3ad3c190fc4d78c170e92c11422ccc254044a8be2e23e43ae54e",
@@ -54,9 +59,9 @@ GOLDEN = {
 GOLDEN_CSV = {
     "simulate-wide-row": "6be1cd01a1456f97e46c598e235bccecf9ca189acf8ab07821ff25ea8c728f09",
     "sweep-mc-wide-row": "a9ecb1e9da9aa285e001fbe55a31366b5acc1d9a8e7caa1ec5618a9b8658dafc",
-    "sweep-plugin-layered": "34fd6664f6c82e87cb90013050dad648fdba961147197799e68785acd46a6663",
+    "sweep-plugin-layered": "1891f37e8ee41b0ddaaba794d5f6487a860b8ed302cd0ff2fabc1f57ecd2325c",
     "rank-mc-reference": "c447a0c19fea87b827ce034567ac784fc230066ae213545dcdb035ed18d8c51f",
-    "rank-plugin-layered": "f33c1374db5202bffd9f8fbc25dfc95227186707e069a1ece24a63401969a2d2",
+    "rank-plugin-layered": "762dc48f8a19023832a2025e9305078ee7766aaf8f234a5626ccbc8a6502fa6a",
     "evaluate-posterior-mean-wide-row": "d807bd4333b505ca3a2a360c1296f32f4efe7e53d8581a5160b94a73f720d748",
     "validate-invalid": "eb9ea4c19052b6d2848b74d59880ec5945198386be0279e1e6576e929227bc07",
 }

@@ -6,9 +6,12 @@ from helpers import (
     cyclic_spec,
     dirichlet_sample,
     document_bytes,
+    exact_rows,
+    exact_start_absorption,
     flow_counts,
     layered_network,
     reachable_plug_in_absorption,
+    wide_row_network,
 )
 from helpers import with_reallocated as _with_reallocated
 from hypothesis import assume, example, given
@@ -409,7 +412,10 @@ def dead_loop_spec():
 class TestSweepOverride:
     """A sweep builds one layout plan, the swept row at zero discard with
     its DI label, and carries every increment's counts in one matrix; it
-    must match, bit for bit, a sweep that rebuilds the spec every time."""
+    must match a sweep that rebuilds the spec every time: bit for bit in
+    Monte Carlo mode, and within 1e-15 in plug-in mode, whose closed form
+    comes from one solve of the base chain (2.2e-16 at most on these
+    cases)."""
 
     @pytest.mark.parametrize("stakeholder", ["B", "C", "D", "E"])
     @pytest.mark.parametrize("mode", ["mc", "plugin"])
@@ -442,7 +448,7 @@ class TestSweepOverride:
             assert np.array_equal(sw.samples, want)
             assert np.array_equal(sw.means, want.mean(axis=1))
         else:
-            assert np.array_equal(sw.means, want)
+            np.testing.assert_allclose(sw.means, want, rtol=0, atol=1e-15)
 
     # Only the raw-frequency chain can lose its route to absorption; Monte
     # Carlo mode accepts this point (test_monte_carlo_zero_discard_absorbs).
@@ -517,30 +523,31 @@ class TestSweepOverride:
 
 
 class TestEndpointOnlyRank:
-    """A plug-in ranking reads only each sweep's endpoints, so it solves the
-    zero- and total-discard chains and leaves the interior of every curve
-    until its means are read."""
+    """A plug-in ranking solves no chain per stakeholder: every sweep's
+    endpoints, ratio and curve come from one solve of the base chain the
+    start reaches, and the interior of every curve waits until its means
+    are read."""
 
-    @pytest.mark.parametrize("network", ["reference", "cyclic", "wide_row", "layered"])
-    def test_two_chains_per_stakeholder_and_the_curve_endpoints(
-        self, request, monkeypatch, network
-    ):
+    @pytest.mark.parametrize("name", ["reference", "cyclic", "wide_row", "layered"])
+    def test_one_base_solve_per_rank_and_the_curve_endpoints(self, request, monkeypatch, name):
         spec = {
             "reference": lambda: request.getfixturevalue("reference_spec"),
             "cyclic": cyclic_spec,
             "wide_row": lambda: request.getfixturevalue("wide_row_spec"),
             "layered": lambda: infoflow.parse_network(document_bytes(layered_network(60, 4))),
-        }[network]()
-        real = simulation._absorb
-        chains = []
+        }[name]()
+        network._compiled.cache_clear()  # no plan holds its base solve yet
+        staged, solves = [], []
+        monkeypatch.setattr(simulation, "_absorb", lambda *args: staged.append(args))
+        real = np.linalg.solve
 
-        def counted(staged, qr, name):
-            chains.append(len(qr))
-            return real(staged, qr, name)
+        def counted(a, b):
+            solves.append(a.shape)
+            return real(a, b)
 
-        monkeypatch.setattr(simulation, "_absorb", counted)
+        monkeypatch.setattr(np.linalg, "solve", counted)
         ranked = rank_details(spec, 1, 0, "plugin")
-        assert chains == [2] * (len(spec.ids) - 1)
+        assert staged == [] and len(solves) == 1
         monkeypatch.undo()
         for sw in ranked:
             curve = sweep_ineffective(spec, sw.stakeholder, 1, 0, "plugin").means
@@ -617,3 +624,80 @@ def test_reallocated_rows_keep_a_valid_network_valid(spec):
                 except ValidationError as exc:
                     got = exc.report.violations
                 assert got == report.violations
+
+
+def exact_sweep_ends(spec, stakeholder):
+    """Exact (P0, P1, impact ratio) of a plug-in sweep of `stakeholder`,
+    whose row is every non-DI frequency over their sum at zero discard and
+    all DI at total discard, by exact_start_absorption."""
+    rows = exact_rows(spec)
+    counts = {f.target: Fraction(f.frequency) for f in spec.flows if f.source == stakeholder}
+    rest = sum(v for t, v in counts.items() if t != "DI")
+    zero = {t: v / rest for t, v in counts.items() if t != "DI"}
+    p0 = exact_start_absorption(spec, {**rows, stakeholder: zero})
+    p1 = exact_start_absorption(spec, {**rows, stakeholder: {"DI": Fraction(1)}})
+    return p0, p1, (p0[1] - p1[1]) / sum(counts.values())
+
+
+def unreached_feeder_spec():
+    # Z feeds the start A, but A never reaches Z.
+    return NetworkSpec(
+        (Stakeholder("A", "federal"), Stakeholder("X", "state"), Stakeholder("Z", "local")),
+        (FlowRecord("A", "X", 3.0), FlowRecord("A", "S", 1.0), FlowRecord("X", "S", 2.0),
+         FlowRecord("X", "DI", 1.0), FlowRecord("Z", "A", 4.0), FlowRecord("Z", "US", 1.0)),
+        "A",
+    )
+
+
+class TestClosedForm:
+    """Plug-in sweeps read their endpoints, impact ratio and curve off one
+    solve of the base chain; exact arithmetic and chains rebuilt for every
+    grid point check them."""
+
+    def test_impact_ratio_is_exact_where_the_endpoints_nearly_cancel(self):
+        # A reaches B once in 1e8 + 1 passes, so B's discard moves P_S,
+        # which is nearly 1, by about 1.7e-9: the difference of the two
+        # endpoints keeps only about 7 digits of it.
+        spec = NetworkSpec(
+            (Stakeholder("A", "federal"), Stakeholder("B", "state")),
+            (FlowRecord("A", "S", 1e8), FlowRecord("A", "B", 1.0), FlowRecord("B", "S", 1.0),
+             FlowRecord("B", "US", 1.0), FlowRecord("B", "DI", 1.0)),
+            "A",
+        )
+        exact = Fraction(1, 10**8 + 1) * Fraction(1, 2) / 3
+        assert exact == exact_sweep_ends(spec, "B")[2]
+        sw = sweep_ineffective(spec, "B", 1, 0, "plugin")
+        assert abs(Fraction(sw.impact_ratio) - exact) <= Fraction(1e-13) * exact
+
+    @given(valid_networks())
+    @example(unreached_feeder_spec())
+    def test_ratios_and_endpoints_match_exact_arithmetic(self, spec):
+        for sid in spec.ids:
+            try:
+                sw = sweep_ineffective(spec, sid, 1, 0, "plugin")
+            except (ValidationError, NoNonDiTargetsError):
+                continue  # no zero-discard chain absorbs, or nothing to scale back up
+            p0, p1, ratio = exact_sweep_ends(spec, sid)
+            np.testing.assert_allclose(
+                sw.means[[0, -1]], np.array([p0, p1], dtype=float), rtol=0, atol=1e-13)
+            # A ratio that is exactly 0 (the start reaches s but s never
+            # reaches S) comes out as the solve's rounding of 0.
+            error = abs(Fraction(sw.impact_ratio) - ratio)
+            assert error <= Fraction(1e-13) * abs(ratio) + Fraction(1e-16)
+
+    @given(valid_networks())
+    @example(infoflow.parse_network(document_bytes(wide_row_network())))
+    @example(unreached_feeder_spec())
+    def test_curves_match_rebuilt_chains(self, spec):
+        # A stakeholder the start does not reach leaves the start's chain
+        # as it is: its ratio is exactly 0 and its curve is flat.
+        reached = _compiled(spec).reachable[0].state_order
+        for sid in spec.ids:
+            try:
+                sw = sweep_ineffective(spec, sid, 1, 0, "plugin")
+            except (ValidationError, NoNonDiTargetsError):
+                continue
+            np.testing.assert_allclose(
+                sw.means, rebuilt_sweep(spec, sid, 1, 0, "plugin"), rtol=0, atol=1e-12)
+            if sid not in reached:
+                assert sw.impact_ratio == 0.0 and (sw.means == sw.means[0]).all()
