@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .dirichlet import CountVector, noninformative_posterior
-from .errors import SingularSystemError, ValidationError
+from .errors import ValidationError
 from .markov import ABSORBING_ORDER, TransitionMatrix, absorbing_reach, build_canonical
 
 LEVELS = ("federal", "state", "local")
@@ -218,15 +218,12 @@ class _Plan:
         positive flow, not the solve's rounding, so a stakeholder it never
         reaches has no effect on it. Raises SingularSystemError where I - Q
         is singular."""
+        from .simulation import _solved  # simulation imports this module
+
         n = len(self.rows)
         eye = np.eye(n)
         q = self.raw_qr[:, :n]
-        try:
-            nb = np.linalg.solve(eye - q, np.hstack([eye, self.raw_qr[:, n:]]))
-        except np.linalg.LinAlgError:
-            nb = None
-        if nb is None or not np.all(np.isfinite(nb)):
-            raise SingularSystemError("I - Q is singular")
+        nb = _solved((eye - q)[np.newaxis], np.hstack([eye, self.raw_qr[:, n:]])[np.newaxis])[0]
         start = eye[:, self.start, np.newaxis] > 0.0
         # States that reach the start over reversed flows are those it reaches.
         nb[self.start, :n][~absorbing_reach(q.T, start)] = 0.0

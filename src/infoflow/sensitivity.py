@@ -35,12 +35,11 @@ from .errors import (
     ExceedsTotalError,
     NegativeEntryError,
     NoNonDiTargetsError,
-    SingularSystemError,
     UnknownStakeholderError,
 )
-from .markov import ROW_SUM_TOL, absorbing_reach
+from .markov import absorbing_reach
 from .network import NetworkSpec
-from .simulation import draw_samples
+from .simulation import _checked, draw_samples
 
 MONTE_CARLO = "monte-carlo"
 PLUG_IN = "plug-in"
@@ -182,8 +181,8 @@ def _closed_form(
     nearly equal endpoints, and P(lam) = P0 + lam N0[a, s] (e_DI - B0[s]) /
     (1 + lam (N0[s, s] - 1)), with P0 and P1 themselves at its ends. Where a
     never reaches s, both endpoints are B[a], the curve is flat and the
-    ratio is exactly 0. Every triple is checked as the staged solve checks a
-    start row.
+    ratio is exactly 0. Every triple is checked by _checked, as the staged
+    solve checks a start row.
     """
     m = len(sub.rows)
     visits, b = sub.raw_nb[:, :m], sub.raw_nb[:, m:]
@@ -216,20 +215,6 @@ def _closed_form(
     return ends, ratio, curve
 
 
-def _checked(triples: np.ndarray) -> np.ndarray:
-    """`triples`, (k, 3), refused with SingularSystemError, as the staged
-    solve refuses a start row, if one misses a sum of 1 by more than
-    ROW_SUM_TOL or is not finite."""
-    totals = triples.sum(axis=1)
-    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= ROW_SUM_TOL))  # NaN is bad too
-    if bad.size:
-        raise SingularSystemError(
-            f"absorption probabilities sum to {float(totals[bad[0]])!r}, "
-            "not 1; I - Q is too ill-conditioned"
-        )
-    return triples
-
-
 def sweep_ineffective(
     spec: NetworkSpec,
     stakeholder: str,
@@ -251,8 +236,7 @@ def sweep_ineffective(
     """
     mode = canonical_mode(mode)
     plan = network._compiled(spec)  # validates the spec
-    n = len(plan.rows)
-    ids = plan.state_order[:n]  # spec.ids, without building it again
+    ids = spec.ids
     if stakeholder not in ids:
         raise UnknownStakeholderError(f"unknown stakeholder '{stakeholder}'")
     if not 0 < increment < math.inf:
@@ -289,6 +273,7 @@ def sweep_ineffective(
         # A swept row with a direct flow to S or US keeps every route
         # through it, so only a row without one needs the check.
         all_samples = None
+        n = len(plan.rows)
         if not (plan.raw_qr[s_idx, n + 1 :] > 0.0).any():
             q, r = np.split(plan.raw_qr > 0.0, [n], axis=1)
             r[s_idx, 0] = False  # zero discard: no flow to DI

@@ -17,10 +17,11 @@ stream costs little more than constructing its PCG64 generator.
 Monte Carlo draws and plug-in evaluate share one staging rule and one
 chunk loop. Plug-in sweeps and rankings solve no chain here: they read
 theirs in closed form off one solve of the same stakeholders' raw-frequency
-chain (network._Plan.raw_nb). Only the stakeholders the start reaches over
-labelled cells (`_Plan.reachable`) are staged and solved: no labelled cell
-leaves them, so the start's row of B = (I - Q)^-1 R depends on their rows
-alone. Chains
+chain (network._Plan.raw_nb). All of these solves refuse a singular system
+in one place, _solved, and a start triple that misses 1 in one place,
+_checked. Only the stakeholders the start reaches over labelled cells
+(`_Plan.reachable`) are staged and solved: no labelled cell leaves them,
+so the start's row of B = (I - Q)^-1 R depends on their rows alone. Chains
 run back to back in chunks whose stacked (m, m + 3) blocks, m the number
 of those stakeholders, fit in CHUNK_BYTES. Each chunk has one staging
 buffer, filled with [Q | R] (draws normalised group by group with the
@@ -34,7 +35,6 @@ size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NoReturn
 
 import numpy as np
 
@@ -166,34 +166,50 @@ def _absorb(staged: _Plan, qr: np.ndarray, name) -> np.ndarray:
     np.subtract(0.0, filled[:, :n_q], out=filled[:, :n_q])  # not -x: 0 - 0 is +0
     flat[:, cells] = filled
     flat[:, diagonal] = 1.0
-    try:
-        b = np.linalg.solve(a, r)
-    except np.linalg.LinAlgError:
-        b = None
-    if b is None or not np.all(np.isfinite(b)):
-        _raise_singular(a, r, name)
-    kept = b[:, staged.start, :]
-    totals = kept.sum(axis=1)
-    bad = np.flatnonzero(np.abs(totals - 1.0) > ROW_SUM_TOL)
-    if bad.size:  # a sticky loop: I - Q too ill-conditioned to solve
-        raise SingularSystemError(
-            f"{name(bad[0])}absorption probabilities sum to {float(totals[bad[0]])!r}, "
-            "not 1; I - Q is too ill-conditioned"
-        )
+    kept = _checked(_solved(a, r, name)[:, staged.start, :], name)
     flat[:, diagonal] = 0.0
     return kept
 
 
-def _raise_singular(a: np.ndarray, r: np.ndarray, name) -> NoReturn:
-    """Name, by `name(j)`, the first chain j whose I - Q is singular."""
-    for j in range(len(a)):
-        try:
-            bj = np.linalg.solve(a[j], r[j])
-        except np.linalg.LinAlgError:
-            bj = None
-        if bj is None or not np.all(np.isfinite(bj)):
-            raise SingularSystemError(f"{name(j)}I - Q is singular")
-    raise SingularSystemError("I - Q is singular")
+def _unnamed(j: int) -> str:
+    return ""
+
+
+def _finite_solve(a: np.ndarray, r: np.ndarray) -> np.ndarray | None:
+    try:
+        x = np.linalg.solve(a, r)
+    except np.linalg.LinAlgError:
+        return None
+    return x if np.all(np.isfinite(x)) else None
+
+
+def _solved(a: np.ndarray, r: np.ndarray, name=_unnamed) -> np.ndarray:
+    """np.linalg.solve of the stacked systems a x = r, (k, m, m) and (k, m,
+    c). Where one is singular or its solution is not finite, raises
+    SingularSystemError("I - Q is singular"), prefixed by `name(j)` for the
+    first system j that fails alone."""
+    x = _finite_solve(a, r)
+    if x is None:
+        for j in range(len(a)):
+            if _finite_solve(a[j], r[j]) is None:
+                raise SingularSystemError(f"{name(j)}I - Q is singular")
+        raise SingularSystemError("I - Q is singular")
+    return x
+
+
+def _checked(triples: np.ndarray, name=_unnamed) -> np.ndarray:
+    """`triples`, (k, 3) start-state absorption probabilities, refused with
+    SingularSystemError, prefixed by `name(j)`, where triple j is the first
+    that misses a sum of 1 by more than ROW_SUM_TOL or is not finite: a
+    sticky loop leaves I - Q too ill-conditioned to solve."""
+    totals = triples.sum(axis=1)
+    bad = np.flatnonzero(~(np.abs(totals - 1.0) <= ROW_SUM_TOL))  # NaN is bad too
+    if bad.size:
+        raise SingularSystemError(
+            f"{name(bad[0])}absorption probabilities sum to {float(totals[bad[0]])!r}, "
+            "not 1; I - Q is too ill-conditioned"
+        )
+    return triples
 
 
 def draw_samples(

@@ -376,7 +376,7 @@ class TestRefusedComputations:
 
     def test_plug_in_rank_never_builds_the_discard_grid(self, tmp_path, capsys):
         # X's total outflow of 1e12 makes a 7.28 TiB grid, but a plug-in
-        # ranking solves only its two endpoints.
+        # ranking reads its endpoints off one base solve and never builds it.
         path = _write(tmp_path, "wide.json", [{"from": "X", "to": "S", "frequency": 5e11},
                                               {"from": "X", "to": "US", "frequency": 5e11}])
         assert cli_main(["rank", "--mode", "plugin", "--iterations", "1", "--seed", "1",
