@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
 from pathlib import Path
 
 from . import documents, sensitivity, simulation
@@ -88,11 +87,11 @@ def _emit(report: dict, fmt: str, output: Path | None) -> None:
         output.write_bytes(data)
 
 
-def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], Callable[[], dict]]:
+def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], dict]:
     """A command's exit status, stderr summary lines and report result. The
-    result is built when called, after the summary is printed, because a
-    plug-in sweep's report evaluates the whole curve, whose check may still
-    fail."""
+    lines are printed only once the result is built, so a computation
+    refused while it is built (a plug-in sweep's curve, checked as its
+    report evaluates it) prints only its error."""
     if args.command == "validate":
         try:
             spec = documents.parse_network(raw)
@@ -102,7 +101,7 @@ def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], Callable
         else:
             report = ValidationReport(())
             lines = [f"OK: {len(spec.stakeholders)} stakeholders, {len(spec.flows)} flows"]
-        return (0 if report.ok else 1), lines, lambda: documents.validation_result(report)
+        return (0 if report.ok else 1), lines, documents.validation_result(report)
 
     spec = documents.parse_network(raw)
 
@@ -112,7 +111,7 @@ def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], Callable
             f"{spec.start}: P_DI={row[0]:.3f} P_S={row[1]:.3f} P_US={row[2]:.3f} "
             f"({args.mode} plug-in)"
         )
-        return 0, [line], lambda: documents.evaluate_result(args.mode, spec.start, row)
+        return 0, [line], documents.evaluate_result(args.mode, spec.start, row)
 
     if args.command == "simulate":
         summary = simulation.run(spec, args.iterations, args.seed, bins=args.bins)
@@ -120,24 +119,23 @@ def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], Callable
             f"mean P_S = {summary.mean_s:.3f} over {summary.iterations} iterations "
             f"(seed {summary.seed})"
         )
-        return 0, [line], lambda: documents.simulation_result(summary, spec.start)
+        return 0, [line], documents.simulation_result(summary, spec.start)
 
     if args.command == "sweep":
         sweep = sensitivity.sweep_ineffective(
             spec, args.stakeholder, args.iterations, args.seed, args.mode
         )
-        grid = sweep.n_di_values  # before the summary, so a refused grid is the only line
         line = (
             f"{sweep.stakeholder}: P_S {sweep.p_s_max:.3f} -> {sweep.p_s_min:.3f} "
-            f"over n_di 0..{grid[-1]:g}, impact ratio {sweep.impact_ratio:.5f}"
+            f"over n_di 0..{sweep.n_di_max:g}, impact ratio {sweep.impact_ratio:.5f}"
         )
-        return 0, [line], lambda: documents.sweep_result(sweep)
+        return 0, [line], documents.sweep_result(sweep)
 
     # rank, the last of the parser's commands
     sweeps = sensitivity.rank_details(spec, args.iterations, args.seed, args.mode)
     lines = [f"{sw.stakeholder}: impact ratio {sw.impact_ratio:.5f}" for sw in sweeps]
     mode = sensitivity.canonical_mode(args.mode)
-    return 0, lines, lambda: documents.rank_result(sweeps, mode)
+    return 0, lines, documents.rank_result(sweeps, mode)
 
 
 def _dispatch(args: argparse.Namespace) -> int:
@@ -147,7 +145,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     for line in lines:
         print(line, file=sys.stderr)
     seed, iterations = getattr(args, "seed", None), getattr(args, "iterations", None)
-    report = documents.report_document(args.command, digest, result(), seed, iterations)
+    report = documents.report_document(args.command, digest, result, seed, iterations)
     _emit(report, args.format, args.output)
     return status
 

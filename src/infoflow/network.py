@@ -53,7 +53,7 @@ class NetworkSpec:
         object.__setattr__(self, "stakeholders", tuple(self.stakeholders))
         object.__setattr__(self, "flows", tuple(self.flows))
 
-    @property
+    @cached_property
     def ids(self) -> tuple[str, ...]:
         return tuple(s.id for s in self.stakeholders)
 
@@ -308,16 +308,6 @@ class _Plan:
         rows = list(self.rows)
         rows[index] = _compile_row(counts, position)
         return _Plan(self.state_order, tuple(rows), self.start)
-
-    def require_valid(self) -> None:
-        """Raise ValidationError, as validate would for the spec the rows
-        describe, if a row is a dead end or cannot reach absorption."""
-        support = np.zeros((len(self.rows), len(self.state_order)), dtype=bool)
-        for i, row in enumerate(self.rows):
-            support[i, row.cols] = row.counts.counts > 0
-        v = _flow_violations(self.state_order[: len(self.rows)], support)
-        if v:
-            raise ValidationError(ValidationReport(tuple(v)))
 
 
 @lru_cache(maxsize=128)

@@ -36,9 +36,9 @@ from .errors import (
     NegativeEntryError,
     NoNonDiTargetsError,
     UnknownStakeholderError,
+    ValidationError,
 )
-from .markov import absorbing_reach
-from .network import NetworkSpec
+from .network import NetworkSpec, ValidationReport
 from .simulation import _checked, draw_samples
 
 MONTE_CARLO = "monte-carlo"
@@ -268,17 +268,18 @@ def sweep_ineffective(
         # Only zero discard can cut a route to absorption: any positive
         # discard gives the swept row a direct route to DI and leaves the
         # other rows as they are. So one check of the zero-discard support,
-        # over every stakeholder, covers the whole grid: it fails where
-        # validate fails for that point's spec, and require_valid names why.
-        # A swept row with a direct flow to S or US keeps every route
-        # through it, so only a row without one needs the check.
+        # the raw support without the swept row's DI, covers the whole grid:
+        # it finds what validate finds for that point's spec. A swept row
+        # with a direct flow to S or US keeps every route through it, so
+        # only a row without one needs the check.
         all_samples = None
         n = len(plan.rows)
         if not (plan.raw_qr[s_idx, n + 1 :] > 0.0).any():
-            q, r = np.split(plan.raw_qr > 0.0, [n], axis=1)
-            r[s_idx, 0] = False  # zero discard: no flow to DI
-            if not absorbing_reach(q, r).all():
-                plan.override(s_idx, zero).require_valid()
+            support = plan.raw_qr > 0.0
+            support[s_idx, n] = False  # zero discard: no flow to DI
+            violations = network._flow_violations(ids, support)
+            if violations:
+                raise ValidationError(ValidationReport(tuple(violations)))
         ends, ratio, curve = _closed_form(plan.reachable[0], stakeholder, zero, total, increment)
 
     p_s_max, p_s_min = ends[:, 1].tolist()

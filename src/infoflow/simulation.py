@@ -15,21 +15,19 @@ block that rng derives for 64 consecutive iterations at once, so the
 stream costs little more than constructing its PCG64 generator.
 
 Monte Carlo draws and plug-in evaluate share one staging rule and one
-chunk loop. Plug-in sweeps and rankings solve no chain here: they read
+staged solve, _absorb; evaluate solves its plug-in [Q | R] as a stack of
+one chain. Plug-in sweeps and rankings solve no chain here: they read
 theirs in closed form off one solve of the same stakeholders' raw-frequency
 chain (network._Plan.raw_nb). All of these solves refuse a singular system
 in one place, _solved, and a start triple that misses 1 in one place,
 _checked. Only the stakeholders the start reaches over labelled cells
 (`_Plan.reachable`) are staged and solved: no labelled cell leaves them,
-so the start's row of B = (I - Q)^-1 R depends on their rows alone. Chains
-run back to back in chunks whose stacked (m, m + 3) blocks, m the number
-of those stakeholders, fit in CHUNK_BYTES. Each chunk has one staging
-buffer, filled with [Q | R] (draws normalised group by group with the
-plan's layout, or copies of a deterministic plug-in [Q | R]), which the
-staged solve turns into [I - Q | R] in place and solves as one stacked
-system. Memory is therefore bounded by that buffer plus the output,
-whatever the iteration count, and the triples do not depend on the chunk
-size.
+so the start's row of B = (I - Q)^-1 R depends on their rows alone.
+draw_samples runs its chains back to back in chunks whose stacked (m, m +
+3) blocks, m the number of those stakeholders, fit in CHUNK_BYTES, through
+one staging buffer that the staged solve turns into [I - Q | R] in place.
+Memory is therefore bounded by that buffer plus the output, whatever the
+iteration count, and the triples do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -83,12 +81,18 @@ def summarize(values, bins: int = DEFAULT_BINS) -> SampleStats:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EmptySampleError("cannot summarize an empty sample set")
-    if bins < 1:
-        raise ValueError(f"bins must be >= 1, got {bins}")
-    edges = _sized(lambda: np.linspace(0.0, 1.0, bins + 1), bins + 1)
+    edges = _edges(bins)
     counts, _ = np.histogram(np.clip(values, 0.0, 1.0), bins=edges)
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return SampleStats(edges, counts, float(values.mean()), std)
+
+
+def _edges(bins: int) -> np.ndarray:
+    """The bins + 1 (bins >= 1) histogram edges over [0, 1]; MemoryError
+    where they do not fit."""
+    if bins < 1:
+        raise ValueError(f"bins must be >= 1, got {bins}")
+    return _sized(lambda: np.linspace(0.0, 1.0, bins + 1), bins + 1)
 
 
 def _sized(make, count: float = 0):
@@ -114,35 +118,20 @@ def _chunk_size(plan: _Plan, draws: int) -> int:
     return max(1, min(draws, CHUNK_BYTES // block))
 
 
-def _solve_chunks(staged: _Plan, total: int, fill, name) -> np.ndarray:
-    """(total, 3) start-state triples of `total` chains over the stakeholders
-    of `staged`, which both modes restrict to those the start reaches.
-
-    Chunk by chunk, `fill(qr, first)` writes the [Q | R] rows of chains
-    first, first + 1, ... into the one staging buffer `qr`, (len(qr), m,
-    m + 3) and 0 outside `staged.cells`, and _absorb solves them; `name(i)`
-    prefixes chain i's error. The triples do not depend on the chunk size.
-    """
-    chunk = _chunk_size(staged, total)
-    out = _sized(lambda: np.empty((total, 3)))
-    qr_buf = np.zeros((chunk, len(staged.rows), len(staged.state_order)))
-    for first in range(0, total, chunk):
-        qr = qr_buf[: min(chunk, total - first)]
-        fill(qr, first)
-        out[first : first + len(qr)] = _absorb(staged, qr, lambda j: name(first + j))
-    return out
+def _unnamed(j: int) -> str:
+    return ""
 
 
 def plug_in_start(spec: NetworkSpec, mode: str) -> np.ndarray:
     """The start's (P_DI, P_S, P_US) in plug-in chain `mode`, raw or
     posterior-mean: plug_in_chain(spec, mode) restricted to the stakeholders
-    the start reaches, solved by absorption_probabilities, bit for bit."""
+    the start reaches, solved by absorption_probabilities, bit for bit. The
+    staged solve takes its [Q | R] as a stack of one chain."""
     staged = _compiled(spec).reachable[0]  # validates the spec
-    qr = _plug_in_qr(staged, mode)
-    return _solve_chunks(staged, 1, lambda buf, first: np.copyto(buf, qr), lambda i: "")[0]
+    return _absorb(staged, _plug_in_qr(staged, mode)[np.newaxis])[0]
 
 
-def _absorb(staged: _Plan, qr: np.ndarray, name) -> np.ndarray:
+def _absorb(staged: _Plan, qr: np.ndarray, name=_unnamed) -> np.ndarray:
     """(len(qr), 3) start-state triples of a stack of chains over the
     stakeholders of `staged`, solved in the C-contiguous (chains, n, n + 3)
     buffer `qr`.
@@ -154,7 +143,8 @@ def _absorb(staged: _Plan, qr: np.ndarray, name) -> np.ndarray:
     self-loops) set to 1. That is [I - Q | R] with the bits eye - Q gives,
     solved as one stacked system; the diagonal then goes back to 0, so the
     buffer can be filled again. Only the start row is reported, so only it
-    must sum to 1 within ROW_SUM_TOL. `name(j)` prefixes chain j's error.
+    must sum to 1 within ROW_SUM_TOL. `name(j)` prefixes chain j's error
+    (nothing by default).
     """
     n = len(staged.rows)
     cells, rows, n_q, diagonal = staged.cells
@@ -169,10 +159,6 @@ def _absorb(staged: _Plan, qr: np.ndarray, name) -> np.ndarray:
     kept = _checked(_solved(a, r, name)[:, staged.start, :], name)
     flat[:, diagonal] = 0.0
     return kept
-
-
-def _unnamed(j: int) -> str:
-    return ""
 
 
 def _finite_solve(a: np.ndarray, r: np.ndarray) -> np.ndarray | None:
@@ -237,7 +223,8 @@ def draw_samples(
     cells (`_Plan.reachable`), the only rows normalised and solved; where
     the start reaches every stakeholder, that is sampled_chain's chain from
     the same stream. So a loop the start cannot reach cannot make a draw
-    fail. Chunks may straddle members; the triples do not depend on them.
+    fail. Chunks of _chunk_size draws may straddle members; the triples do
+    not depend on them.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -257,16 +244,21 @@ def draw_samples(
         alphas, keys = increments(), [(*key, i) for i in range(len(matrix))]
     staged, positions = plan.reachable
     draws = ((alpha, k, t) for alpha, k in zip(alphas, keys) for t in range(iterations))
-
-    def fill(qr, first):
+    total = len(keys) * iterations
+    chunk = _chunk_size(staged, total)
+    out = _sized(lambda: np.empty((total, 3)))
+    qr_buf = np.zeros((chunk, len(staged.rows), len(staged.state_order)))
+    for first in range(0, total, chunk):
+        qr = qr_buf[: min(chunk, total - first)]
         gammas = np.empty((len(qr), plan.alpha.size))
         for j, (alpha, k, t) in zip(range(len(qr)), draws):
             gammas[j] = stream(seed, *k, t).standard_gamma(alpha)
         _fill_draws(staged, np.take(gammas, positions, axis=1), qr)
-
-    out = _solve_chunks(
-        staged, len(keys) * iterations, fill, lambda i: f"iteration {i % iterations}: "
-    ).reshape(len(keys), iterations, 3)
+        del gammas  # not held through the solve, which sets the peak memory
+        out[first : first + len(qr)] = _absorb(
+            staged, qr, lambda j: f"iteration {(first + j) % iterations}: "
+        )
+    out = out.reshape(len(keys), iterations, 3)
     return out[0] if swept is None else out
 
 
@@ -278,9 +270,7 @@ def run(
     bins: int = DEFAULT_BINS,
 ) -> SimulationSummary:
     """Monte Carlo estimate of the absorption distribution from the start state."""
-    # The histogram's bins + 1 float64 edges are refused before any draw
-    # where numpy's size limit refuses their 8 * (bins + 1) bytes.
-    _sized(lambda: None, 8 * (bins + 1))
+    _edges(bins)  # histogram edges that do not fit are refused before any draw
     samples = draw_samples(spec, iterations, seed)
     stats = summarize(samples[:, 1], bins=bins)
     mean_di, mean_s, mean_us = samples.mean(axis=0)

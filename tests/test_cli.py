@@ -15,9 +15,10 @@ from helpers import (
 )
 
 import infoflow
-from infoflow import simulation
+from infoflow import sensitivity, simulation
 from infoflow.cli import cli_main
 from infoflow.documents import network_to_document
+from infoflow.errors import SingularSystemError
 from infoflow.markov import absorption_probabilities
 from infoflow.network import plug_in_chain
 from infoflow.rng import stream
@@ -237,6 +238,25 @@ class TestSweepCommand:
         p_s = [float(line.split(",")[2]) for line in lines[1:]]
         assert p_s == sorted(p_s, reverse=True)
 
+    def test_a_refused_plugin_curve_is_one_error_line(self, net_path, capsys, monkeypatch):
+        # A plug-in sweep checks its endpoints, then its curve as the report
+        # is built; the summary line is printed only once both pass.
+        real, calls = sensitivity._checked, []
+
+        def checked(triples):
+            calls.append(len(triples))
+            if len(calls) == 2:
+                raise SingularSystemError("I - Q is singular")
+            return real(triples)
+
+        monkeypatch.setattr(sensitivity, "_checked", checked)
+        assert cli_main(["sweep", "--mode", "plugin", "--stakeholder", "D",
+                         "--iterations", "1", "--seed", "1", str(net_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: I - Q is singular"]
+        assert calls == [2, 31]  # the endpoints, then the curve over n_di 0..30
+
     def test_unknown_stakeholder_is_input_error(self, net_path, capsys):
         assert cli_main(["sweep", str(net_path), "--stakeholder", "Z",
                          "--iterations", "1", "--seed", "0", "--mode", "plugin"]) == 1
@@ -353,12 +373,15 @@ class TestRefusedComputations:
         assert capsys.readouterr().err.startswith("error: out of memory: ")
         assert calls == []
 
-    @pytest.mark.parametrize("bins", [2**60, 2**62, 2**63 - 514],
-                             ids=["2**60", "2**62", "2**63-514"])
+    @pytest.mark.parametrize("bins", [2**50, 2**60 - 66, 2**60, 2**62, 2**63 - 514],
+                             ids=["2**50", "2**60-66", "2**60", "2**62", "2**63-514"])
     def test_histogram_bytes_past_the_size_limit_are_refused_before_any_draw(
         self, net_path, capsys, monkeypatch, bins
     ):
-        # bins + 1 edges fit np.intp, but their 8 * (bins + 1) bytes do not.
+        # bins + 1 edges fit np.intp, but their 8 * (bins + 1) bytes do not
+        # fit numpy's size limit (2**60 and up) or any memory (8 PiB for
+        # 2**50, 8 EiB for 2**60 - 66). The edges are built before the first
+        # draw, so either refusal comes first.
         calls = []
 
         def counted(*path):

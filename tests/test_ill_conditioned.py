@@ -3,12 +3,13 @@
 On a loop whose flow almost never leaves it, I - Q is so ill-conditioned
 that the solve loses digits while every entry of B stays finite. The
 public absorption_probabilities checks every row of B it returns against
-markov.ROW_SUM_TOL and raises SingularSystemError. The program itself,
-Monte Carlo and plug-in alike, solves through the simulation engine's
-staged solve, which reports and so checks only the start stakeholder's
-row, and stages only the stakeholders the start reaches. So a sticky loop
-the start cannot reach never stops it, even where its I - Q is exactly
-singular; one the start reaches is refused.
+markov.ROW_SUM_TOL and raises SingularSystemError. The program itself
+solves only the stakeholders the start reaches and checks only the start
+stakeholder's triples: Monte Carlo and plug-in evaluate through the
+simulation engine's staged solve, plug-in sweeps and rankings through
+closed forms read off one solve of the reached raw-frequency chain. So a
+sticky loop the start cannot reach never stops it, even where its I - Q
+is exactly singular; one the start reaches is refused.
 """
 
 import json

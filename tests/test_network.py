@@ -125,6 +125,14 @@ def test_equal_specs_built_separately_hash_equal_and_share_one_plan(reference_by
     assert other != a and _compiled(other) is not _compiled(a)
 
 
+def test_ids_are_built_once_per_spec(reference_bytes):
+    # A plug-in ranking reads the ids once per sweep; the frozen spec
+    # builds their tuple once.
+    spec = parse_network(reference_bytes)
+    assert spec.ids is spec.ids
+    assert spec.ids == tuple(s.id for s in spec.stakeholders) == tuple("ABCDE")
+
+
 def counts_for(spec, stakeholder):
     """The counts of `stakeholder`'s row in the spec's compiled plan."""
     return _compiled(spec).rows[spec.ids.index(stakeholder)].counts

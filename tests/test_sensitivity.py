@@ -563,18 +563,22 @@ class TestEndpointOnlyRank:
             assert exc.value.report.violations == rebuilt.violations
 
     def test_valid_sweeps_run_no_whole_network_check(self, reference_spec, monkeypatch):
-        # One structural check of the zero-discard support, over every
-        # stakeholder, covers the whole grid; require_valid runs only to
-        # report a failure.
-        real = network._Plan.require_valid
+        # The zero-discard check reads the support of the base plan's raw
+        # [Q | R]; a valid plug-in sweep builds no layout plan for it, even
+        # where its swept row has no flow to S or US and so is checked.
+        layered = infoflow.parse_network(document_bytes(layered_network(60, 4)))
+        skipped = {f.source for f in layered.flows if f.target in ("S", "US")}
+        assert set(layered.ids) - skipped - {layered.start}  # some sweeps are checked
+        real = network._Plan.override
         calls = []
 
-        def counted(plan):
-            calls.append(plan)
-            return real(plan)
+        def counted(plan, index, counts):
+            calls.append(index)
+            return real(plan, index, counts)
 
-        monkeypatch.setattr(network._Plan, "require_valid", counted)
-        rank_details(reference_spec, 1, 0, "plugin")
+        monkeypatch.setattr(network._Plan, "override", counted)
+        for spec in (reference_spec, layered):
+            rank_details(spec, 1, 0, "plugin")
         assert calls == []
 
 
