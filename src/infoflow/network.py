@@ -120,10 +120,11 @@ def validate(spec: NetworkSpec) -> ValidationReport:
         return ValidationReport(tuple(v))
 
     # Structural checks need a well-formed flow list, hence the early return.
+    # They read raw_qr's support, where a positive frequency's share can be 0.
     position = {label: i for i, label in enumerate(ids + ABSORBING_ORDER)}
     support = np.zeros((len(ids), len(position)), dtype=bool)
-    for f in spec.flows:
-        support[position[f.source], position[f.target]] = f.frequency > 0
+    for f in spec.flows:  # `or 1`: in a row of zeros every share is 0
+        support[position[f.source], position[f.target]] = f.frequency / (outflow[f.source] or 1) > 0
     return ValidationReport(tuple(_flow_violations(ids, support)))
 
 
@@ -176,24 +177,14 @@ def _compile_row(cv: CountVector, position: dict[str, int]) -> _CompiledRow:
 
 
 @dataclass(frozen=True, eq=False)
-class _RowGroup:
-    """The rows of a plan that have k interacting states: where each row's
-    draws sit in the plan's concatenated alpha, and where its normalised
-    probabilities go in one stacked [Q | R] block."""
-
-    gather: np.ndarray  # (rows_k, k) positions in _Plan.alpha
-    scatter: np.ndarray  # (rows_k, k) flat positions in an (n, n + 3) block
-
-
-@dataclass(frozen=True, eq=False)
 class _Plan:
     """Assembly plan of a valid spec: state labels, one row per stakeholder
     in declaration order, and the start stakeholder's index.
 
-    The draw layout (`alpha`, `groups`, `cells`, `reachable`) is built on
-    first use, so plans that are only solved in plug-in mode never pay for
-    it; so are the raw-frequency [Q | R] (`raw_qr`) and its solution
-    (`raw_nb`), so plans that are only drawn from never pay for those.
+    `alpha` and the draw layout (`groups`, `cells`, `reachable`, all read
+    off one index, `placement`) are built on first use, so plans only
+    solved in plug-in mode never pay for them; so are the raw-frequency
+    [Q | R] (`raw_qr`) and its solution (`raw_nb`), unused by drawn plans.
     """
 
     state_order: tuple[str, ...]
@@ -239,34 +230,34 @@ class _Plan:
         return alpha
 
     @cached_property
-    def groups(self) -> tuple[_RowGroup, ...]:
-        """Rows grouped by their number of interacting states, so each group
-        normalises as one (draws, rows_k, k) array."""
+    def placement(self) -> np.ndarray:
+        """For each entry of `alpha`, in order, its flat position
+        i * (n + 3) + column in one (n, n + 3) [Q | R] block."""
         width = len(self.state_order)
-        members: dict[int, list[int]] = {}
-        for i, row in enumerate(self.rows):
-            members.setdefault(len(row.cols), []).append(i)
-        offsets = np.cumsum([0] + [len(row.cols) for row in self.rows])
-        return tuple(
-            _RowGroup(
-                gather=offsets[rows, np.newaxis] + np.arange(k),
-                scatter=np.stack([self.rows[i].cols + i * width for i in rows]),
-            )
-            for k, rows in sorted(members.items())
-        )
+        placement = np.concatenate([row.cols + i * width for i, row in enumerate(self.rows)])
+        placement.flags.writeable = False
+        return placement
+
+    @cached_property
+    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(gather, scatter) per number k of interacting states: the (rows_k,
+        k) positions in `alpha` of the rows with k states, and `placement` at
+        them, so each group normalises as one (draws, rows_k, k) array."""
+        sizes = np.array([len(row.cols) for row in self.rows])
+        offsets = np.cumsum(sizes) - sizes
+        gathers = [offsets[sizes == k, np.newaxis] + np.arange(k) for k in sorted(set(sizes))]
+        return tuple((gather, self.placement[gather]) for gather in gathers)
 
     @cached_property
     def cells(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-        """(flat, rows, n_q, diagonal): the flat positions in one (n, n + 3)
-        block of every cell a draw writes, the n_q cells of Q first; the row
-        of each; and the flat positions of Q's diagonal, which no draw
-        writes because validate forbids self-loops. With them the staged
-        solve turns a filled [Q | R] into [I - Q | R] in place."""
+        """(flat, rows, n_q, diagonal): every cell a draw writes, which is
+        `placement` with its n_q cells of Q moved first; the row of each;
+        and the flat positions of Q's diagonal, which no draw writes because
+        validate forbids self-loops. With them the staged solve turns a
+        filled [Q | R] into [I - Q | R] in place."""
         n, width = len(self.rows), len(self.state_order)
-        cols = [row.cols for row in self.rows]  # one numpy call, not one per row
-        flat = np.concatenate(cols) + np.repeat(np.arange(n) * width, [len(c) for c in cols])
-        in_q = flat % width < n
-        flat = np.concatenate([flat[in_q], flat[~in_q]])
+        in_q = self.placement % width < n
+        flat = np.concatenate([self.placement[in_q], self.placement[~in_q]])
         return flat, flat // width, int(in_q.sum()), np.arange(n) * (width + 1)
 
     @cached_property
@@ -274,7 +265,7 @@ class _Plan:
         """(plan, positions): this plan restricted to the stakeholders the
         start reaches over labelled cells, their transient columns
         renumbered in declaration order, and the positions of their alphas
-        in `alpha`.
+        in `alpha`, both read off `placement`.
 
         A flat-prior draw puts mass on every labelled cell, even one whose
         count is 0, so these are the stakeholders a drawn chain can reach
@@ -282,9 +273,9 @@ class _Plan:
         absorption probabilities depend on their rows alone.
         """
         n = len(self.rows)
+        source, target = np.divmod(self.placement, len(self.state_order))
         fed = np.zeros((n, n), dtype=bool)  # fed[j, i]: row i has a labelled cell to j
-        for i, row in enumerate(self.rows):
-            fed[row.cols[row.cols < n], i] = True
+        fed[target[target < n], source[target < n]] = True
         start = np.zeros((n, 1), dtype=bool)
         start[self.start] = True
         # States that reach the start over reversed cells are those it reaches.
@@ -298,7 +289,7 @@ class _Plan:
             for i in keep
         )
         state_order = tuple(self.state_order[i] for i in keep) + self.state_order[n:]
-        positions = np.flatnonzero(np.repeat(reach, [len(row.cols) for row in self.rows]))
+        positions = np.flatnonzero(reach[source])
         return _Plan(state_order, rows, int(column[self.start])), positions
 
     def override(self, index: int, counts: CountVector) -> _Plan:
@@ -338,8 +329,8 @@ def _plug_in_qr(plan: _Plan, mode: str) -> np.ndarray:
     if mode == POSTERIOR_MEAN:  # each row's posterior mean, normalised as a draw is
         _fill_draws(plan, plan.alpha[np.newaxis], qr[np.newaxis])
     else:
-        for i, row in enumerate(plan.rows):
-            qr[i, row.cols] = row.counts.counts / row.counts.total
+        rows = [row.counts.counts / row.counts.total for row in plan.rows]
+        qr.flat[plan.placement] = np.concatenate(rows)  # each row divided as one vector
     return qr
 
 
@@ -349,18 +340,20 @@ def _fill_draws(plan: _Plan, gammas: np.ndarray, qr: np.ndarray) -> None:
     `gammas` is (draws, E): row d holds one standard_gamma call over
     `plan.alpha`; given `plan.alpha` itself, it writes the posterior-mean
     plug-in rows. `qr` is the (draws, n, n + 3) stacked [Q | R] buffer, zero
-    outside the plan's interacting states. Only the cells in `plan.cells` are
-    written, so the engine keeps one staging buffer for every chunk, which
-    its staged solve turns into [I - Q | R] in place between fills. Each row
-    is normalised twice, as theta = g / g.sum() and then theta / theta.sum().
-    The gather is C-contiguous so that every row sums along a contiguous last
-    axis, which rounds exactly as the sum of that row alone would.
+    outside the plan's interacting states. Each of `plan.groups` gathers its
+    rows' draws and writes them through `plan.placement` at the gather, so
+    only the cells in `plan.cells` are written: the engine keeps one staging
+    buffer for every chunk, which its staged solve turns into [I - Q | R] in
+    place between fills. Each row is normalised twice, as theta = g / g.sum()
+    and then theta / theta.sum(). The gather is C-contiguous so that every
+    row sums along a contiguous last axis, which rounds exactly as the sum of
+    that row alone would.
     """
     flat = qr.reshape(len(gammas), -1)
-    for group in plan.groups:
-        x = np.take(gammas, group.gather, axis=1)  # C-contiguous (draws, rows_k, k)
+    for gather, scatter in plan.groups:
+        x = np.take(gammas, gather, axis=1)  # C-contiguous (draws, rows_k, k)
         theta = x / x.sum(axis=-1, keepdims=True)
-        flat[:, group.scatter] = theta / theta.sum(axis=-1, keepdims=True)
+        flat[:, scatter] = theta / theta.sum(axis=-1, keepdims=True)
 
 
 def plug_in_chain(spec: NetworkSpec, mode: str = RAW_FREQUENCY) -> TransitionMatrix:

@@ -31,6 +31,15 @@ def net_path(tmp_path_factory):
     return path
 
 
+UNDERFLOW_NETWORK = {
+    "stakeholders": [{"id": s, "level": "local"} for s in "ABCE"],
+    "start": "A",
+    "flows": [{"from": a, "to": b, "frequency": f} for a, b, f in [
+        ("A", "B", 1), ("A", "S", 1), ("B", "C", 5e-324), ("B", "E", 2), ("C", "S", 1),
+        ("E", "B", 1)]],
+}
+
+
 @pytest.fixture()
 def bad_net(tmp_path):
     path = tmp_path / "bad.json"
@@ -92,6 +101,21 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         assert captured.err == "violation: non-finite frequency inf on flow A->S\n"
         assert json.loads(captured.out)["result"]["ok"] is False
+
+    def test_a_flow_whose_share_underflows_to_zero_is_no_flow(self, tmp_path, capsys):
+        # B -> C is positive, but 5e-324 / 2 rounds to 0, so the raw-frequency
+        # chain has no B -> C cell and B and E only pass flow to each other.
+        path = tmp_path / "underflow.json"
+        path.write_bytes(document_bytes(UNDERFLOW_NETWORK))
+        unreached = [f"no absorbing state reachable from stakeholder '{s}'" for s in "BE"]
+        assert cli_main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"violation: {v}" for v in unreached]
+        assert json.loads(captured.out)["result"] == {"ok": False, "violations": unreached}
+        assert cli_main(["evaluate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {v}" for v in unreached]
 
     @pytest.mark.parametrize("argv", [
         ["validate"],

@@ -6,9 +6,10 @@ from helpers import (
     enumerate_paths_absorption,
     flow_counts,
     layered_network,
+    wide_row_network,
 )
 
-from infoflow import parse_network
+from infoflow import parse_network, reference_network_path
 from infoflow.dirichlet import noninformative_posterior
 from infoflow.errors import ValidationError
 from infoflow.markov import ABSORBING_ORDER, absorption_probabilities, build_canonical
@@ -17,12 +18,14 @@ from infoflow.network import (
     NetworkSpec,
     Stakeholder,
     _compiled,
+    _fill_draws,
     _plug_in_qr,
     plug_in_chain,
     sampled_chain,
     validate,
 )
 from infoflow.rng import stream
+from infoflow.sensitivity import reallocate
 
 
 def spec_of(flows, ids=None, start=None, levels=None):
@@ -131,6 +134,43 @@ def test_ids_are_built_once_per_spec(reference_bytes):
     spec = parse_network(reference_bytes)
     assert spec.ids is spec.ids
     assert spec.ids == tuple(s.id for s in spec.stakeholders) == tuple("ABCDE")
+
+
+def staging_plans():
+    """Every layout the engine stages, named: the whole plan and the part
+    the start reaches, of the reference, wide-row and layered networks and
+    of every Monte Carlo sweep layout of the reference."""
+    specs = {"reference": reference_network_path().read_bytes(),
+             "wide-row": document_bytes(wide_row_network()),
+             "layered": document_bytes(layered_network(60, 4))}
+    plans = {name: _compiled(parse_network(data)) for name, data in specs.items()}
+    reference = plans["reference"]
+    for s, row in enumerate(reference.rows):
+        if s != reference.start:
+            plans[f"reference-sweep-{s}"] = reference.override(s, reallocate(row.counts, 0.0))
+    for name, plan in list(plans.items()):
+        plans[f"{name}-reached"] = plan.reachable[0]
+    return [pytest.param(plan, id=name) for name, plan in plans.items()]
+
+
+@pytest.mark.parametrize("plan", staging_plans())
+def test_draws_write_exactly_the_cells_the_staged_solve_reads(plan):
+    # _absorb divides and negates only `cells`, in a buffer it never clears
+    # between chunks: every cell a draw or a plug-in row writes must be one
+    # of them, each written once, and none on Q's diagonal.
+    cells, _, _, diagonal = plan.cells
+    scatter = np.concatenate([positions.ravel() for _, positions in plan.groups])
+    assert np.array_equal(np.sort(scatter), np.sort(cells))
+    assert len(np.unique(scatter)) == len(scatter)
+    assert not np.isin(scatter, diagonal).any()
+    n, width = len(plan.rows), len(plan.state_order)
+    outside = np.ones(n * width, dtype=bool)
+    outside[cells] = False
+    for mode in ("raw", "posterior-mean"):
+        assert not _plug_in_qr(plan, mode).ravel()[outside].any()
+    qr = np.full((2, n, width), np.nan)
+    _fill_draws(plan, stream(5).standard_gamma(plan.alpha, size=(2, len(plan.alpha))), qr)
+    assert np.array_equal(np.flatnonzero(~np.isnan(qr[0])), np.sort(cells))
 
 
 def counts_for(spec, stakeholder):

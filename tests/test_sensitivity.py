@@ -630,6 +630,32 @@ def test_reallocated_rows_keep_a_valid_network_valid(spec):
                 assert got == report.violations
 
 
+@st.composite
+def underflowing_networks(draw):
+    """Networks whose rows mix 5e-324 with counts of at least 2, so that a
+    positive frequency's share of its row can underflow to 0. Stakeholder i
+    has a flow to DI or to an earlier stakeholder, which may be one of
+    those; any network may be invalid."""
+    ids = [f"s{i}" for i in range(draw(st.integers(2, 6)))]
+    frequencies = st.sampled_from([5e-324, 5e-324, 0.0, 2.0, 3.0])
+    flows = []
+    for i, sid in enumerate(ids):
+        states = [t for t in ids if t != sid] + list(ABSORBING_ORDER)
+        targets = draw(st.lists(st.sampled_from(states), max_size=3, unique=True))
+        row = {t: draw(frequencies) for t in targets}
+        row[draw(st.sampled_from(["DI"] + ids[:i]))] = draw(st.sampled_from([5e-324, 2.0]))
+        flows += [FlowRecord(sid, t, f) for t, f in row.items()]
+    return NetworkSpec(tuple(Stakeholder(s, "local") for s in ids), tuple(flows), ids[0])
+
+
+@given(st.one_of(valid_networks(), underflowing_networks()))
+def test_a_valid_network_reaches_absorption_in_its_raw_chain(spec):
+    # validate checks the raw-frequency chain's support, so every network it
+    # accepts can be solved, even where a positive share underflows to 0.
+    assume(validate(spec).ok)
+    assert network._flow_violations(spec.ids, _compiled(spec).raw_qr > 0.0) == []
+
+
 def exact_sweep_ends(spec, stakeholder):
     """Exact (P0, P1, impact ratio) of a plug-in sweep of `stakeholder`,
     whose row is every non-DI frequency over their sum at zero discard and
