@@ -79,7 +79,10 @@ class ValidationReport:
 def validate(spec: NetworkSpec) -> ValidationReport:
     """Collect every violation of the network's rules (parse_network checks
     only the document's shape); an empty report means every downstream
-    operation (counts, plug-in/sampled chains, simulation, sweeps) is safe."""
+    operation (counts, plug-in/sampled chains, simulation, sweeps) is safe.
+    The structural rules (overflowing totals, dead ends, absorbing reach)
+    read the rows the plan compiles, _rows: each row's total as the raw
+    chain divides by it, and which shares are positive (none if it is 0)."""
     v: list[str] = []
     ids = spec.ids
     id_set = set(ids)
@@ -95,7 +98,6 @@ def validate(spec: NetworkSpec) -> ValidationReport:
         v.append(f"start stakeholder '{spec.start}' not declared")
 
     seen_pairs = set()
-    outflow: dict[str, float] = {}  # a source's total over its finite non-negative flows
     for f in spec.flows:
         if f.source not in id_set:
             v.append(f"flow from unknown stakeholder '{f.source}'")
@@ -107,25 +109,43 @@ def validate(spec: NetworkSpec) -> ValidationReport:
             v.append(f"non-finite frequency {f.frequency} on flow {f.source}->{f.target}")
         elif f.frequency < 0:
             v.append(f"negative frequency {f.frequency} on flow {f.source}->{f.target}")
-        else:
-            outflow[f.source] = outflow.get(f.source, 0.0) + f.frequency
         pair = (f.source, f.target)
         if pair in seen_pairs:
             v.append(f"duplicate flow {f.source}->{f.target}")
         seen_pairs.add(pair)
-    v += [f"non-finite total outflow {t} of stakeholder '{sid}'"
-          for sid, t in outflow.items() if math.isinf(t)]
-
+    if not v:  # the structural rules read a well-formed flow list's rows
+        source, column, counts, totals = _rows(spec)
+        v = [f"non-finite total outflow {t} of stakeholder '{sid}'"
+             for sid, t in zip(ids, totals.tolist()) if math.isinf(t)]
     if v:
         return ValidationReport(tuple(v))
-
-    # Structural checks need a well-formed flow list, hence the early return.
-    # They read raw_qr's support, where a positive frequency's share can be 0.
-    position = {label: i for i, label in enumerate(ids + ABSORBING_ORDER)}
-    support = np.zeros((len(ids), len(position)), dtype=bool)
-    for f in spec.flows:  # `or 1`: in a row of zeros every share is 0
-        support[position[f.source], position[f.target]] = f.frequency / (outflow[f.source] or 1) > 0
+    support = np.zeros((len(ids), len(ids) + len(ABSORBING_ORDER)), dtype=bool)
+    support[source, column] = counts / np.where(totals > 0.0, totals, 1.0)[source] > 0.0
     return ValidationReport(tuple(_flow_violations(ids, support)))
+
+
+@lru_cache(maxsize=128)
+def _rows(spec: NetworkSpec) -> tuple[np.ndarray, ...]:
+    """Read-only (source, column, counts, totals) of a well-formed spec,
+    cached: its flows sorted by (source, target) position in ids + DI/S/US,
+    one row per stakeholder, and each row's total (0 without flows), summed
+    exactly as its CountVector.total is. validate and _compiled read them."""
+    at = {label: i for i, label in enumerate(spec.ids + ABSORBING_ORDER)}
+    width = len(at)
+    flat = np.fromiter((at[f.source] * width + at[f.target] for f in spec.flows), np.intp)
+    order = np.argsort(flat)
+    counts = np.array([f.frequency for f in spec.flows], dtype=float)[order]
+    source, column = np.divmod(flat[order], width)
+    rows = np.arange(len(spec.ids))
+    # reduceat sums a segment from its first entry, a row's own sum from 0:
+    # so each row, led by one 0, sums exactly as it does alone.
+    padded = np.zeros(len(counts) + len(rows))
+    padded[np.arange(len(counts)) + source + 1] = counts
+    with np.errstate(over="ignore"):  # an overflowing total is validate's to report
+        totals = np.add.reduceat(padded, np.searchsorted(source, rows) + rows)
+    for array in (source, column, counts, totals):
+        array.flags.writeable = False
+    return source, column, counts, totals
 
 
 def _flow_violations(ids, support: np.ndarray) -> list[str]:
@@ -146,18 +166,12 @@ def _flow_violations(ids, support: np.ndarray) -> list[str]:
     ]
 
 
+@lru_cache(maxsize=128)
 def require_valid(spec: NetworkSpec) -> None:
+    """Raise validate's report unless `spec` is valid; cached: a valid spec is validated once."""
     report = validate(spec)
     if not report.ok:
         raise ValidationError(report)
-
-
-def _ordered(targets: dict[str, float], position: dict[str, int]) -> CountVector:
-    """One stakeholder's outgoing frequencies, labelled by interacting state:
-    transient targets in declaration order, then DI, S, US. Only states with
-    a flow record appear, so K is the number of actually interacting states."""
-    order = sorted(targets, key=position.__getitem__)
-    return CountVector(tuple(order), [targets[t] for t in order])
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,10 +184,8 @@ class _CompiledRow:
     cols: np.ndarray
 
 
-def _compile_row(cv: CountVector, position: dict[str, int]) -> _CompiledRow:
-    alpha = noninformative_posterior(cv).alpha
-    cols = np.array([position[label] for label in cv.labels], dtype=np.intp)
-    return _CompiledRow(cv, alpha, cols)
+def _compile_row(cv: CountVector, cols: np.ndarray) -> _CompiledRow:
+    return _CompiledRow(cv, noninformative_posterior(cv).alpha, cols)
 
 
 @dataclass(frozen=True, eq=False)
@@ -297,23 +309,24 @@ class _Plan:
         must be states of this plan: a sweep's layout plan."""
         position = {label: i for i, label in enumerate(self.state_order)}
         rows = list(self.rows)
-        rows[index] = _compile_row(counts, position)
+        rows[index] = _compile_row(counts, np.array([position[c] for c in counts.labels], np.intp))
         return _Plan(self.state_order, tuple(rows), self.start)
 
 
 @lru_cache(maxsize=128)
 def _compiled(spec: NetworkSpec) -> _Plan:
-    """Per-spec assembly plan: validation + per-stakeholder rows, cached."""
+    """Per-spec assembly plan, cached: validation, then one CountVector per
+    row of _rows, the rows whose totals and shares validate read."""
     require_valid(spec)
     state_order = spec.ids + ABSORBING_ORDER
-    position = {label: i for i, label in enumerate(state_order)}
-    outflows = {sid: {} for sid in spec.ids}  # target -> frequency, one pass over the flows
-    for f in spec.flows:
-        outflows[f.source][f.target] = f.frequency
+    source, column, counts, _ = _rows(spec)
+    labels = [state_order[c] for c in column.tolist()]
+    ends = np.cumsum(np.bincount(source)).tolist()  # every row of a valid spec has a flow
     rows = tuple(
-        _compile_row(_ordered(targets, position), position) for targets in outflows.values()
+        _compile_row(CountVector(labels[a:b], counts[a:b]), column[a:b])
+        for a, b in zip([0, *ends], ends)
     )
-    return _Plan(state_order, rows, position[spec.start])
+    return _Plan(state_order, rows, spec.ids.index(spec.start))
 
 
 def _chain(plan: _Plan, qr: np.ndarray) -> TransitionMatrix:

@@ -81,7 +81,11 @@ def summarize(values, bins: int = DEFAULT_BINS) -> SampleStats:
     values = np.asarray(values, dtype=float)
     if values.size == 0:
         raise EmptySampleError("cannot summarize an empty sample set")
-    edges = _edges(bins)
+    return _summarized(values, _edges(bins))
+
+
+def _summarized(values: np.ndarray, edges: np.ndarray) -> SampleStats:
+    """summarize of a non-empty float `values` over edges _edges built."""
     counts, _ = np.histogram(np.clip(values, 0.0, 1.0), bins=edges)
     std = float(np.std(values, ddof=1)) if values.size > 1 else 0.0
     return SampleStats(edges, counts, float(values.mean()), std)
@@ -270,9 +274,9 @@ def run(
     bins: int = DEFAULT_BINS,
 ) -> SimulationSummary:
     """Monte Carlo estimate of the absorption distribution from the start state."""
-    _edges(bins)  # histogram edges that do not fit are refused before any draw
+    edges = _edges(bins)  # built once, so edges that do not fit are refused before any draw
     samples = draw_samples(spec, iterations, seed)
-    stats = summarize(samples[:, 1], bins=bins)
+    stats = _summarized(samples[:, 1], edges)
     mean_di, mean_s, mean_us = samples.mean(axis=0)
     samples.flags.writeable = False
     return SimulationSummary(

@@ -296,3 +296,18 @@ def cyclic_spec():
         ),
         "A",
     )
+
+
+def sum_order_spec():
+    # B's frequencies sum to 1.9999999999999998 in flow order but to 2.0 in
+    # state order, which B's raw-frequency row divides by. 5e-324 / 2.0 rounds
+    # to 0 there, so B -> S is no flow and B, E1..E4 only pass flow to each other.
+    ids = ["A", "B", "E1", "E2", "E3", "E4"]
+    flows = [
+        ("A", "B", 1.0), ("A", "S", 1.0), ("B", "S", 5e-324), ("B", "E2", 0.2499999999999999),
+        ("B", "E4", 0.7499999999999999), ("B", "E3", 0.25000000000000006), ("B", "E1", 0.75),
+        ("E1", "B", 1.0), ("E2", "B", 1.0), ("E3", "B", 1.0), ("E4", "B", 1.0),
+    ]
+    return NetworkSpec(
+        tuple(Stakeholder(s, "local") for s in ids), tuple(FlowRecord(*f) for f in flows), "A"
+    )

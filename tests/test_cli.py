@@ -11,11 +11,12 @@ from helpers import (
     document_bytes,
     layered_network,
     reachable_plug_in_absorption,
+    sum_order_spec,
     wide_row_network,
 )
 
 import infoflow
-from infoflow import sensitivity, simulation
+from infoflow import network, sensitivity, simulation
 from infoflow.cli import cli_main
 from infoflow.documents import network_to_document
 from infoflow.errors import SingularSystemError
@@ -136,6 +137,27 @@ class TestValidateCommand:
         captured = capsys.readouterr()
         prefix = "violation" if argv == ["validate"] else "error"
         assert captured.err == f"{prefix}: non-finite total outflow inf of stakeholder 'A'\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["validate"],
+        ["evaluate"],
+        ["simulate", "--iterations", "3", "--seed", "1"],
+        ["sweep", "--stakeholder", "B", "--iterations", "1", "--seed", "1"],
+        ["rank", "--mode", "plugin", "--iterations", "1", "--seed", "1"],
+    ], ids=["validate", "evaluate", "simulate", "sweep", "rank-plugin"])
+    def test_a_row_total_is_summed_as_its_chain_divides_by_it(self, tmp_path, capsys, argv):
+        path = tmp_path / "sum-order.json"
+        path.write_bytes(document_bytes(network_to_document(sum_order_spec())))
+        unreached = [f"no absorbing state reachable from stakeholder '{s}'"
+                     for s in ["B", "E1", "E2", "E3", "E4"]]
+        assert cli_main([*argv, str(path)]) == 1
+        captured = capsys.readouterr()
+        if argv == ["validate"]:
+            assert captured.err.splitlines() == [f"violation: {v}" for v in unreached]
+            assert json.loads(captured.out)["result"] == {"ok": False, "violations": unreached}
+        else:
+            assert captured.out == ""
+            assert captured.err.splitlines() == [f"error: {v}" for v in unreached]
 
 
 class TestUsageErrors:
@@ -527,6 +549,23 @@ def test_every_command_reports_through_one_tail(
         else:
             assert report["seed"] == int(rest[rest.index("--seed") + 1])
             assert report["iterations"] == int(rest[rest.index("--iterations") + 1])
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate"],
+    ["evaluate"],
+    ["simulate", "--iterations", "3", "--seed", "1"],
+    ["sweep", "--stakeholder", "D", "--iterations", "1", "--seed", "1"],
+    ["rank", "--iterations", "1", "--seed", "1"],
+], ids=["validate", "evaluate", "simulate", "sweep", "rank"])
+def test_every_command_validates_its_network_once(net_path, monkeypatch, capsys, argv):
+    # Parsing the document validates the spec; compiling it must not again.
+    network.require_valid.cache_clear()  # an earlier test may have validated this spec
+    validate, calls = network.validate, []
+    monkeypatch.setattr(network, "validate", lambda spec: calls.append(spec) or validate(spec))
+    assert cli_main([*argv, str(net_path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_module_entry_point(net_path):

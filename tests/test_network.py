@@ -6,11 +6,14 @@ from helpers import (
     enumerate_paths_absorption,
     flow_counts,
     layered_network,
+    sum_order_spec,
     wide_row_network,
 )
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from infoflow import parse_network, reference_network_path
-from infoflow.dirichlet import noninformative_posterior
+from infoflow import network, parse_network, reference_network_path
+from infoflow.dirichlet import CountVector, noninformative_posterior
 from infoflow.errors import ValidationError
 from infoflow.markov import ABSORBING_ORDER, absorption_probabilities, build_canonical
 from infoflow.network import (
@@ -115,6 +118,49 @@ def test_validate_matches_a_graph_walk_on_random_networks():
         expected = [f"dead-end transient state '{s}' (no positive outflow)" for s in ids if not out[s]]
         expected += [f"no absorbing state reachable from stakeholder '{s}'" for s in ids if not absorbs(s)]
         assert validate(spec_of(flows, ids=ids)).violations == tuple(expected)
+
+
+_EDGE_FREQUENCIES = [
+    5e-324, 0.0, 1.0, 2.0, 0.75, 0.7499999999999999, 0.25, 0.2499999999999999,
+    0.25000000000000006, 1e308, 8.98846567431158e307, 5.992310449541053e307,
+]
+
+
+@st.composite
+def edge_frequency_networks(draw):
+    """Networks whose rows of 1 to 12 flows, listed in any order, mix 5e-324,
+    near ties and frequencies near float64's top, so that a row's total
+    depends on the order it is summed in. Every row has an absorbing target;
+    any network may be invalid."""
+    ids = [f"s{i}" for i in range(draw(st.integers(2, 12)))]
+    frequency = st.one_of(st.sampled_from(_EDGE_FREQUENCIES), st.floats(0.0, 1e308))
+    flows = []
+    for sid in ids:
+        states = [t for t in ids if t != sid] + list(ABSORBING_ORDER)
+        targets = draw(st.lists(st.sampled_from(states), min_size=1, max_size=12, unique=True))
+        if not set(targets) & set(ABSORBING_ORDER):
+            targets.append(draw(st.sampled_from(ABSORBING_ORDER)))
+        flows += [FlowRecord(sid, t, draw(frequency)) for t in targets]
+    return NetworkSpec(tuple(Stakeholder(s, "local") for s in ids), tuple(flows), ids[0])
+
+
+@given(edge_frequency_networks())
+@example(sum_order_spec())
+def test_validate_reads_the_rows_the_raw_chain_divides(spec):
+    # Each row's total is its CountVector's, summed in state order, bit for
+    # bit; so every network validate accepts has a raw chain that builds.
+    state_order = spec.ids + ABSORBING_ORDER
+    totals = network._rows(spec)[3]
+    for i, sid in enumerate(spec.ids):
+        row = sorted(
+            (state_order.index(f.target), f.frequency) for f in spec.flows if f.source == sid
+        )
+        with np.errstate(over="ignore"):  # an overflowing total is a violation
+            total = CountVector([state_order[j] for j, _ in row], [f for _, f in row]).total
+        assert totals[i].hex() == total.hex()
+    if validate(spec).ok:
+        plug_in_chain(spec, "raw")
+        assert [row.counts.total for row in _compiled(spec).rows] == totals.tolist()
 
 
 def test_equal_specs_built_separately_hash_equal_and_share_one_plan(reference_bytes):

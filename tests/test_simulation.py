@@ -228,6 +228,15 @@ class TestRun:
         assert len(summary.histogram_counts) == 10
         assert len(summary.histogram_edges) == 11
 
+    def test_histogram_edges_are_built_once(self, reference_spec, monkeypatch):
+        # Built before any draw, so edges that do not fit are refused first,
+        # and the same edges bin the samples.
+        edges, built = simulation._edges, []
+        monkeypatch.setattr(simulation, "_edges", lambda bins: built.append(bins) or edges(bins))
+        summary = run(reference_spec, 3, 1, bins=7)
+        assert built == [7]
+        np.testing.assert_array_equal(summary.histogram_edges, np.linspace(0.0, 1.0, 8))
+
 
 def public_path(spec, streams):
     """Start-state triples of sampled_chain + absorption_probabilities, one
