@@ -17,7 +17,7 @@ if an object repeats a key (JSON would silently keep the last).
 Every rule of the network's meaning (reserved ids, levels, duplicates,
 declared start and endpoints, frequencies, absorption) is network.validate's,
 raised as ValidationError with the full report; its structural rules read
-the rows the plan compiles, once per spec. Reports are JSON
+the row arrays the compiled plan holds, built once per spec. Reports are JSON
 objects carrying the command name, a SHA-256 digest of the input bytes, the
 seed/iterations used, and the result payload; the CSV variant writes only
 the result's table, one header and its rows per command, both read from

@@ -4,8 +4,8 @@ A NetworkSpec is the single input document: stakeholders at federal/state/
 local levels, directed flow records with observed frequencies, and the start
 stakeholder that originates assistance information. Flows may target other
 stakeholders or the three absorbing end states DI (discarded), S (satisfied),
-US (unsatisfied). This module validates specs and converts them into count
-vectors and transition matrices.
+US (unsatisfied). This module validates specs and compiles them into flat
+arrays of their rows' counts, and those into transition matrices.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dirichlet import CountVector, noninformative_posterior
+from .dirichlet import CountVector
 from .errors import ValidationError
 from .markov import ABSORBING_ORDER, TransitionMatrix, absorbing_reach, build_canonical
 
@@ -81,8 +81,8 @@ def validate(spec: NetworkSpec) -> ValidationReport:
     only the document's shape); an empty report means every downstream
     operation (counts, plug-in/sampled chains, simulation, sweeps) is safe.
     The structural rules (overflowing totals, dead ends, absorbing reach)
-    read the rows the plan compiles, _rows: each row's total as the raw
-    chain divides by it, and which shares are positive (none if it is 0)."""
+    read _rows, the arrays the compiled plan holds: each row's total as the
+    raw chain divides by it, and which shares are positive (none if it is 0)."""
     v: list[str] = []
     ids = spec.ids
     id_set = set(ids)
@@ -129,7 +129,8 @@ def _rows(spec: NetworkSpec) -> tuple[np.ndarray, ...]:
     """Read-only (source, column, counts, totals) of a well-formed spec,
     cached: its flows sorted by (source, target) position in ids + DI/S/US,
     one row per stakeholder, and each row's total (0 without flows), summed
-    exactly as its CountVector.total is. validate and _compiled read them."""
+    exactly as its CountVector.total is. validate reads them, and the plan
+    _compiled builds holds them."""
     at = {label: i for i, label in enumerate(spec.ids + ABSORBING_ORDER)}
     width = len(at)
     flat = np.fromiter((at[f.source] * width + at[f.target] for f in spec.flows), np.intp)
@@ -175,33 +176,34 @@ def require_valid(spec: NetworkSpec) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class _CompiledRow:
-    """Assembly plan for one stakeholder row: posterior parameters plus the
-    column of each interacting state in the stacked [Q | R] row."""
-
-    counts: CountVector
-    alpha: np.ndarray  # flat-prior posterior, 1 + counts
-    cols: np.ndarray
-
-
-def _compile_row(cv: CountVector, cols: np.ndarray) -> _CompiledRow:
-    return _CompiledRow(cv, noninformative_posterior(cv).alpha, cols)
-
-
-@dataclass(frozen=True, eq=False)
 class _Plan:
-    """Assembly plan of a valid spec: state labels, one row per stakeholder
-    in declaration order, and the start stakeholder's index.
+    """Assembly plan of a valid spec: its state labels; its entries, row
+    after row, as _rows gives them (each entry's row `source`, state
+    `column` and `counts`) with each row's `totals`; and the start's index.
+    Row i's entries are `span(i)`, and `row(i)` is their CountVector.
 
-    `alpha` and the draw layout (`groups`, `cells`, `reachable`, all read
-    off one index, `placement`) are built on first use, so plans only
-    solved in plug-in mode never pay for them; so are the raw-frequency
-    [Q | R] (`raw_qr`) and its solution (`raw_nb`), unused by drawn plans.
+    `alpha` and the draw layout (`groups`, `cells`, `reachable` and the one
+    index every drawn entry is written through, `placement`) are built on
+    first use, so plans only solved in plug-in mode never pay for them; so
+    are the raw-frequency [Q | R] (`raw_qr`) and its solution (`raw_nb`),
+    unused by drawn plans.
     """
 
     state_order: tuple[str, ...]
-    rows: tuple[_CompiledRow, ...]
+    source: np.ndarray
+    column: np.ndarray
+    counts: np.ndarray
+    totals: np.ndarray
     start: int
+
+    def span(self, i: int) -> slice:
+        """The slice of row i's entries."""
+        return slice(*np.searchsorted(self.source, (i, i + 1)).tolist())
+
+    def row(self, i: int) -> CountVector:
+        """Row i's counts, labelled by the states of its columns."""
+        at = self.span(i)
+        return CountVector([self.state_order[c] for c in self.column[at]], self.counts[at])
 
     @cached_property
     def raw_qr(self) -> np.ndarray:
@@ -223,7 +225,7 @@ class _Plan:
         is singular."""
         from .simulation import _solved  # simulation imports this module
 
-        n = len(self.rows)
+        n = len(self.totals)
         eye = np.eye(n)
         q = self.raw_qr[:, :n]
         nb = _solved((eye - q)[np.newaxis], np.hstack([eye, self.raw_qr[:, n:]])[np.newaxis])[0]
@@ -235,9 +237,9 @@ class _Plan:
 
     @cached_property
     def alpha(self) -> np.ndarray:
-        """Every row's posterior alpha, concatenated in declaration order:
-        one standard_gamma call over it draws all rows at once."""
-        alpha = np.concatenate([row.alpha for row in self.rows])
+        """Every entry's flat-prior posterior alpha, 1 + counts, in row
+        order: one standard_gamma call over it draws all rows at once."""
+        alpha = 1.0 + self.counts
         alpha.flags.writeable = False
         return alpha
 
@@ -245,8 +247,7 @@ class _Plan:
     def placement(self) -> np.ndarray:
         """For each entry of `alpha`, in order, its flat position
         i * (n + 3) + column in one (n, n + 3) [Q | R] block."""
-        width = len(self.state_order)
-        placement = np.concatenate([row.cols + i * width for i, row in enumerate(self.rows)])
+        placement = self.source * len(self.state_order) + self.column
         placement.flags.writeable = False
         return placement
 
@@ -255,7 +256,7 @@ class _Plan:
         """(gather, scatter) per number k of interacting states: the (rows_k,
         k) positions in `alpha` of the rows with k states, and `placement` at
         them, so each group normalises as one (draws, rows_k, k) array."""
-        sizes = np.array([len(row.cols) for row in self.rows])
+        sizes = np.bincount(self.source)
         offsets = np.cumsum(sizes) - sizes
         gathers = [offsets[sizes == k, np.newaxis] + np.arange(k) for k in sorted(set(sizes))]
         return tuple((gather, self.placement[gather]) for gather in gathers)
@@ -267,8 +268,8 @@ class _Plan:
         and the flat positions of Q's diagonal, which no draw writes because
         validate forbids self-loops. With them the staged solve turns a
         filled [Q | R] into [I - Q | R] in place."""
-        n, width = len(self.rows), len(self.state_order)
-        in_q = self.placement % width < n
+        n, width = len(self.totals), len(self.state_order)
+        in_q = self.column < n
         flat = np.concatenate([self.placement[in_q], self.placement[~in_q]])
         return flat, flat // width, int(in_q.sum()), np.arange(n) * (width + 1)
 
@@ -276,61 +277,57 @@ class _Plan:
     def reachable(self) -> tuple[_Plan, np.ndarray]:
         """(plan, positions): this plan restricted to the stakeholders the
         start reaches over labelled cells, their transient columns
-        renumbered in declaration order, and the positions of their alphas
-        in `alpha`, both read off `placement`.
+        renumbered in declaration order, and the positions of their entries
+        in `alpha`.
 
         A flat-prior draw puts mass on every labelled cell, even one whose
         count is 0, so these are the stakeholders a drawn chain can reach
         from the start. No labelled cell leaves them, so the start's
         absorption probabilities depend on their rows alone.
         """
-        n = len(self.rows)
-        source, target = np.divmod(self.placement, len(self.state_order))
+        n = len(self.totals)
+        in_q = self.column < n
         fed = np.zeros((n, n), dtype=bool)  # fed[j, i]: row i has a labelled cell to j
-        fed[target[target < n], source[target < n]] = True
+        fed[self.column[in_q], self.source[in_q]] = True
         start = np.zeros((n, 1), dtype=bool)
         start[self.start] = True
         # States that reach the start over reversed cells are those it reaches.
         reach = absorbing_reach(fed, start)
         keep = np.flatnonzero(reach)
-        column = np.empty(len(self.state_order), dtype=np.intp)
-        column[keep] = np.arange(len(keep))
-        column[n:] = np.arange(len(keep), len(keep) + len(self.state_order) - n)
-        rows = tuple(
-            _CompiledRow(self.rows[i].counts, self.rows[i].alpha, column[self.rows[i].cols])
-            for i in keep
-        )
+        new = np.empty(len(self.state_order), dtype=np.intp)  # each kept state's new column
+        new[keep] = np.arange(len(keep))
+        new[n:] = np.arange(len(keep), len(keep) + len(self.state_order) - n)
         state_order = tuple(self.state_order[i] for i in keep) + self.state_order[n:]
-        positions = np.flatnonzero(reach[source])
-        return _Plan(state_order, rows, int(column[self.start])), positions
+        positions = np.flatnonzero(reach[self.source])
+        source, column = new[self.source[positions]], new[self.column[positions]]
+        counts, totals = self.counts[positions], self.totals[keep]
+        return _Plan(state_order, source, column, counts, totals, int(new[self.start])), positions
 
     def override(self, index: int, counts: CountVector) -> _Plan:
         """This plan with row `index` rebuilt from `counts`, whose labels
         must be states of this plan: a sweep's layout plan."""
         position = {label: i for i, label in enumerate(self.state_order)}
-        rows = list(self.rows)
-        rows[index] = _compile_row(counts, np.array([position[c] for c in counts.labels], np.intp))
-        return _Plan(self.state_order, tuple(rows), self.start)
+        at = self.span(index)
+        row = np.full(len(counts), index), [position[c] for c in counts.labels], counts.counts
+        source, column, values = (
+            np.concatenate([entries[: at.start], new, entries[at.stop :]])
+            for entries, new in zip((self.source, self.column, self.counts), row)
+        )
+        totals = self.totals.copy()
+        totals[index] = counts.total
+        return _Plan(self.state_order, source, column, values, totals, self.start)
 
 
 @lru_cache(maxsize=128)
 def _compiled(spec: NetworkSpec) -> _Plan:
-    """Per-spec assembly plan, cached: validation, then one CountVector per
-    row of _rows, the rows whose totals and shares validate read."""
+    """Per-spec assembly plan, cached: validation, then _rows' arrays, not
+    copied, so the rows validate reads are the rows the chains are built of."""
     require_valid(spec)
-    state_order = spec.ids + ABSORBING_ORDER
-    source, column, counts, _ = _rows(spec)
-    labels = [state_order[c] for c in column.tolist()]
-    ends = np.cumsum(np.bincount(source)).tolist()  # every row of a valid spec has a flow
-    rows = tuple(
-        _compile_row(CountVector(labels[a:b], counts[a:b]), column[a:b])
-        for a, b in zip([0, *ends], ends)
-    )
-    return _Plan(state_order, rows, spec.ids.index(spec.start))
+    return _Plan(spec.ids + ABSORBING_ORDER, *_rows(spec), spec.ids.index(spec.start))
 
 
 def _chain(plan: _Plan, qr: np.ndarray) -> TransitionMatrix:
-    n = len(plan.rows)
+    n = len(plan.totals)
     return build_canonical(qr[:, :n], qr[:, n:], plan.state_order)
 
 
@@ -338,12 +335,11 @@ def _plug_in_qr(plan: _Plan, mode: str) -> np.ndarray:
     """(n, n + 3) stacked [Q | R] of `plan` in a canonical plug-in mode."""
     if mode not in (RAW_FREQUENCY, POSTERIOR_MEAN):
         raise ValueError(f"unknown plug-in mode {mode!r}")
-    qr = np.zeros((len(plan.rows), len(plan.state_order)))
+    qr = np.zeros((len(plan.totals), len(plan.state_order)))
     if mode == POSTERIOR_MEAN:  # each row's posterior mean, normalised as a draw is
         _fill_draws(plan, plan.alpha[np.newaxis], qr[np.newaxis])
-    else:
-        rows = [row.counts.counts / row.counts.total for row in plan.rows]
-        qr.flat[plan.placement] = np.concatenate(rows)  # each row divided as one vector
+    else:  # each count divided by its row's total, as that row's CountVector sums it
+        qr.flat[plan.placement] = plan.counts / plan.totals[plan.source]
     return qr
 
 
@@ -382,6 +378,6 @@ def sampled_chain(spec: NetworkSpec, rng: np.random.Generator) -> TransitionMatr
     concatenated alphas, in declaration order, so the result is a pure
     function of (spec, generator state)."""
     plan = _compiled(spec)
-    qr = np.zeros((1, len(plan.rows), len(plan.state_order)))
+    qr = np.zeros((1, len(plan.totals), len(plan.state_order)))
     _fill_draws(plan, rng.standard_gamma(plan.alpha)[np.newaxis], qr)
     return _chain(plan, qr[0])

@@ -184,7 +184,7 @@ def _closed_form(
     ratio is exactly 0. Every triple is checked by _checked, as the staged
     solve checks a start row.
     """
-    m = len(sub.rows)
+    m = len(sub.totals)
     visits, b = sub.raw_nb[:, :m], sub.raw_nb[:, m:]
     a = sub.start
     s = sub.state_order.index(stakeholder) if stakeholder in sub.state_order else None
@@ -242,7 +242,7 @@ def sweep_ineffective(
     if not 0 < increment < math.inf:
         raise ValueError(f"increment must be positive and finite, got {increment}")
     s_idx = ids.index(stakeholder)
-    base = plan.rows[s_idx].counts
+    base = plan.row(s_idx)
     total = base.total
     grid = _di_grid(total, increment) if mode == MONTE_CARLO else np.zeros(1)
     try:
@@ -273,7 +273,7 @@ def sweep_ineffective(
         # with a direct flow to S or US keeps every route through it, so
         # only a row without one needs the check.
         all_samples = None
-        n = len(plan.rows)
+        n = len(plan.totals)
         if not (plan.raw_qr[s_idx, n + 1 :] > 0.0).any():
             support = plan.raw_qr > 0.0
             support[s_idx, n] = False  # zero discard: no flow to DI

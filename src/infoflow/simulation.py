@@ -118,7 +118,7 @@ def _sized(make, count: float = 0):
 def _chunk_size(plan: _Plan, draws: int) -> int:
     """Draws per chunk: as many stacked (n, n + 3) blocks as fit in
     CHUNK_BYTES, at least one and at most `draws`."""
-    block = 8 * len(plan.rows) * len(plan.state_order)
+    block = 8 * len(plan.totals) * len(plan.state_order)
     return max(1, min(draws, CHUNK_BYTES // block))
 
 
@@ -150,7 +150,7 @@ def _absorb(staged: _Plan, qr: np.ndarray, name=_unnamed) -> np.ndarray:
     must sum to 1 within ROW_SUM_TOL. `name(j)` prefixes chain j's error
     (nothing by default).
     """
-    n = len(staged.rows)
+    n = len(staged.totals)
     cells, rows, n_q, diagonal = staged.cells
     a, r = qr[..., :n], qr[..., n:]  # a holds Q until rewritten as I - Q
     sums = a.sum(axis=2) + r.sum(axis=2)
@@ -213,9 +213,9 @@ def draw_samples(
     """(iterations, 3) start-state absorption triples, one per posterior draw.
 
     Iteration t draws from stream (seed, *key, t), one standard_gamma call
-    over the plan's concatenated alphas; `spec` may also be a compiled plan.
-    `swept` = (index, alphas), alphas an (increments, k) matrix over the k
-    labels of the plan's row `index`, makes this a sweep of (increments,
+    over the plan's alphas; `spec` may also be a compiled plan. `swept` =
+    (index, alphas), alphas an (increments, k) matrix over the k entries
+    `span(index)` of the plan's row `index`, makes this a sweep of (increments,
     iterations, 3) triples: increment i draws the plan with that row's alpha
     replaced by alphas[i], exactly as a plan holding that row would, from
     streams (seed, *key, i, t). Keyed by the swept stakeholder, each
@@ -236,8 +236,7 @@ def draw_samples(
     alphas, keys = [plan.alpha], [key]
     if swept is not None:
         index, matrix = swept
-        at = sum(len(row.cols) for row in plan.rows[:index])
-        segment = slice(at, at + len(plan.rows[index].cols))  # the swept row's alphas
+        segment = plan.span(index)  # the swept row's alphas
 
         def increments():
             alpha = plan.alpha.copy()  # built one increment at a time, never all at once
@@ -251,7 +250,7 @@ def draw_samples(
     total = len(keys) * iterations
     chunk = _chunk_size(staged, total)
     out = _sized(lambda: np.empty((total, 3)))
-    qr_buf = np.zeros((chunk, len(staged.rows), len(staged.state_order)))
+    qr_buf = np.zeros((chunk, len(staged.totals), len(staged.state_order)))
     for first in range(0, total, chunk):
         qr = qr_buf[: min(chunk, total - first)]
         gammas = np.empty((len(qr), plan.alpha.size))

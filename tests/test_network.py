@@ -160,7 +160,8 @@ def test_validate_reads_the_rows_the_raw_chain_divides(spec):
         assert totals[i].hex() == total.hex()
     if validate(spec).ok:
         plug_in_chain(spec, "raw")
-        assert [row.counts.total for row in _compiled(spec).rows] == totals.tolist()
+        plan = _compiled(spec)
+        assert [plan.row(i).total for i in range(len(plan.totals))] == totals.tolist()
 
 
 def test_equal_specs_built_separately_hash_equal_and_share_one_plan(reference_bytes):
@@ -191,9 +192,10 @@ def staging_plans():
              "layered": document_bytes(layered_network(60, 4))}
     plans = {name: _compiled(parse_network(data)) for name, data in specs.items()}
     reference = plans["reference"]
-    for s, row in enumerate(reference.rows):
+    for s in range(len(reference.totals)):
         if s != reference.start:
-            plans[f"reference-sweep-{s}"] = reference.override(s, reallocate(row.counts, 0.0))
+            layout = reference.override(s, reallocate(reference.row(s), 0.0))
+            plans[f"reference-sweep-{s}"] = layout
     for name, plan in list(plans.items()):
         plans[f"{name}-reached"] = plan.reachable[0]
     return [pytest.param(plan, id=name) for name, plan in plans.items()]
@@ -209,7 +211,7 @@ def test_draws_write_exactly_the_cells_the_staged_solve_reads(plan):
     assert np.array_equal(np.sort(scatter), np.sort(cells))
     assert len(np.unique(scatter)) == len(scatter)
     assert not np.isin(scatter, diagonal).any()
-    n, width = len(plan.rows), len(plan.state_order)
+    n, width = len(plan.totals), len(plan.state_order)
     outside = np.ones(n * width, dtype=bool)
     outside[cells] = False
     for mode in ("raw", "posterior-mean"):
@@ -219,9 +221,62 @@ def test_draws_write_exactly_the_cells_the_staged_solve_reads(plan):
     assert np.array_equal(np.flatnonzero(~np.isnan(qr[0])), np.sort(cells))
 
 
+def unreached_spec():
+    """The start Z reaches C only; the A<->B loop of 1e17, declared after
+    them, has an exactly singular I - Q and must never be staged."""
+    return spec_of(
+        [("Z", "C", 3.0), ("Z", "DI", 1.0), ("C", "S", 2.0), ("C", "US", 1.0),
+         ("A", "B", 1e17), ("B", "A", 1e17), ("A", "S", 1.0), ("B", "US", 1.0)],
+        ids=["Z", "C", "A", "B"],
+    )
+
+
+def reached_spec(spec):
+    """`spec` restricted to the stakeholders its start reaches over flows of
+    any frequency, in declaration order, with only their flows."""
+    reached, frontier = {spec.start}, [spec.start]
+    while frontier:
+        sid = frontier.pop()
+        for f in spec.flows:
+            if f.source == sid and f.target in spec.ids and f.target not in reached:
+                reached.add(f.target)
+                frontier.append(f.target)
+    return NetworkSpec(
+        tuple(s for s in spec.stakeholders if s.id in reached),
+        tuple(f for f in spec.flows if f.source in reached),
+        spec.start,
+    )
+
+
+@pytest.mark.parametrize("network", ["reference", "wide-row", "layered", "unreached"])
+def test_the_reached_plan_is_the_plan_of_the_reached_stakeholders(reference_bytes, network):
+    # _Plan.reachable renumbers the reached rows' columns; it must build,
+    # bit for bit, the plan compiled from those stakeholders alone, and its
+    # positions must be the `alpha` entries of their rows, in order.
+    spec = {
+        "reference": lambda: parse_network(reference_bytes),
+        "wide-row": lambda: parse_network(document_bytes(wide_row_network())),
+        "layered": lambda: parse_network(document_bytes(layered_network(150, 4))),
+        "unreached": unreached_spec,
+    }[network]()
+    staged, positions = _compiled(spec).reachable
+    reached = reached_spec(spec)
+    alone = _compiled(reached)
+    assert staged.state_order == alone.state_order
+    assert staged.start == alone.start
+    assert staged.alpha.tobytes() == alone.alpha.tobytes()
+    assert np.array_equal(staged.placement, alone.placement)
+    for mode in ("raw", "posterior-mean"):
+        assert _plug_in_qr(staged, mode).tobytes() == _plug_in_qr(alone, mode).tobytes()
+    sources = sorted(spec.ids.index(f.source) for f in spec.flows)  # entries are in row order
+    assert positions.tolist() == [e for e, i in enumerate(sources) if spec.ids[i] in reached.ids]
+    if network == "layered":
+        assert len(reached.ids) == 109
+
+
 def counts_for(spec, stakeholder):
     """The counts of `stakeholder`'s row in the spec's compiled plan."""
-    return _compiled(spec).rows[spec.ids.index(stakeholder)].counts
+    return _compiled(spec).row(spec.ids.index(stakeholder))
 
 
 class TestCountsFor:
@@ -287,11 +342,13 @@ class TestPlugInChain:
             spec = request.getfixturevalue(f"{network}_spec")
         plan = _compiled(spec)
         raw, mean = _plug_in_qr(plan, "raw"), _plug_in_qr(plan, "posterior-mean")
-        for i, row in enumerate(plan.rows):
+        for i in range(len(plan.totals)):
+            row, cols, alpha = plan.row(i), plan.column[plan.span(i)], plan.alpha[plan.span(i)]
+            assert alpha.tobytes() == noninformative_posterior(row).alpha.tobytes()
             want_raw, want_mean = np.zeros(len(plan.state_order)), np.zeros(len(plan.state_order))
-            want_raw[row.cols] = row.counts.counts / row.counts.total
-            theta = row.alpha / row.alpha.sum()
-            want_mean[row.cols] = theta / theta.sum()
+            want_raw[cols] = row.counts / row.total
+            theta = alpha / alpha.sum()
+            want_mean[cols] = theta / theta.sum()
             np.testing.assert_array_equal(raw[i], want_raw)
             np.testing.assert_array_equal(mean[i], want_mean)
 

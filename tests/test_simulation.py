@@ -263,7 +263,7 @@ def set_chunk(monkeypatch, spec, chunk, iterations):
     """Make the engine run `iterations` in chunks of `chunk` draws, each
     draw one (m, m + 3) block of the m stakeholders it stages."""
     staged = _compiled(spec).reachable[0]
-    m = len(staged.rows)
+    m = len(staged.totals)
     monkeypatch.setattr(simulation, "CHUNK_BYTES", chunk * 8 * m * (m + 3))
     assert simulation._chunk_size(staged, iterations) == min(chunk, iterations)
 
@@ -347,7 +347,7 @@ def test_one_staging_buffer_per_chunk(monkeypatch, chunks):
     # The start reaches 109 of the 150 stakeholders, so the staged block is
     # (109, 112), about half the whole chain's (150, 153).
     spec = infoflow.parse_network(document_bytes(layered_network(150, 4)))
-    chunk, m = 4, len(_compiled(spec).reachable[0].rows)
+    chunk, m = 4, len(_compiled(spec).reachable[0].totals)
     assert m == 109
     set_chunk(monkeypatch, spec, chunk, chunk * chunks)
     draw_samples(spec, 1, 0)  # compile the plan and its draw layout
@@ -366,7 +366,7 @@ def test_batch_draws_each_plan_from_its_own_streams(reference_spec):
     # turn; increment i draws from streams (seed, *key, i, t), exactly as a
     # plan holding that row alone would.
     plan = _compiled(reference_spec)
-    labels = plan.rows[1].counts.labels
+    labels = plan.row(1).labels
     alphas = np.array([[4.0, 3.0, 2.0], [1.0, 1.5, 7.0], [2.5, 1.0, 1.0]])
     assert len(labels) == alphas.shape[1]
     sweep = draw_samples(plan, 12, 5, key=(9,), swept=(1, alphas))
