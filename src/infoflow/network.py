@@ -137,16 +137,22 @@ def _rows(spec: NetworkSpec) -> tuple[np.ndarray, ...]:
     order = np.argsort(flat)
     counts = np.array([f.frequency for f in spec.flows], dtype=float)[order]
     source, column = np.divmod(flat[order], width)
-    rows = np.arange(len(spec.ids))
-    # reduceat sums a segment from its first entry, a row's own sum from 0:
-    # so each row, led by one 0, sums exactly as it does alone.
-    padded = np.zeros(len(counts) + len(rows))
-    padded[np.arange(len(counts)) + source + 1] = counts
     with np.errstate(over="ignore"):  # an overflowing total is validate's to report
-        totals = np.add.reduceat(padded, np.searchsorted(source, rows) + rows)
+        totals = _row_sums(counts, source, len(spec.ids))
     for array in (source, column, counts, totals):
         array.flags.writeable = False
     return source, column, counts, totals
+
+
+def _row_sums(values: np.ndarray, source: np.ndarray, n: int) -> np.ndarray:
+    """Each of n rows' sums along the last axis of `values`, whose entry e
+    is in row source[e] (sorted). reduceat sums a segment from its first
+    entry, a row's own sum from 0: so each row, led by one 0, sums exactly
+    as it does alone."""
+    rows = np.arange(n)
+    padded = np.zeros(values.shape[:-1] + (values.shape[-1] + n,))
+    padded[..., np.arange(len(source)) + source + 1] = values
+    return np.add.reduceat(padded, np.searchsorted(source, rows) + rows, axis=-1)
 
 
 def _flow_violations(ids, support: np.ndarray) -> list[str]:
@@ -182,11 +188,10 @@ class _Plan:
     `column` and `counts`) with each row's `totals`; and the start's index.
     Row i's entries are `span(i)`, and `row(i)` is their CountVector.
 
-    `alpha` and the draw layout (`groups`, `cells`, `reachable` and the one
-    index every drawn entry is written through, `placement`) are built on
-    first use, so plans only solved in plug-in mode never pay for them; so
-    are the raw-frequency [Q | R] (`raw_qr`) and its solution (`raw_nb`),
-    unused by drawn plans.
+    `alpha`, `reachable` and `placement`, the plan's only layout index, are
+    built on first use, so plans only solved in plug-in mode never pay for
+    them; so are the raw-frequency [Q | R] (`raw_qr`), its solution
+    (`raw_nb`) and its reach (`raw_reach`), unused by drawn plans.
     """
 
     state_order: tuple[str, ...]
@@ -219,21 +224,33 @@ class _Plan:
         solve of (I - Q) [N | B] = [I | R]: N[i, j] is the expected number of
         visits to j from i, and B = N R the absorption probabilities. Plug-in
         sweeps read every swept stakeholder's endpoints and curve from it.
-        In the start's row, N is exactly 0 where the start reaches no
-        positive flow, not the solve's rounding, so a stakeholder it never
-        reaches has no effect on it. Raises SingularSystemError where I - Q
-        is singular."""
+        Exact zeros (`raw_reach`) are 0, not the solve's rounding: N in the
+        start's row where it reaches no positive flow, so a stakeholder it
+        never reaches has no effect on it, and B at the dead ends of the
+        rows it reaches. Raises SingularSystemError where I - Q is singular."""
         from .simulation import _solved  # simulation imports this module
 
         n = len(self.totals)
         eye = np.eye(n)
         q = self.raw_qr[:, :n]
         nb = _solved((eye - q)[np.newaxis], np.hstack([eye, self.raw_qr[:, n:]])[np.newaxis])[0]
-        start = eye[:, self.start, np.newaxis] > 0.0
-        # States that reach the start over reversed flows are those it reaches.
-        nb[self.start, :n][~absorbing_reach(q.T, start)] = 0.0
+        reached, ends = self.raw_reach
+        nb[self.start, :n][~reached] = 0.0
+        nb[np.ix_(reached, n + np.flatnonzero(ends))] = 0.0
         nb.flags.writeable = False
         return nb
+
+    @cached_property
+    def raw_reach(self) -> tuple[np.ndarray, np.ndarray]:
+        """(reached, ends): masks of the stakeholders the start reaches over
+        positive raw-frequency flows, and of its dead ends, the end states
+        none of them flows to. Its raw chain cannot end in those, but a solve
+        may pivot in the flows of a stakeholder that a 0-count cell stages."""
+        n = len(self.totals)
+        start = (np.arange(n) == self.start)[:, np.newaxis]
+        # States that reach the start over reversed flows are those it reaches.
+        reached = absorbing_reach(self.raw_qr[:, :n].T, start)
+        return reached, ~(self.raw_qr[reached, n:] > 0.0).any(axis=0)
 
     @cached_property
     def alpha(self) -> np.ndarray:
@@ -246,32 +263,11 @@ class _Plan:
     @cached_property
     def placement(self) -> np.ndarray:
         """For each entry of `alpha`, in order, its flat position
-        i * (n + 3) + column in one (n, n + 3) [Q | R] block."""
+        i * (n + 3) + column in one (n, n + 3) [Q | R] block: the plan's
+        only layout index."""
         placement = self.source * len(self.state_order) + self.column
         placement.flags.writeable = False
         return placement
-
-    @cached_property
-    def groups(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """(gather, scatter) per number k of interacting states: the (rows_k,
-        k) positions in `alpha` of the rows with k states, and `placement` at
-        them, so each group normalises as one (draws, rows_k, k) array."""
-        sizes = np.bincount(self.source)
-        offsets = np.cumsum(sizes) - sizes
-        gathers = [offsets[sizes == k, np.newaxis] + np.arange(k) for k in sorted(set(sizes))]
-        return tuple((gather, self.placement[gather]) for gather in gathers)
-
-    @cached_property
-    def cells(self) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
-        """(flat, rows, n_q, diagonal): every cell a draw writes, which is
-        `placement` with its n_q cells of Q moved first; the row of each;
-        and the flat positions of Q's diagonal, which no draw writes because
-        validate forbids self-loops. With them the staged solve turns a
-        filled [Q | R] into [I - Q | R] in place."""
-        n, width = len(self.totals), len(self.state_order)
-        in_q = self.column < n
-        flat = np.concatenate([self.placement[in_q], self.placement[~in_q]])
-        return flat, flat // width, int(in_q.sum()), np.arange(n) * (width + 1)
 
     @cached_property
     def reachable(self) -> tuple[_Plan, np.ndarray]:
@@ -289,8 +285,7 @@ class _Plan:
         in_q = self.column < n
         fed = np.zeros((n, n), dtype=bool)  # fed[j, i]: row i has a labelled cell to j
         fed[self.column[in_q], self.source[in_q]] = True
-        start = np.zeros((n, 1), dtype=bool)
-        start[self.start] = True
+        start = (np.arange(n) == self.start)[:, np.newaxis]
         # States that reach the start over reversed cells are those it reaches.
         reach = absorbing_reach(fed, start)
         keep = np.flatnonzero(reach)
@@ -337,7 +332,7 @@ def _plug_in_qr(plan: _Plan, mode: str) -> np.ndarray:
         raise ValueError(f"unknown plug-in mode {mode!r}")
     qr = np.zeros((len(plan.totals), len(plan.state_order)))
     if mode == POSTERIOR_MEAN:  # each row's posterior mean, normalised as a draw is
-        _fill_draws(plan, plan.alpha[np.newaxis], qr[np.newaxis])
+        _fill_draws(plan, np.array([plan.alpha]), qr[np.newaxis])
     else:  # each count divided by its row's total, as that row's CountVector sums it
         qr.flat[plan.placement] = plan.counts / plan.totals[plan.source]
     return qr
@@ -347,22 +342,19 @@ def _fill_draws(plan: _Plan, gammas: np.ndarray, qr: np.ndarray) -> None:
     """Write the rows of a batch of posterior draws into `qr`.
 
     `gammas` is (draws, E): row d holds one standard_gamma call over
-    `plan.alpha`; given `plan.alpha` itself, it writes the posterior-mean
-    plug-in rows. `qr` is the (draws, n, n + 3) stacked [Q | R] buffer, zero
-    outside the plan's interacting states. Each of `plan.groups` gathers its
-    rows' draws and writes them through `plan.placement` at the gather, so
-    only the cells in `plan.cells` are written: the engine keeps one staging
-    buffer for every chunk, which its staged solve turns into [I - Q | R] in
-    place between fills. Each row is normalised twice, as theta = g / g.sum()
-    and then theta / theta.sum(). The gather is C-contiguous so that every
-    row sums along a contiguous last axis, which rounds exactly as the sum of
-    that row alone would.
+    `plan.alpha`; given a copy of `plan.alpha`, it writes the posterior-mean
+    plug-in rows. Each row is normalised twice, in place, as theta = g /
+    g.sum() and then theta / theta.sum(), summed by _row_sums exactly as
+    that row alone. The block is written through `plan.placement`, the
+    plan's only layout index, into `qr`, the (draws, n, n + 3) stacked
+    [Q | R] buffer, and no other cell: the engine keeps one staging buffer
+    for every chunk, which its staged solve turns into [I - Q | R] in place
+    between fills.
     """
-    flat = qr.reshape(len(gammas), -1)
-    for gather, scatter in plan.groups:
-        x = np.take(gammas, gather, axis=1)  # C-contiguous (draws, rows_k, k)
-        theta = x / x.sum(axis=-1, keepdims=True)
-        flat[:, scatter] = theta / theta.sum(axis=-1, keepdims=True)
+    n, source = len(plan.totals), plan.source
+    gammas /= _row_sums(gammas, source, n)[:, source]
+    gammas /= _row_sums(gammas, source, n)[:, source]
+    qr.reshape(len(gammas), -1)[:, plan.placement] = gammas
 
 
 def plug_in_chain(spec: NetworkSpec, mode: str = RAW_FREQUENCY) -> TransitionMatrix:

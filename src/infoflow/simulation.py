@@ -25,9 +25,11 @@ _checked. Only the stakeholders the start reaches over labelled cells
 so the start's row of B = (I - Q)^-1 R depends on their rows alone.
 draw_samples runs its chains back to back in chunks whose stacked (m, m +
 3) blocks, m the number of those stakeholders, fit in CHUNK_BYTES, through
-one staging buffer that the staged solve turns into [I - Q | R] in place.
-Memory is therefore bounded by that buffer plus the output, whatever the
-iteration count, and the triples do not depend on the chunk size.
+one staging buffer that the staged solve turns into [I - Q | R] in place,
+its cells found through one index, `_Plan.placement`. Memory is that
+buffer, the fill's and the solve's temporaries (of its order, and larger on
+small networks) and the output, whatever the iteration count; the triples
+do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 
 from .errors import EmptySampleError, SingularSystemError
 from .markov import ROW_SUM_TOL
-from .network import NetworkSpec, _compiled, _fill_draws, _Plan, _plug_in_qr
+from .network import RAW_FREQUENCY, NetworkSpec, _compiled, _fill_draws, _Plan, _plug_in_qr
 from .rng import stream
 
 DEFAULT_BINS = 50
@@ -130,9 +132,13 @@ def plug_in_start(spec: NetworkSpec, mode: str) -> np.ndarray:
     """The start's (P_DI, P_S, P_US) in plug-in chain `mode`, raw or
     posterior-mean: plug_in_chain(spec, mode) restricted to the stakeholders
     the start reaches, solved by absorption_probabilities, bit for bit. The
-    staged solve takes its [Q | R] as a stack of one chain."""
+    staged solve takes its [Q | R] as a stack of one chain. A raw triple
+    is 0 at the dead ends of `_Plan.raw_reach`."""
     staged = _compiled(spec).reachable[0]  # validates the spec
-    return _absorb(staged, _plug_in_qr(staged, mode)[np.newaxis])[0]
+    triple = _absorb(staged, _plug_in_qr(staged, mode)[np.newaxis])[0]
+    if mode == RAW_FREQUENCY:  # every labelled cell of a posterior-mean row is positive
+        triple[staged.raw_reach[1]] = 0.0
+    return triple
 
 
 def _absorb(staged: _Plan, qr: np.ndarray, name=_unnamed) -> np.ndarray:
@@ -141,24 +147,24 @@ def _absorb(staged: _Plan, qr: np.ndarray, name=_unnamed) -> np.ndarray:
     buffer `qr`.
 
     `qr` holds each chain's [Q | R] rows, not yet normalised, in the cells
-    of `staged.cells`, and 0 elsewhere. Rows are summed as build_canonical
-    sums them; only those cells are divided by their row's sum, Q's cells
-    subtracted from 0 and Q's diagonal (never written: validate forbids
-    self-loops) set to 1. That is [I - Q | R] with the bits eye - Q gives,
-    solved as one stacked system; the diagonal then goes back to 0, so the
-    buffer can be filled again. Only the start row is reported, so only it
-    must sum to 1 within ROW_SUM_TOL. `name(j)` prefixes chain j's error
-    (nothing by default).
+    of `staged.placement`, the plan's only layout index, and 0 elsewhere.
+    Rows are summed as build_canonical sums them; only those cells are
+    divided by their row's sum, Q's cells subtracted from 0 and Q's
+    diagonal (never written: validate forbids self-loops) set to 1. That
+    is [I - Q | R] with the bits eye - Q gives, solved as one stacked
+    system; the diagonal then goes back to 0, so the buffer can be filled
+    again. Only the start row is reported, so only it must sum to 1 within
+    ROW_SUM_TOL. `name(j)` prefixes chain j's error (nothing by default).
     """
     n = len(staged.totals)
-    cells, rows, n_q, diagonal = staged.cells
     a, r = qr[..., :n], qr[..., n:]  # a holds Q until rewritten as I - Q
     sums = a.sum(axis=2) + r.sum(axis=2)
     flat = qr.reshape(len(qr), -1)
-    filled = flat[:, cells]
-    filled /= sums[:, rows]
-    np.subtract(0.0, filled[:, :n_q], out=filled[:, :n_q])  # not -x: 0 - 0 is +0
-    flat[:, cells] = filled
+    filled = flat[:, staged.placement]
+    filled /= sums[:, staged.source]
+    np.subtract(0.0, filled, out=filled, where=staged.column < n)  # not -x: 0 - 0 is +0
+    flat[:, staged.placement] = filled
+    diagonal = np.arange(n) * (len(staged.state_order) + 1)
     flat[:, diagonal] = 1.0
     kept = _checked(_solved(a, r, name)[:, staged.start, :], name)
     flat[:, diagonal] = 0.0
@@ -256,7 +262,8 @@ def draw_samples(
         gammas = np.empty((len(qr), plan.alpha.size))
         for j, (alpha, k, t) in zip(range(len(qr)), draws):
             gammas[j] = stream(seed, *k, t).standard_gamma(alpha)
-        _fill_draws(staged, np.take(gammas, positions, axis=1), qr)
+        gammas = np.take(gammas, positions, axis=1)  # the staged rows', normalised in place
+        _fill_draws(staged, gammas, qr)
         del gammas  # not held through the solve, which sets the peak memory
         out[first : first + len(qr)] = _absorb(
             staged, qr, lambda j: f"iteration {(first + j) % iterations}: "

@@ -203,22 +203,67 @@ def staging_plans():
 
 @pytest.mark.parametrize("plan", staging_plans())
 def test_draws_write_exactly_the_cells_the_staged_solve_reads(plan):
-    # _absorb divides and negates only `cells`, in a buffer it never clears
-    # between chunks: every cell a draw or a plug-in row writes must be one
-    # of them, each written once, and none on Q's diagonal.
-    cells, _, _, diagonal = plan.cells
-    scatter = np.concatenate([positions.ravel() for _, positions in plan.groups])
-    assert np.array_equal(np.sort(scatter), np.sort(cells))
-    assert len(np.unique(scatter)) == len(scatter)
-    assert not np.isin(scatter, diagonal).any()
+    # `placement` is the plan's only layout index. _absorb divides and
+    # negates its cells, in a buffer it never clears between chunks, and
+    # sets Q's diagonal: each entry must have a cell of its own, none on
+    # that diagonal, and plug-in rows and a fill must write those cells and
+    # no other.
     n, width = len(plan.totals), len(plan.state_order)
+    assert len(np.unique(plan.placement)) == len(plan.placement)
+    assert not np.isin(plan.placement, np.arange(n) * (width + 1)).any()
     outside = np.ones(n * width, dtype=bool)
-    outside[cells] = False
+    outside[plan.placement] = False
     for mode in ("raw", "posterior-mean"):
         assert not _plug_in_qr(plan, mode).ravel()[outside].any()
     qr = np.full((2, n, width), np.nan)
     _fill_draws(plan, stream(5).standard_gamma(plan.alpha, size=(2, len(plan.alpha))), qr)
-    assert np.array_equal(np.flatnonzero(~np.isnan(qr[0])), np.sort(cells))
+    for filled in qr:
+        assert np.array_equal(np.flatnonzero(~np.isnan(filled)), np.sort(plan.placement))
+
+
+@st.composite
+def gamma_blocks(draw):
+    """Two draws' rows of gammas over one layout of 1 to 4 rows, each of
+    1, 2-7, 8-128 or more than 128 entries (numpy's pairwise sum changes
+    path at 8 and 128), of magnitudes between 1e-300 and 1e300 and with
+    exact zeros, never all zeros."""
+    size = st.one_of(st.just(1), st.integers(2, 7), st.integers(8, 128), st.integers(129, 300))
+    sizes = draw(st.lists(size, min_size=1, max_size=4))
+    low = draw(st.integers(-300, 300))
+    high = draw(st.integers(low, 300))
+    zeros = draw(st.floats(0.0, 0.9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = []
+    for _ in range(2):
+        rows = []
+        for k in sizes:
+            row = 10.0 ** rng.uniform(low, high, k)
+            row[rng.random(k) < zeros] = 0.0
+            row[rng.integers(k)] = 10.0 ** rng.uniform(low, high)
+            rows.append(row)
+        blocks.append(rows)
+    return blocks
+
+
+@given(gamma_blocks())
+def test_a_fill_normalises_each_row_as_that_row_alone(blocks):
+    # A draw's row is theta = x / x.sum(), then theta / theta.sum(), of
+    # that row alone, bit for bit, however many rows are filled beside it.
+    sizes = [len(row) for row in blocks[0]]
+    n = max(len(sizes), max(sizes))  # room for each row beside its diagonal
+    source = np.repeat(np.arange(len(sizes)), sizes)
+    column = np.concatenate([np.delete(np.arange(n + 3), i)[:k] for i, k in enumerate(sizes)])
+    state_order = tuple(f"s{i}" for i in range(n)) + ABSORBING_ORDER
+    plan = network._Plan(state_order, source, column, np.ones(len(source)), np.ones(n), 0)
+    qr = np.zeros((len(blocks), n, n + 3))
+    _fill_draws(plan, np.array([np.concatenate(rows) for rows in blocks]), qr)
+    for filled, rows in zip(qr, blocks):
+        expected = []
+        for x in rows:
+            theta = x / x.sum()
+            expected += (theta / theta.sum()).tolist()
+        written = filled.ravel()[plan.placement].tolist()
+        assert [v.hex() for v in written] == [v.hex() for v in expected]
 
 
 def unreached_spec():

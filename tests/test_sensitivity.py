@@ -45,7 +45,7 @@ from infoflow.sensitivity import (
     reallocate,
     sweep_ineffective,
 )
-from infoflow.simulation import draw_samples
+from infoflow.simulation import draw_samples, plug_in_start
 
 
 def d_counts():
@@ -677,6 +677,66 @@ def unreached_feeder_spec():
          FlowRecord("X", "DI", 1.0), FlowRecord("Z", "A", 4.0), FlowRecord("Z", "US", 1.0)),
         "A",
     )
+
+
+def staged_but_unreached_spec():
+    # The start s0 never reaches S over positive flows. Its 0-count flow to
+    # s7 stages s7, whose flow to S a solve may mix into s0's probabilities.
+    flows = [("s0", "s1", 1.0), ("s0", "s2", 5.0), ("s0", "DI", 1.0)]
+    flows += [("s0", f"s{i}", 0.0) for i in range(3, 8)]
+    flows += [("s2", "s0", 1.0), ("s7", "S", 1.0), ("s7", "s0", 1.0)]
+    flows += [(sid, "DI", 1.0) for sid in ("s1", "s3", "s4", "s5", "s6")]
+    return NetworkSpec(
+        tuple(Stakeholder(f"s{i}", "local") for i in range(8)),
+        tuple(FlowRecord(*f) for f in flows),
+        "s0",
+    )
+
+
+def test_an_end_state_the_start_cannot_reach_is_exactly_zero():
+    # These read -1.1e-16 (evaluate's P_S) and -2.2e-16 (the sweep's P_S at
+    # zero discard) where only the solve's rounding set them.
+    spec = staged_but_unreached_spec()
+    zero = (0.0).hex()
+    assert [p.hex() for p in plug_in_start(spec, "raw")[1:].tolist()] == [zero, zero]
+    sw = sweep_ineffective(spec, "s0", 1, 0, "plugin")
+    assert {p.hex() for p in sw.means[:, 1:].ravel().tolist()} == {zero}
+    assert [sw.p_s_max.hex(), sw.p_s_min.hex(), sw.impact_ratio.hex()] == [zero] * 3
+
+
+def dead_ends(spec):
+    """The end states that no stakeholder the start reaches over positive
+    flows flows to, which its raw chain cannot end in."""
+    reached, todo = {spec.start}, [spec.start]
+    while todo:
+        sid = todo.pop()
+        for f in spec.flows:
+            if f.source == sid and f.frequency > 0 and f.target not in reached:
+                reached.add(f.target)  # an end state too, which no flow leaves
+                todo.append(f.target)
+    return [i for i, label in enumerate(ABSORBING_ORDER) if label not in reached]
+
+
+@given(valid_networks())
+@example(staged_but_unreached_spec())
+def test_raw_plug_in_probabilities_are_zero_where_the_start_cannot_end(spec):
+    # Flows of count 0 stage stakeholders the start never reaches over
+    # positive flows. Their flows to an end state the start cannot end in
+    # must not round into what evaluate, sweep or rank reports of it: +0,
+    # never -1e-16. Sweeping a row adds or removes only its flow to DI, so
+    # a dead S or US stays dead at every discard.
+    dead = dead_ends(spec)
+    zero = {(0.0).hex()}
+    assert {p.hex() for p in plug_in_start(spec, "raw")[dead].tolist()} <= zero
+    ends = [c for c in dead if ABSORBING_ORDER[c] != "DI"]
+    for sid in spec.ids:
+        try:
+            sw = sweep_ineffective(spec, sid, 1, 0, "plugin")
+        except (ValidationError, NoNonDiTargetsError):
+            continue
+        assert {p.hex() for p in sw.means[:, ends].ravel().tolist()} <= zero
+        if ABSORBING_ORDER.index("S") in ends:
+            assert {sw.p_s_max.hex(), sw.p_s_min.hex(), sw.impact_ratio.hex()} == zero
 
 
 class TestClosedForm:
