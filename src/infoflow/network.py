@@ -191,7 +191,8 @@ class _Plan:
     `alpha`, `reachable` and `placement`, the plan's only layout index, are
     built on first use, so plans only solved in plug-in mode never pay for
     them; so are the raw-frequency [Q | R] (`raw_qr`), its solution
-    (`raw_nb`) and its reach (`raw_reach`), unused by drawn plans.
+    (`raw_nb`), its reach (`raw_reach`) and its dominators
+    (`raw_dominators`), unused by drawn plans.
     """
 
     state_order: tuple[str, ...]
@@ -251,6 +252,29 @@ class _Plan:
         # States that reach the start over reversed flows are those it reaches.
         reached = absorbing_reach(self.raw_qr[:, :n].T, start)
         return reached, ~(self.raw_qr[reached, n:] > 0.0).any(axis=0)
+
+    @cached_property
+    def raw_dominators(self) -> np.ndarray:
+        """Read-only (n + 3, n + 3) mask, [j, d] where every path of positive
+        raw-frequency flows from the start to state j passes through state d
+        (every d where no path reaches j): so the end states that die when
+        stakeholder d discards everything are those it dominates. Found by
+        the iterative data-flow rule (Aho, Lam, Sethi and Ullman, Compilers,
+        2nd ed., section 9.6), one matrix product per pass."""
+        n, width = len(self.totals), len(self.state_order)
+        into = (self.raw_qr > 0.0).T.astype(np.float32)  # into[j, i] = 1: i flows to j
+        eye = np.eye(width, dtype=bool)
+        dominators = np.ones((width, width), dtype=bool)
+        dominators[self.start] = eye[self.start]
+        while True:
+            # d dominates j if d is j or dominates every state that flows to
+            # j: the product counts the others, exactly (at most n < 2**24).
+            passed = (into @ ~dominators[:n] == 0.0) | eye
+            passed[self.start] = eye[self.start]
+            if (passed == dominators).all():
+                passed.flags.writeable = False
+                return passed
+            dominators = passed
 
     @cached_property
     def alpha(self) -> np.ndarray:

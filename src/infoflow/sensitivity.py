@@ -39,7 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .network import NetworkSpec, ValidationReport
-from .simulation import _checked, draw_samples
+from .simulation import _checked, _exact, draw_samples
 
 MONTE_CARLO = "monte-carlo"
 PLUG_IN = "plug-in"
@@ -182,16 +182,27 @@ def _closed_form(
     (1 + lam (N0[s, s] - 1)), with P0 and P1 themselves at its ends. Where a
     never reaches s, both endpoints are B[a], the curve is flat and the
     ratio is exactly 0. Every triple is checked by _checked, as the staged
-    solve checks a start row.
+    solve checks a start row, then made _exact at the dead ends of its own
+    chain's support. Row s keeps its raw flows but DI at zero discard (only
+    DI can die), gains DI at every point between (none can), and is all DI
+    at total discard, where the ends s dominates die (`raw_dominators`).
     """
     m = len(sub.totals)
     visits, b = sub.raw_nb[:, :m], sub.raw_nb[:, m:]
     a = sub.start
     s = sub.state_order.index(stakeholder) if stakeholder in sub.state_order else None
+    reached, dead = sub.raw_reach
     if s is None or visits[a, s] == 0.0:  # the start never reaches s
         p0 = p1 = b[a]
         ratio, step, bend = 0.0, np.zeros(3), 0.0
+        dead_ends = dead_between = dead
     else:
+        flows_to_end = sub.raw_qr[:, m:] > 0.0
+        flows_to_end[s, 0] = False  # zero discard: row s without its DI
+        not_di = np.arange(3) > 0  # DI lives wherever row s flows to it
+        dead_between = dead & not_di
+        dead_total = (dead | sub.raw_dominators[m:, s]) & not_di
+        dead_ends = np.array([~flows_to_end[reached].any(axis=0), dead_total])
         e_di = np.array([1.0, 0.0, 0.0])  # the triple of a row that discards everything
         delta = -sub.raw_qr[s]
         delta[[sub.state_order.index(label) for label in zero.labels]] += zero.counts / zero.total
@@ -203,14 +214,15 @@ def _closed_form(
             p0 = p1 + f * (b0s - e_di)
             ratio = float(f * b0s[1] / total)
             step, bend = visits[a, s] / den * (e_di - b0s), visits[s, s] / den - 1.0
-    ends = _checked(np.array([p0, p1]))
+    ends = _exact(_checked(np.array([p0, p1])), dead_ends)
 
     def curve() -> np.ndarray:
+        # The ends' dead ends include the points' between, so _exact leaves them.
         lam = _di_grid(total, increment)[:, np.newaxis] / total
         with np.errstate(all="ignore"):
             means = p0 + lam / (1.0 + lam * bend) * step
         means[[0, -1]] = ends
-        return _checked(means)
+        return _exact(_checked(means), dead_between)
 
     return ends, ratio, curve
 

@@ -133,11 +133,11 @@ def plug_in_start(spec: NetworkSpec, mode: str) -> np.ndarray:
     posterior-mean: plug_in_chain(spec, mode) restricted to the stakeholders
     the start reaches, solved by absorption_probabilities, bit for bit. The
     staged solve takes its [Q | R] as a stack of one chain. A raw triple
-    is 0 at the dead ends of `_Plan.raw_reach`."""
+    is _exact at the dead ends of `_Plan.raw_reach`."""
     staged = _compiled(spec).reachable[0]  # validates the spec
     triple = _absorb(staged, _plug_in_qr(staged, mode)[np.newaxis])[0]
     if mode == RAW_FREQUENCY:  # every labelled cell of a posterior-mean row is positive
-        triple[staged.raw_reach[1]] = 0.0
+        triple = _exact(triple, staged.raw_reach[1])
     return triple
 
 
@@ -206,6 +206,18 @@ def _checked(triples: np.ndarray, name=_unnamed) -> np.ndarray:
             "not 1; I - Q is too ill-conditioned"
         )
     return triples
+
+
+def _exact(triples: np.ndarray, dead: np.ndarray) -> np.ndarray:
+    """`triples`, (..., 3) start-state absorption probabilities already
+    _checked, with the ends their chains cannot end in (`dead`, of the same
+    shape or broadcast to it) exactly 0, and a lone live end exactly 1: not
+    the solve's rounding of them."""
+    if not dead.any():  # every end is live: nothing to make exact
+        return triples
+    live = ~dead
+    lone = live.sum(axis=-1, keepdims=True) == 1
+    return np.where(lone, live, np.where(dead, 0.0, triples))
 
 
 def draw_samples(

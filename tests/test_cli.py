@@ -320,6 +320,17 @@ class TestRankCommand:
         assert order[0] == "E"
         assert set(order) == {"B", "C", "D", "E"}
 
+    def test_plugin_ranking_orders_every_stakeholder_by_its_endpoints(self, net_path, capsys):
+        # Each ratio is computed in closed form, not as the endpoints'
+        # difference, yet agrees with it.
+        assert cli_main(["rank", "--mode", "plugin", "--iterations", "1", "--seed", "1",
+                         str(net_path)]) == 0
+        ranking = json.loads(capsys.readouterr().out)["result"]["ranking"]
+        assert [entry["stakeholder"] for entry in ranking] == ["E", "C", "D", "B"]
+        for entry in ranking:
+            drop = (entry["p_s_max"] - entry["p_s_min"]) / entry["n_di_max"]
+            assert abs(entry["impact_ratio"] - drop) <= 1e-12, entry
+
     def test_rank_csv_layout(self, net_path, tmp_path):
         out = tmp_path / "rank.csv"
         cli_main(["rank", str(net_path), "--iterations", "1", "--seed", "0",

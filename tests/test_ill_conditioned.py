@@ -143,6 +143,32 @@ class TestUnreachableLoopIsNotSolved:
         triples = np.array(json.loads(out)["result"][key])
         np.testing.assert_allclose(triples.sum(axis=1), 1.0, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate"],
+        ["sweep", "--stakeholder", "C", "--iterations", "5", "--seed", "1", "--format", "csv"],
+    ], ids=["evaluate", "sweep-mc-csv"])
+    def test_a_loop_declared_after_the_reached_rows(self, tmp_path, capsys, argv):
+        # Z and C come first, so C, swept without a flow to DI, is a row in
+        # the middle of the plan, which the sweep's layout plan gives a DI
+        # cell; the singular loop's rows follow it.
+        doc = unreachable_loop()
+        doc["stakeholders"] = doc["stakeholders"][2:] + doc["stakeholders"][:2]
+        path = tmp_path / "unreached.json"
+        path.write_bytes(document_bytes(doc))
+        assert cli_main([*argv, str(path)]) == 0
+        out, err = capsys.readouterr()
+        assert "error" not in err
+        if argv == ["evaluate"]:
+            result = json.loads(out)["result"]
+            triples = np.array([[result["p_di"], result["p_s"], result["p_us"]]])
+            np.testing.assert_allclose(triples, [[0.25, 0.5, 0.25]], rtol=0, atol=1e-15)
+        else:
+            header, *rows = out.splitlines()
+            assert header == "n_di,mean_p_di,mean_p_s,mean_p_us"
+            triples = np.array([[float(v) for v in row.split(",")[1:]] for row in rows])
+            assert len(triples) == 4  # n_di 0..3
+        np.testing.assert_allclose(triples.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
     def test_plug_in_evaluate_still_refuses(self, tmp_path, capsys):
         # Without its exits to S and US the unreached loop is stuck, not
         # sticky: validation refuses the network before anything is solved.

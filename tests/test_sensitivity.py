@@ -704,6 +704,56 @@ def test_an_end_state_the_start_cannot_reach_is_exactly_zero():
     assert [sw.p_s_max.hex(), sw.p_s_min.hex(), sw.impact_ratio.hex()] == [zero] * 3
 
 
+def local_spec(flows):
+    """The network of `flows` (source, target, frequency) from s0, over the
+    stakeholders s0, s1, ... that they leave, in number order."""
+    ids = sorted({f[0] for f in flows}, key=lambda sid: int(sid[1:]))
+    return NetworkSpec(
+        tuple(Stakeholder(sid, "local") for sid in ids),
+        tuple(FlowRecord(*f) for f in flows),
+        "s0",
+    )
+
+
+def discard_cuts_satisfaction_spec():
+    # s0 reaches S only through s4 -> s3, so all-DI s4 leaves the start no
+    # route to S; 0-count flows stage s1, s2 and s6.
+    flows = [("s0", "s5", 1.0), ("s0", "DI", 1.0), ("s5", "s0", 1.0), ("s5", "s4", 1.0),
+             ("s4", "s0", 2.0), ("s4", "s3", 1.0), ("s3", "S", 1.0), ("s3", "DI", 1.0)]
+    flows += [("s0", t, 0.0) for t in ("s1", "s2", "s3", "s4", "s6", "S")]
+    flows += [(sid, "s0", 0.0) for sid in ("s1", "s2", "s3", "s6")]
+    flows += [(sid, "s1", 0.0) for sid in ("s3", "s4", "s5")]
+    flows += [(sid, "s2", 0.0) for sid in ("s4", "s5")]
+    flows += [(sid, "DI", 1.0) for sid in ("s1", "s2", "s6")]
+    return local_spec(flows)
+
+
+def discard_only_spec():
+    # Every stakeholder the start reaches flows only to DI (or back to it).
+    flows = [("s0", t, f) for t, f in [("s1", 0.0), ("s2", 0.0), ("s3", 1.0), ("s4", 2.0),
+                                      ("s5", 0.0), ("DI", 1.0), ("s6", 2.0), ("S", 0.0)]]
+    for i in range(1, 7):
+        flows += [(f"s{i}", "s0", 0.0), (f"s{i}", "DI", 1.0)]
+    return local_spec(flows)
+
+
+def test_a_swept_chain_reads_its_own_dead_ends_exactly():
+    # All-DI s4 leaves DI the start's one live end: P_S read
+    # -1.3877787807814457e-17 at total discard, a difference of equal numbers.
+    sw = sweep_ineffective(discard_cuts_satisfaction_spec(), "s4", 1, 1, "plugin")
+    assert [sw.p_s_max, sw.impact_ratio] == pytest.approx([1 / 14, 1 / 42], rel=1e-15)
+    assert [p.hex() for p in sw.means[-1].tolist()] == [(1.0).hex(), (0.0).hex(), (0.0).hex()]
+    assert sw.p_s_min.hex() == (0.0).hex()
+
+
+def test_a_lone_live_end_is_exactly_one():
+    # evaluate read P_DI = 1.0000000000000002 where DI is the only live end.
+    spec = discard_only_spec()
+    assert plug_in_start(spec, "raw").tolist() == [1.0, 0.0, 0.0]
+    sw = sweep_ineffective(spec, "s0", 1, 0, "plugin")  # the others discard everything
+    assert (sw.means == [1.0, 0.0, 0.0]).all() and sw.impact_ratio == 0.0
+
+
 def dead_ends(spec):
     """The end states that no stakeholder the start reaches over positive
     flows flows to, which its raw chain cannot end in."""
@@ -739,6 +789,23 @@ def test_raw_plug_in_probabilities_are_zero_where_the_start_cannot_end(spec):
             assert {sw.p_s_max.hex(), sw.p_s_min.hex(), sw.impact_ratio.hex()} == zero
 
 
+@given(valid_networks())
+@example(discard_cuts_satisfaction_spec())
+@example(discard_only_spec())
+def test_raw_plug_in_probabilities_lie_in_the_unit_interval(spec):
+    # evaluate's triple and every point of every plug-in sweep, so every
+    # endpoint a plug-in rank reports: a probability the solve rounds past
+    # 0 or 1 is a dead end that is not exactly 0 or a lone end not exactly 1.
+    triple = plug_in_start(spec, "raw")
+    assert ((0.0 <= triple) & (triple <= 1.0)).all()
+    for sid in spec.ids:
+        try:
+            sw = sweep_ineffective(spec, sid, 1, 0, "plugin")
+        except (ValidationError, NoNonDiTargetsError):
+            continue  # the sweep is refused
+        assert ((0.0 <= sw.means) & (sw.means <= 1.0)).all(), (sid, sw.means)
+
+
 class TestClosedForm:
     """Plug-in sweeps read their endpoints, impact ratio and curve off one
     solve of the base chain; exact arithmetic and chains rebuilt for every
@@ -761,6 +828,7 @@ class TestClosedForm:
 
     @given(valid_networks())
     @example(unreached_feeder_spec())
+    @example(discard_cuts_satisfaction_spec())
     def test_ratios_and_endpoints_match_exact_arithmetic(self, spec):
         for sid in spec.ids:
             try:
@@ -770,6 +838,9 @@ class TestClosedForm:
             p0, p1, ratio = exact_sweep_ends(spec, sid)
             np.testing.assert_allclose(
                 sw.means[[0, -1]], np.array([p0, p1], dtype=float), rtol=0, atol=1e-13)
+            # An endpoint is exactly 0 or 1 where its exact value is.
+            for got, exact in zip(sw.means[[0, -1]].ravel().tolist(), [*p0, *p1]):
+                assert (got == 0.0, got == 1.0) == (exact == 0, exact == 1), (sid, got, exact)
             # A ratio that is exactly 0 (the start reaches s but s never
             # reaches S) comes out as the solve's rounding of 0.
             error = abs(Fraction(sw.impact_ratio) - ratio)
