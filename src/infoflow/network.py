@@ -246,12 +246,11 @@ class _Plan:
         """(reached, ends): masks of the stakeholders the start reaches over
         positive raw-frequency flows, and of its dead ends, the end states
         none of them flows to. Its raw chain cannot end in those, but a solve
-        may pivot in the flows of a stakeholder that a 0-count cell stages."""
+        may pivot in the flows of a stakeholder that a 0-count cell stages.
+        No path reaches a state where every state dominates it."""
+        unreached = self.raw_dominators.all(axis=1)
         n = len(self.totals)
-        start = (np.arange(n) == self.start)[:, np.newaxis]
-        # States that reach the start over reversed flows are those it reaches.
-        reached = absorbing_reach(self.raw_qr[:, :n].T, start)
-        return reached, ~(self.raw_qr[reached, n:] > 0.0).any(axis=0)
+        return ~unreached[:n], unreached[n:]
 
     @cached_property
     def raw_dominators(self) -> np.ndarray:

@@ -68,7 +68,7 @@ class SweepResult:
     n_di_max (the total outflow) in steps of `increment`. The endpoints and
     the impact ratio are computed when the sweep runs; the grid and the
     curve `means` on first read (plug-in sweeps evaluate their closed form
-    over the grid by calling `curve`).
+    over the grid by calling `curve`). No sweep keeps its draws.
     """
 
     stakeholder: str
@@ -80,7 +80,6 @@ class SweepResult:
     p_s_min: float  # mean P_S at n_di_max
     impact_ratio: float
     curve: Callable[[], np.ndarray] = field(repr=False)  # the means, (increments, 3)
-    samples: np.ndarray | None = None  # (increments, iterations, 3), Monte Carlo only
 
     @cached_property
     def n_di_values(self) -> np.ndarray:  # read-only float64, one per increment
@@ -129,11 +128,11 @@ def _reallocated(base: CountVector, grid: np.ndarray) -> tuple[CountVector, np.n
     """The reallocation rule at every discard d of `grid`: the CountVector
     at grid[0] and the (len(grid), k) counts, row i at grid[i]. DI, added
     before S/US where missing, becomes min(d, T) and every other count v
-    becomes v * (T - d) / (T - d0), T the counts' Python sum and d0 the
-    original DI count, by the same IEEE operations at every point. A point
-    that is NaN, negative, above T beyond a 1e-12 tolerance, or below T on
-    a row already all discarded refuses the whole grid, as does a row of
-    nothing but DI."""
+    becomes v * (T - d) / (T - d0), T the CountVector total (the grid's
+    end) and d0 the original DI count, by the same IEEE operations at every
+    point. A point that is NaN, negative, above T beyond a 1e-12 tolerance,
+    or below T on a row already all discarded refuses the whole grid, as
+    does a row of nothing but DI."""
     low, high = float(grid.min()), float(grid.max())  # both NaN if a point is
     if math.isnan(low):  # NaN passes every comparison below
         raise ValueError(f"di_value must be a number, got {low}")
@@ -146,7 +145,7 @@ def _reallocated(base: CountVector, grid: np.ndarray) -> tuple[CountVector, np.n
         labels.insert(tails[0] if tails else len(labels), _DI)
     if labels == [_DI]:
         raise NoNonDiTargetsError("counts contain no non-DI entries")
-    total = sum(values.values())
+    total = base.total
     if high > total * (1 + 1e-12) + 1e-12:
         raise ExceedsTotalError(f"di_value {high} exceeds total outflow {total}")
     di = np.where(grid > total, total, grid)  # Python's min(d, T): -0.0 stays against T = 0.0
@@ -201,7 +200,7 @@ def _closed_form(
         flows_to_end[s, 0] = False  # zero discard: row s without its DI
         not_di = np.arange(3) > 0  # DI lives wherever row s flows to it
         dead_between = dead & not_di
-        dead_total = (dead | sub.raw_dominators[m:, s]) & not_di
+        dead_total = sub.raw_dominators[m:, s] & not_di  # dead ends included: all dominate them
         dead_ends = np.array([~flows_to_end[reached].any(axis=0), dead_total])
         e_di = np.array([1.0, 0.0, 0.0])  # the triple of a row that discards everything
         delta = -sub.raw_qr[s]
@@ -239,8 +238,8 @@ def sweep_ineffective(
     """Sweep one stakeholder's discarded-flow frequency over 0..total outflow.
 
     Monte Carlo mode estimates every increment's means from `iterations`
-    posterior draws up front, in one draw_samples call; increment i of
-    stakeholder s uses streams derived from (seed, index(s), i, t). Plug-in
+    posterior draws up front, in one draw_samples call that returns them;
+    increment i of stakeholder s uses streams (seed, index(s), i, t). Plug-in
     mode evaluates the raw-frequency chains deterministically and ignores
     `iterations`: it solves no chain, reading the endpoints and the impact
     ratio off the plan's one base solve without building the grid, and
@@ -266,11 +265,7 @@ def sweep_ineffective(
         # chain reaches absorption wherever the raw-frequency chain does, and
         # the swept row reaches DI directly; no check is needed.
         layout = plan.override(s_idx, zero)  # every grid point's labels
-        all_samples = draw_samples(
-            layout, iterations, seed, key=(s_idx,), swept=(s_idx, 1.0 + counts)
-        )
-        all_samples.flags.writeable = False
-        means = all_samples.mean(axis=1)
+        means = draw_samples(layout, iterations, seed, key=(s_idx,), swept=(s_idx, 1.0 + counts))
         ends = means[[0, -1]]
         ratio = impact_ratio(*ends[:, 1].tolist(), total, 0.0)
 
@@ -284,7 +279,6 @@ def sweep_ineffective(
         # it finds what validate finds for that point's spec. A swept row
         # with a direct flow to S or US keeps every route through it, so
         # only a row without one needs the check.
-        all_samples = None
         n = len(plan.totals)
         if not (plan.raw_qr[s_idx, n + 1 :] > 0.0).any():
             support = plan.raw_qr > 0.0
@@ -299,7 +293,7 @@ def sweep_ineffective(
         stakeholder=stakeholder, mode=mode, n_di_min=0.0, n_di_max=total,
         increment=increment, p_s_max=p_s_max, p_s_min=p_s_min,
         impact_ratio=ratio,
-        curve=curve, samples=all_samples,
+        curve=curve,
     )
 
 
@@ -314,7 +308,8 @@ def rank_details(
     Ties in the impact ratio break by ascending stakeholder id. The ranking
     reads only each sweep's endpoints and ratio, so a plug-in ranking makes
     one solve of the base chain in all and builds no grid; each result
-    still evaluates its whole curve if its `means` is read.
+    still evaluates its whole curve if its `means` is read. A Monte Carlo
+    ranking holds one chunk's draws at a time, whatever the iteration count.
     """
     mode = canonical_mode(mode)  # before any sweep, so an empty ranking checks it too
     network._compiled(spec)  # validates once and warms the plan every sweep reads

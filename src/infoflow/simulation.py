@@ -28,8 +28,8 @@ draw_samples runs its chains back to back in chunks whose stacked (m, m +
 one staging buffer that the staged solve turns into [I - Q | R] in place,
 its cells found through one index, `_Plan.placement`. Memory is that
 buffer, the fill's and the solve's temporaries (of its order, and larger on
-small networks) and the output, whatever the iteration count; the triples
-do not depend on the chunk size.
+small networks) and the output (a sweep's: its means), whatever the
+iteration count; nothing drawn depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -234,19 +234,19 @@ def draw_samples(
     over the plan's alphas; `spec` may also be a compiled plan. `swept` =
     (index, alphas), alphas an (increments, k) matrix over the k entries
     `span(index)` of the plan's row `index`, makes this a sweep of (increments,
-    iterations, 3) triples: increment i draws the plan with that row's alpha
-    replaced by alphas[i], exactly as a plan holding that row would, from
-    streams (seed, *key, i, t). Keyed by the swept stakeholder, each
-    (stakeholder, increment) has its own streams under one master seed. An
-    unswept call is the one-member case.
+    3) means: increment i draws the plan with that row's alpha replaced by
+    alphas[i], exactly as a plan holding that row would, from streams (seed,
+    *key, i, t), and sums its triples in draw order, as their mean(axis=0)
+    does. Keyed by the swept stakeholder, each (stakeholder, increment) has
+    its own streams under one master seed.
 
     Each triple equals, bit for bit, absorption_probabilities of the drawn
     chain restricted to the stakeholders the start reaches over labelled
     cells (`_Plan.reachable`), the only rows normalised and solved; where
     the start reaches every stakeholder, that is sampled_chain's chain from
     the same stream. So a loop the start cannot reach cannot make a draw
-    fail. Chunks of _chunk_size draws may straddle members; the triples do
-    not depend on them.
+    fail. Chunks of _chunk_size draws may straddle increments; nothing
+    drawn depends on them.
     """
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
@@ -267,7 +267,7 @@ def draw_samples(
     draws = ((alpha, k, t) for alpha, k in zip(alphas, keys) for t in range(iterations))
     total = len(keys) * iterations
     chunk = _chunk_size(staged, total)
-    out = _sized(lambda: np.empty((total, 3)))
+    out = _sized(lambda: np.empty((total, 3))) if swept is None else np.zeros((len(keys), 3))
     qr_buf = np.zeros((chunk, len(staged.totals), len(staged.state_order)))
     for first in range(0, total, chunk):
         qr = qr_buf[: min(chunk, total - first)]
@@ -277,11 +277,12 @@ def draw_samples(
         gammas = np.take(gammas, positions, axis=1)  # the staged rows', normalised in place
         _fill_draws(staged, gammas, qr)
         del gammas  # not held through the solve, which sets the peak memory
-        out[first : first + len(qr)] = _absorb(
-            staged, qr, lambda j: f"iteration {(first + j) % iterations}: "
-        )
-    out = out.reshape(len(keys), iterations, 3)
-    return out[0] if swept is None else out
+        triples = _absorb(staged, qr, lambda j: f"iteration {(first + j) % iterations}: ")
+        if swept is None:
+            out[first : first + len(qr)] = triples
+        else:  # each increment's sum, in draw order
+            np.add.at(out, np.arange(first, first + len(qr)) // iterations, triples)
+    return out if swept is None else out / iterations
 
 
 def run(

@@ -8,9 +8,10 @@ iteration counts are fixed here once; they are not tuned to the results.
 
 import numpy as np
 import pytest
+from helpers import flow_counts, with_reallocated
 
-from infoflow.sensitivity import rank_details, sweep_ineffective
-from infoflow.simulation import run
+from infoflow.sensitivity import _di_grid, rank_details, reallocate, sweep_ineffective
+from infoflow.simulation import draw_samples, run
 
 SEED = 2020
 BASELINE_ITERATIONS = 4000
@@ -36,8 +37,18 @@ def test_baseline_mean_p_s(reference_spec):
 def test_sweep_endpoints(reference_spec, stakeholder, p_s_max, p_s_min, total):
     sw = sweep_ineffective(reference_spec, stakeholder, SWEEP_ITERATIONS, SEED, "mc")
     assert (sw.n_di_min, sw.n_di_max) == (0.0, total)
-    assert_near(sw.p_s_max, sw.samples[0, :, 1], p_s_max)
-    assert_near(sw.p_s_min, sw.samples[-1, :, 1], p_s_min)
+    # The sweep keeps only its means: its endpoints' draws are those of the
+    # rebuilt endpoint specs, from the same streams (SEED, s, i, t).
+    s, base = reference_spec.ids.index(stakeholder), flow_counts(reference_spec, stakeholder)
+    grid = _di_grid(base.total, 1.0)
+    first, last = (
+        draw_samples(with_reallocated(reference_spec, stakeholder, reallocate(base, grid[i])),
+                     SWEEP_ITERATIONS, SEED, key=(s, i))
+        for i in (0, len(grid) - 1)
+    )
+    assert np.array_equal(sw.means[[0, -1]], [first.mean(axis=0), last.mean(axis=0)])
+    assert_near(sw.p_s_max, first[:, 1], p_s_max)
+    assert_near(sw.p_s_min, last[:, 1], p_s_min)
 
 
 def test_plug_in_order(reference_spec):

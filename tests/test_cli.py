@@ -253,8 +253,9 @@ class TestSimulateCommand:
 
     def test_report_contents(self, net_path, tmp_path):
         out = tmp_path / "sim.json"
-        cli_main(["simulate", str(net_path), "--iterations", "150", "--seed", "3",
-                  "--bins", "20", "--output", str(out)])
+        code = cli_main(["simulate", str(net_path), "--iterations", "150", "--seed", "3",
+                         "--bins", "20", "--output", str(out)])
+        assert code == 0
         report = json.loads(out.read_text())
         assert report["iterations"] == 150 and report["seed"] == 3
         assert len(report["result"]["samples"]) == 150
@@ -264,8 +265,9 @@ class TestSimulateCommand:
 
     def test_csv_lists_samples(self, net_path, tmp_path):
         out = tmp_path / "sim.csv"
-        cli_main(["simulate", str(net_path), "--iterations", "10", "--seed", "3",
-                  "--format", "csv", "--output", str(out)])
+        code = cli_main(["simulate", str(net_path), "--iterations", "10", "--seed", "3",
+                         "--format", "csv", "--output", str(out)])
+        assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "iteration,p_di,p_s,p_us"
         assert len(lines) == 11
@@ -333,8 +335,9 @@ class TestRankCommand:
 
     def test_rank_csv_layout(self, net_path, tmp_path):
         out = tmp_path / "rank.csv"
-        cli_main(["rank", str(net_path), "--iterations", "1", "--seed", "0",
-                  "--mode", "plugin", "--format", "csv", "--output", str(out)])
+        code = cli_main(["rank", str(net_path), "--iterations", "1", "--seed", "0",
+                         "--mode", "plugin", "--format", "csv", "--output", str(out)])
+        assert code == 0
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "stakeholder,n_di_min,n_di_max,p_s_min,p_s_max,impact_ratio"
         assert lines[1].startswith("E,")

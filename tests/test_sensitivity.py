@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -99,7 +100,7 @@ class TestReallocate:
     # while reallocate still had an implementation of its own.
     _D = (("S", "US", "DI"), [15.0, 10.0, 5.0])
     _WIDE = (tuple(f"T{i}" for i in range(8)) + ("S",),
-             [16.6, 9.6, 58.2, 31.0, 7.0, 37.4, 46.6, 36.8, 55.0])  # sum 298.2
+             [16.6, 9.6, 58.2, 31.0, 7.0, 37.4, 46.6, 36.8, 55.0])  # total 298.20000000000005
     _PINNED = {
         "nan": (*_D, float("nan"), (ValueError, "di_value must be a number, got nan")),
         "negative": (*_D, -1, (NegativeEntryError, "di_value must be >= 0, got -1.0")),
@@ -123,9 +124,19 @@ class TestReallocate:
             ("S", "DI"), "00000000000000000000000000001440")),
         "missing-di": (("X", "S"), [6.0, 4.0], 2, (
             ("X", "DI", "S"), "343333333333134000000000000000409a99999999990940")),
-        # numpy's sum 298.20000000000005 is within tolerance and clamped to 298.2.
+        # The CountVector total, 298.20000000000005, not Python's sum 298.2:
+        # discarding all of it leaves nothing to clamp, and DI is that total.
         "clamped": (*_WIDE, 298.20000000000005, (
-            _WIDE[0][:8] + ("DI", "S"), "00" * 64 + "3333333333a37240" + "00" * 8)),
+            _WIDE[0][:8] + ("DI", "S"), "00" * 64 + "3433333333a37240" + "00" * 8)),
+        # One ulp above the total is within tolerance and clamped to it.
+        "clamped-above-total": (*_WIDE, 298.2000000000001, (
+            _WIDE[0][:8] + ("DI", "S"), "00" * 64 + "3433333333a37240" + "00" * 8)),
+        # Python's sum of these counts is 7.6000000000000005, their total 7.6,
+        # the sweep grid's end: discarding it leaves every other count 0, so
+        # a Monte Carlo sweep draws that point with alphas exactly 1.
+        "total-below-python-sum": (
+            _WIDE[0], [0.3, 0.2, 1.1, 0.2, 0.6, 0.6, 0.6, 3.3, 0.7], 7.6, (
+                _WIDE[0][:8] + ("DI", "S"), "00" * 64 + "6666666666661e40" + "00" * 8)),
     }
 
     @pytest.mark.parametrize("labels, counts, di_value, expected",
@@ -181,7 +192,7 @@ def count_rows(draw):
 @given(count_rows(), st.sampled_from([1.0, 0.7, 2.5]))
 @example(d_counts(), 1.0)
 @example(CountVector(("T0", "S"), [3.5, 2.25]), 1.0)  # no DI; the total 5.75 is appended
-# numpy's total 298.20000000000005 exceeds reallocate's sum, 298.2: the last point is clamped.
+# Python's sum of these counts, 298.2, misses their total 298.20000000000005, the grid's end.
 @example(CountVector(tuple(f"T{i}" for i in range(8)) + ("S",),
                      [16.6, 9.6, 58.2, 31.0, 7.0, 37.4, 46.6, 36.8, 55.0]), 1.0)
 @example(CountVector(("DI", "S", "US"), [4.0, 0.0, 0.0]), 1.0)  # all outflow discarded
@@ -275,12 +286,17 @@ class TestSweep:
         a = sweep_ineffective(reference_spec, "D", 40, 3, "mc")
         b = sweep_ineffective(reference_spec, "D", 40, 3, "monte-carlo")
         assert np.array_equal(a.means, b.means)
-        assert np.array_equal(a.samples, b.samples)
+        # The draws behind the means are the rebuilt specs' from the same
+        # streams (seed, s, i, t).
+        draws = rebuilt_sweep(reference_spec, "D", 40, 3, "mc")
+        assert np.array_equal(a.means, draws.mean(axis=1))
 
     def test_monte_carlo_increments_conserve_probability(self, reference_spec):
         sw = sweep_ineffective(reference_spec, "D", 40, 3, "mc")
         np.testing.assert_allclose(sw.means.sum(axis=1), 1.0, atol=1e-6)
-        np.testing.assert_allclose(sw.samples.sum(axis=2), 1.0, atol=1e-9)
+        draws = rebuilt_sweep(reference_spec, "D", 40, 3, "mc")  # the means' own draws
+        assert np.array_equal(sw.means, draws.mean(axis=1))
+        np.testing.assert_allclose(draws.sum(axis=2), 1.0, atol=1e-9)
 
     def test_sweeping_stakeholder_without_di_edge(self, reference_spec):
         sw = sweep_ineffective(reference_spec, "A", 1, 0, "plug-in")
@@ -365,8 +381,8 @@ def rebuilt_sweep(spec, stakeholder, iterations, seed, mode):
     """Oracle for sweep_ineffective: a fresh spec per increment, evaluated by
     the public draw_samples or, in plug-in mode, by the restricted-chain
     oracle reachable_plug_in_absorption. Monte Carlo mode returns the
-    samples (increments, iterations, 3), plug-in mode the means
-    (increments, 3)."""
+    draws (increments, iterations, 3), whose mean(axis=1) a sweep's means
+    must equal bit for bit; plug-in mode the means (increments, 3)."""
     s_idx = spec.ids.index(stakeholder)
     base = flow_counts(spec, stakeholder)
     out = []
@@ -445,7 +461,6 @@ class TestSweepOverride:
         sw = sweep_ineffective(spec, stakeholder, 40, 11, mode)
         want = rebuilt_sweep(spec, stakeholder, 40, 11, mode)
         if mode == "mc":
-            assert np.array_equal(sw.samples, want)
             assert np.array_equal(sw.means, want.mean(axis=1))
         else:
             np.testing.assert_allclose(sw.means, want, rtol=0, atol=1e-15)
@@ -465,22 +480,31 @@ class TestSweepOverride:
         # At zero discard X's raw-frequency chain cannot absorb, but every
         # flat-prior draw puts mass on the DI label reallocate gives X. The
         # draws are per-row dirichlet_sample draws from stream (seed, s, 0, t)
-        # in declaration order, assembled by the public build_canonical.
+        # in declaration order, assembled by the public build_canonical; the
+        # later increments' are draw_samples' on their rebuilt specs.
         spec = dead_loop_spec()
         sw = sweep_ineffective(spec, "X", 6, 3, "mc")
-        np.testing.assert_allclose(sw.samples.sum(axis=2), 1.0, atol=1e-9)
-        zero = _with_reallocated(spec, "X", reallocate(flow_counts(spec, "X"), 0))
+        base, s = flow_counts(spec, "X"), spec.ids.index("X")
+        zero = _with_reallocated(spec, "X", reallocate(base, 0))
         states = zero.ids + ABSORBING_ORDER
         n = len(zero.ids)
+        triples = []
         for t in range(6):
-            rng = stream(3, zero.ids.index("X"), 0, t)
+            rng = stream(3, s, 0, t)
             qr = np.zeros((n, len(states)))
             for i, sid in enumerate(zero.ids):
                 cv = flow_counts(zero, sid)
                 theta = dirichlet_sample(noninformative_posterior(cv), rng)
                 qr[i, [states.index(label) for label in cv.labels]] = theta
             tm = build_canonical(qr[:, :n], qr[:, n:], states)
-            assert np.array_equal(sw.samples[0, t], absorption_probabilities(tm).row("A"))
+            triples.append(absorption_probabilities(tm).row("A"))
+        np.testing.assert_allclose(np.sum(triples, axis=1), 1.0, atol=1e-9)
+        assert np.array_equal(sw.means[0], np.array(triples).mean(axis=0))
+        for i, di in enumerate(_di_grid(base.total, 1.0)[1:], start=1):
+            rebuilt = _with_reallocated(spec, "X", reallocate(base, di))
+            draws = draw_samples(rebuilt, 6, 3, key=(s, i))
+            np.testing.assert_allclose(draws.sum(axis=1), 1.0, atol=1e-9)
+            assert np.array_equal(sw.means[i], draws.mean(axis=0))
 
     @staticmethod
     def set_chunk(monkeypatch, spec, draws):
@@ -498,8 +522,6 @@ class TestSweepOverride:
         self.set_chunk(monkeypatch, wide_row_spec, 7)
         got = sweep_ineffective(wide_row_spec, "W05", 20, 4, mode)
         assert np.array_equal(got.means, want.means)
-        if mode == "mc":
-            assert np.array_equal(got.samples, want.samples)
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_singular_draw_names_its_iteration_within_its_increment(
@@ -520,6 +542,25 @@ class TestSweepOverride:
         monkeypatch.setattr(simulation, "stream", broken_at_2_5)
         with pytest.raises(SingularSystemError, match="^iteration 5: I - Q is singular$"):
             sweep_ineffective(reference_spec, "D", 20, 4, "mc")
+
+
+def test_monte_carlo_rank_memory_is_bounded_in_iterations(reference_spec, monkeypatch):
+    # A sweep returns its means, so a ranking holds one (increments, 3)
+    # array per stakeholder whatever the iteration count. Kept draws would
+    # add 24 bytes per draw: 189 increments * 100 iterations, 454 kB. Chunks
+    # of 64 draws keep the staging buffer the same at both counts.
+    TestSweepOverride.set_chunk(monkeypatch, reference_spec, 64)
+    rank_details(reference_spec, 20, 0)  # compile the plans, layouts and first allocations
+
+    def peak(iterations):
+        tracemalloc.start()
+        try:
+            rank_details(reference_spec, iterations, 0)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(120) - peak(20) < 2**18
 
 
 class TestEndpointOnlyRank:

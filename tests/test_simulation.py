@@ -364,19 +364,44 @@ def test_one_staging_buffer_per_chunk(monkeypatch, chunks):
 def test_batch_draws_each_plan_from_its_own_streams(reference_spec):
     # A sweep replaces one row's alpha by each row of an alpha matrix in
     # turn; increment i draws from streams (seed, *key, i, t), exactly as a
-    # plan holding that row alone would.
+    # plan holding that row alone would, and returns their mean.
     plan = _compiled(reference_spec)
     labels = plan.row(1).labels
     alphas = np.array([[4.0, 3.0, 2.0], [1.0, 1.5, 7.0], [2.5, 1.0, 1.0]])
     assert len(labels) == alphas.shape[1]
     sweep = draw_samples(plan, 12, 5, key=(9,), swept=(1, alphas))
-    assert sweep.shape == (3, 12, 3)
+    assert sweep.shape == (3, 3)
     for i, alpha in enumerate(alphas):
         alone = plan.override(1, CountVector(labels, alpha - 1.0))
-        assert np.array_equal(sweep[i], draw_samples(alone, 12, 5, key=(9, i)))
+        assert np.array_equal(sweep[i], draw_samples(alone, 12, 5, key=(9, i)).mean(axis=0))
     for width in (2, 4):  # a matrix over other labels is refused, not spread over other rows
         with pytest.raises(ValueError):
             draw_samples(plan, 12, 5, swept=(1, np.ones((2, width))))
+
+
+@given(
+    st.integers(1, 40),
+    st.lists(st.lists(st.floats(1.0, 20.0), min_size=3, max_size=3), min_size=1, max_size=5),
+    st.sampled_from([1, 7, 13]),
+    st.integers(0, 2**32),
+)
+@settings(max_examples=40)
+def test_sweep_means_sum_each_increment_in_draw_order(
+    reference_spec, iterations, alphas, chunk, seed
+):
+    # numpy does not promise the order in which mean(axis=0) sums. A sweep
+    # sums each increment's triples in draw order, through chunks that
+    # straddle increments, and must give that increment's own mean bit for bit.
+    plan = _compiled(reference_spec)
+    labels = plan.row(1).labels
+    alphas = np.array(alphas)
+    with pytest.MonkeyPatch.context() as mp:
+        set_chunk(mp, reference_spec, chunk, len(alphas) * iterations)
+        sweep = draw_samples(plan, iterations, seed, key=(2,), swept=(1, alphas))
+    for i, alpha in enumerate(alphas):
+        alone = plan.override(1, CountVector(labels, alpha - 1.0))
+        want = draw_samples(alone, iterations, seed, key=(2, i)).mean(axis=0)
+        assert np.array_equal(sweep[i], want)
 
 
 @st.composite
