@@ -213,9 +213,10 @@ class _Plan:
 
     @cached_property
     def raw_qr(self) -> np.ndarray:
-        """Read-only (n, n + 3) stacked [Q | R] of the raw-frequency chain,
-        built once per plan: every sweep of the plan starts from it."""
-        qr = _plug_in_qr(self, RAW_FREQUENCY)
+        """Read-only (n, n + 3) stacked [Q | R] of the raw-frequency chain as
+        build_canonical stores it, built once per plan and solved by raw_nb."""
+        chain = _chain(self, _plug_in_qr(self, RAW_FREQUENCY))
+        qr = np.hstack([chain.q, chain.r])
         qr.flags.writeable = False
         return qr
 
@@ -223,12 +224,11 @@ class _Plan:
     def raw_nb(self) -> np.ndarray:
         """Read-only (n, n + 3) [N | B] of the raw-frequency chain, from one
         solve of (I - Q) [N | B] = [I | R]: N[i, j] is the expected number of
-        visits to j from i, and B = N R the absorption probabilities. Plug-in
-        sweeps read every swept stakeholder's endpoints and curve from it.
-        Exact zeros (`raw_reach`) are 0, not the solve's rounding: N in the
-        start's row where it reaches no positive flow, so a stakeholder it
-        never reaches has no effect on it, and B at the dead ends of the
-        rows it reaches. Raises SingularSystemError where I - Q is singular."""
+        visits to j from i, and B = N R the absorption probabilities. Raw
+        evaluate reads the start's row of B, and plug-in sweeps every swept
+        stakeholder's endpoints and curve. B is exactly 0, not the solve's
+        rounding, at the dead ends (`raw_reach`) of the rows the start
+        reaches. Raises SingularSystemError where I - Q is singular."""
         from .simulation import _solved  # simulation imports this module
 
         n = len(self.totals)
@@ -236,7 +236,6 @@ class _Plan:
         q = self.raw_qr[:, :n]
         nb = _solved((eye - q)[np.newaxis], np.hstack([eye, self.raw_qr[:, n:]])[np.newaxis])[0]
         reached, ends = self.raw_reach
-        nb[self.start, :n][~reached] = 0.0
         nb[np.ix_(reached, n + np.flatnonzero(ends))] = 0.0
         nb.flags.writeable = False
         return nb

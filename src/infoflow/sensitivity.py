@@ -191,7 +191,7 @@ def _closed_form(
     a = sub.start
     s = sub.state_order.index(stakeholder) if stakeholder in sub.state_order else None
     reached, dead = sub.raw_reach
-    if s is None or visits[a, s] == 0.0:  # the start never reaches s
+    if s is None or not reached[s]:  # the start never reaches s
         p0 = p1 = b[a]
         ratio, step, bend = 0.0, np.zeros(3), 0.0
         dead_ends = dead_between = dead

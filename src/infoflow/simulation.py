@@ -1,5 +1,5 @@
 """Seeded Monte Carlo over posterior draws, and the one staged solve of
-absorbing chains that it shares with plug-in evaluation (evaluate).
+absorbing chains that it shares with posterior-mean evaluate.
 
 Each iteration samples a chain from the stakeholders' flat-prior
 posteriors, solves for absorption probabilities, and records the start
@@ -14,22 +14,22 @@ concatenated alphas, every row's. The stream's seed words are one row of a
 block that rng derives for 64 consecutive iterations at once, so the
 stream costs little more than constructing its PCG64 generator.
 
-Monte Carlo draws and plug-in evaluate share one staging rule and one
-staged solve, _absorb; evaluate solves its plug-in [Q | R] as a stack of
-one chain. Plug-in sweeps and rankings solve no chain here: they read
-theirs in closed form off one solve of the same stakeholders' raw-frequency
-chain (network._Plan.raw_nb). All of these solves refuse a singular system
-in one place, _solved, and a start triple that misses 1 in one place,
-_checked. Only the stakeholders the start reaches over labelled cells
-(`_Plan.reachable`) are staged and solved: no labelled cell leaves them,
-so the start's row of B = (I - Q)^-1 R depends on their rows alone.
-draw_samples runs its chains back to back in chunks whose stacked (m, m +
-3) blocks, m the number of those stakeholders, fit in CHUNK_BYTES, through
-one staging buffer that the staged solve turns into [I - Q | R] in place,
-its cells found through one index, `_Plan.placement`. Memory is that
-buffer, the fill's and the solve's temporaries (of its order, and larger on
-small networks) and the output (a sweep's: its means), whatever the
-iteration count; nothing drawn depends on the chunk size.
+Monte Carlo draws and posterior-mean evaluate share one staging rule and
+one staged solve, _absorb; evaluate solves its posterior-mean [Q | R] as a
+stack of one chain. Raw evaluate, plug-in sweeps and rankings solve no
+chain here: they read one solve of the same stakeholders' raw-frequency
+chain (network._Plan.raw_nb), sweeps in closed form. All these solves
+refuse a singular system in one place, _solved, and a start triple that
+misses 1 in one place, _checked. Only the stakeholders the start reaches
+over labelled cells (`_Plan.reachable`) are staged and solved: no labelled
+cell leaves them, so the start's row of B = (I - Q)^-1 R depends on their
+rows alone. draw_samples runs its chains back to back in chunks whose
+stacked (m, m + 3) blocks, m the number of those stakeholders, fit in
+CHUNK_BYTES, through one staging buffer that the staged solve turns into
+[I - Q | R] in place, its cells found through one index, `_Plan.placement`.
+Memory is that buffer, the fill's and the solve's temporaries (of its
+order; larger on small networks) and the output (a sweep's: its means),
+whatever the iteration count; nothing drawn depends on the chunk size.
 """
 
 from __future__ import annotations
@@ -131,20 +131,20 @@ def _unnamed(j: int) -> str:
 def plug_in_start(spec: NetworkSpec, mode: str) -> np.ndarray:
     """The start's (P_DI, P_S, P_US) in plug-in chain `mode`, raw or
     posterior-mean: plug_in_chain(spec, mode) restricted to the stakeholders
-    the start reaches, solved by absorption_probabilities, bit for bit. The
-    staged solve takes its [Q | R] as a stack of one chain. A raw triple
-    is _exact at the dead ends of `_Plan.raw_reach`."""
+    the start reaches, solved by absorption_probabilities, bit for bit. Raw
+    reads the start's row of `_Plan.raw_nb`, the solve plug-in sweeps read,
+    _exact at the dead ends of `_Plan.raw_reach`; posterior-mean is _absorb's."""
     staged = _compiled(spec).reachable[0]  # validates the spec
-    triple = _absorb(staged, _plug_in_qr(staged, mode)[np.newaxis])[0]
-    if mode == RAW_FREQUENCY:  # every labelled cell of a posterior-mean row is positive
-        triple = _exact(triple, staged.raw_reach[1])
-    return triple
+    if mode != RAW_FREQUENCY:  # every labelled cell of a posterior-mean row is positive
+        return _absorb(staged, _plug_in_qr(staged, mode)[np.newaxis])[0]
+    start = staged.raw_nb[staged.start, len(staged.totals) :]
+    return _exact(_checked(start[np.newaxis])[0], staged.raw_reach[1])
 
 
 def _absorb(staged: _Plan, qr: np.ndarray, name=_unnamed) -> np.ndarray:
     """(len(qr), 3) start-state triples of a stack of chains over the
-    stakeholders of `staged`, solved in the C-contiguous (chains, n, n + 3)
-    buffer `qr`.
+    stakeholders of `staged`, Monte Carlo draws or one posterior-mean chain,
+    solved in the C-contiguous (chains, n, n + 3) buffer `qr`.
 
     `qr` holds each chain's [Q | R] rows, not yet normalised, in the cells
     of `staged.placement`, the plan's only layout index, and 0 elsewhere.
@@ -267,7 +267,8 @@ def draw_samples(
     draws = ((alpha, k, t) for alpha, k in zip(alphas, keys) for t in range(iterations))
     total = len(keys) * iterations
     chunk = _chunk_size(staged, total)
-    out = _sized(lambda: np.empty((total, 3))) if swept is None else np.zeros((len(keys), 3))
+    group = 1 if swept is None else iterations  # draws summed into each row of out
+    out = _sized(lambda: np.zeros((total // group, 3)))
     qr_buf = np.zeros((chunk, len(staged.totals), len(staged.state_order)))
     for first in range(0, total, chunk):
         qr = qr_buf[: min(chunk, total - first)]
@@ -278,11 +279,9 @@ def draw_samples(
         _fill_draws(staged, gammas, qr)
         del gammas  # not held through the solve, which sets the peak memory
         triples = _absorb(staged, qr, lambda j: f"iteration {(first + j) % iterations}: ")
-        if swept is None:
-            out[first : first + len(qr)] = triples
-        else:  # each increment's sum, in draw order
-            np.add.at(out, np.arange(first, first + len(qr)) // iterations, triples)
-    return out if swept is None else out / iterations
+        np.add.at(out, np.arange(first, first + len(qr)) // group, triples)  # in draw order
+    out /= group
+    return out
 
 
 def run(

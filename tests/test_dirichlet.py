@@ -61,6 +61,16 @@ class TestTypes:
         with pytest.raises(DimensionMismatchError):
             CountVector(("a",), [1, 2])
 
+    @pytest.mark.parametrize("labels, counts, message", [
+        (("a", "b"), [[1, 2]], "expected a 1-d vector, got shape (1, 2)"),
+        (("a", "a"), [1, 2], "duplicate labels in ('a', 'a')"),
+        ((), [], "count vector needs at least one entry"),
+    ], ids=["2-d", "duplicate-labels", "empty"])
+    def test_malformed_count_vector_rejected(self, labels, counts, message):
+        with pytest.raises(DimensionMismatchError) as exc:
+            CountVector(labels, counts)
+        assert str(exc.value) == message
+
 
 class TestMultinomialPmf:
     def test_single_trial(self):

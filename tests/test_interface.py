@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import infoflow
 from infoflow.documents import (
     input_digest,
     network_to_document,
@@ -38,6 +39,7 @@ class TestParseNetwork:
         assert len(spec.stakeholders) == 5
         assert len(spec.flows) == 13
         assert spec.start == "A"
+        assert infoflow.load_reference_network() == spec
 
     def test_minimal_document(self):
         spec = parse_network(doc())
@@ -141,10 +143,23 @@ class TestParseNetwork:
                    {"from": "B", "to": "S", "frequency": 10}]},
         {"flows": [{"from": "A", "to": None, "frequency": 10},
                    {"from": "B", "to": "S", "frequency": 10}]},
-    ], ids=["level", "start", "from", "to"])
+        {"comment": 1},
+    ], ids=["level", "start", "from", "to", "comment"])
     def test_non_string_field_is_a_schema_error(self, overrides):
         with pytest.raises(SchemaError):
             parse_network(doc(**overrides))
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"stakeholders": []}, "'stakeholders' must be a non-empty array"),
+        ({"stakeholders": [{"id": "", "level": "federal"}, {"id": "B", "level": "state"}]},
+         "stakeholder id must be a non-empty string: ''"),
+        ({"flows": {"from": "A", "to": "S", "frequency": 1}}, "'flows' must be an array"),
+        ({"flows": [{"from": "A", "to": "S"}]}, "flow entries need exactly from, to, frequency"),
+    ], ids=["no-stakeholders", "empty-id", "flows-object", "flow-keys"])
+    def test_malformed_entries_are_a_schema_error(self, overrides, message):
+        with pytest.raises(SchemaError) as exc:
+            parse_network(doc(**overrides))
+        assert str(exc.value).startswith(message)
 
     @pytest.mark.parametrize("literal, value", [
         ("1e999", "inf"), ("-1e999", "-inf"), ("1" + "0" * 400, "inf"), ("-1" + "0" * 400, "-inf"),
@@ -193,6 +208,9 @@ class TestRoundTrip:
     def test_emit_then_parse_is_identity(self, reference_spec):
         emitted = json.dumps(network_to_document(reference_spec))
         assert parse_network(emitted) == reference_spec
+        commented = network_to_document(reference_spec, comment="fitted numbers")
+        assert next(iter(commented.items())) == ("comment", "fitted numbers")
+        assert parse_network(json.dumps(commented)) == reference_spec
 
     def test_json_report_preserves_floats_exactly(self, reference_spec):
         sw = sweep_ineffective(reference_spec, "D", 25, 3, "mc")

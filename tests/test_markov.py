@@ -10,6 +10,7 @@ from infoflow.errors import (
     SingularSystemError,
 )
 from infoflow.markov import (
+    TransitionMatrix,
     absorbing_reach,
     absorption_probabilities,
     build_canonical,
@@ -45,6 +46,18 @@ class TestBuildCanonical:
         with pytest.raises(DimensionMismatchError):
             build_canonical([[0.5, 0.1], [0.1, 0.5]], [[0.4, 0, 0]])
 
+    @pytest.mark.parametrize("q, r, state_order, message", [
+        ([[0.5, 0.5]], [[0.5, 0.0, 0.0]], None, "Q must be square, got shape (1, 2)"),
+        (np.zeros((0, 0)), np.zeros((0, 3)), None,
+         "need at least one transient and one absorbing state"),
+        ([[0.5]], [[0.5, 0.0, 0.0]], ("X", "DI", "S"), "state_order needs 4 unique labels"),
+        ([[0.5]], [[0.5, 0.0, 0.0]], ("X", "DI", "S", "S"), "state_order needs 4 unique labels"),
+    ], ids=["non-square-q", "no-states", "short-order", "repeated-label"])
+    def test_malformed_blocks_rejected(self, q, r, state_order, message):
+        with pytest.raises(DimensionMismatchError) as exc:
+            build_canonical(q, r, state_order)
+        assert str(exc.value).startswith(message)
+
     def test_rows_within_tolerance_are_renormalized(self):
         eps = 2e-10
         tm = build_canonical([[0.5 + eps]], [[0.25, 0.15, 0.10]])
@@ -63,8 +76,11 @@ class TestBuildCanonical:
 class TestAbsorptionProbabilities:
     def test_geometric_single_state(self):
         tm = build_canonical([[0.5]], [[0.25, 0.15, 0.10]])
-        b = absorption_probabilities(tm).b
-        np.testing.assert_allclose(b, [[0.5, 0.3, 0.2]], atol=1e-14)
+        result = absorption_probabilities(tm)
+        np.testing.assert_allclose(result.b, [[0.5, 0.3, 0.2]], atol=1e-14)
+        assert np.array_equal(result.row("t0"), result.b[0])
+        with pytest.raises(DimensionMismatchError, match="'S' is not a transient state"):
+            result.row("S")
 
     def test_zero_q_returns_r(self):
         q = np.zeros((3, 3))
@@ -90,6 +106,12 @@ class TestAbsorptionProbabilities:
         tm = build_canonical(q, r)
         with pytest.raises(SingularSystemError):
             absorption_probabilities(tm)
+        # A chain built without build_canonical's checks can solve to
+        # something that is not finite; that is refused too.
+        overflowing = TransitionMatrix(np.array([[0.5]]), np.array([[1e308, 1e308, 0.0]]),
+                                       ("t0", "DI", "S", "US"))
+        with pytest.raises(SingularSystemError, match="non-finite solution"):
+            absorption_probabilities(overflowing)
 
     def test_rows_sum_to_one_on_random_chains(self):
         rng = np.random.default_rng(2024)

@@ -589,6 +589,8 @@ class TestEndpointOnlyRank:
         monkeypatch.setattr(np.linalg, "solve", counted)
         ranked = rank_details(spec, 1, 0, "plugin")
         assert staged == [] and len(solves) == 1
+        plug_in_start(spec, "raw")  # reads the ranking's solve
+        assert staged == [] and len(solves) == 1
         monkeypatch.undo()
         for sw in ranked:
             curve = sweep_ineffective(spec, sw.stakeholder, 1, 0, "plugin").means
@@ -890,10 +892,15 @@ class TestClosedForm:
     @given(valid_networks())
     @example(infoflow.parse_network(document_bytes(wide_row_network())))
     @example(unreached_feeder_spec())
+    @example(infoflow.parse_network(document_bytes(layered_network(60, 4))))
     def test_curves_match_rebuilt_chains(self, spec):
         # A stakeholder the start does not reach leaves the start's chain
-        # as it is: its ratio is exactly 0 and its curve is flat.
-        reached = _compiled(spec).reachable[0].state_order
+        # as it is: its ratio is exactly 0 and its curve is flat. One it
+        # never reaches over positive flows reads the one solve raw
+        # evaluate reads, so every point is evaluate's triple, bit for bit.
+        staged = _compiled(spec).reachable[0]
+        reached = staged.state_order
+        flowed = [sid for sid, hit in zip(reached, staged.raw_reach[0]) if hit]
         for sid in spec.ids:
             try:
                 sw = sweep_ineffective(spec, sid, 1, 0, "plugin")
@@ -903,3 +910,5 @@ class TestClosedForm:
                 sw.means, rebuilt_sweep(spec, sid, 1, 0, "plugin"), rtol=0, atol=1e-12)
             if sid not in reached:
                 assert sw.impact_ratio == 0.0 and (sw.means == sw.means[0]).all()
+            if sid not in flowed:
+                assert (sw.means == plug_in_start(spec, "raw")).all(), sid

@@ -62,6 +62,8 @@ class TestSummarize:
     def test_empty_samples_rejected(self):
         with pytest.raises(EmptySampleError):
             summarize(np.array([]))
+        with pytest.raises(ValueError, match="^bins must be >= 1, got 0$"):
+            summarize(np.array([0.25]), bins=0)
 
     def test_single_sample_has_zero_std(self):
         assert summarize(np.array([0.25])).std == 0.0
