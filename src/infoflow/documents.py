@@ -34,8 +34,9 @@ import json
 import math
 from typing import Any
 
+from . import network
 from .errors import ParseError, SchemaError
-from .network import FlowRecord, NetworkSpec, Stakeholder, require_valid
+from .network import FlowRecord, NetworkSpec, Stakeholder
 from .sensitivity import SweepResult
 from .simulation import SimulationSummary
 
@@ -57,7 +58,8 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 def parse_network(data: bytes | str) -> NetworkSpec:
-    """Parse and validate a network document.
+    """Parse and validate a network document: compile its spec's plan
+    (network._compiled), which every command reads without validating again.
 
     Raises ParseError if the bytes are not UTF-8, not JSON, or hold a NaN or
     Infinity token; SchemaError if the document has the wrong shape or field
@@ -124,7 +126,7 @@ def parse_network(data: bytes | str) -> NetworkSpec:
         flows.append(FlowRecord(src, dst, freq))
 
     spec = NetworkSpec(tuple(stakeholders), tuple(flows), start)
-    require_valid(spec)
+    network._compiled(spec)
     return spec
 
 

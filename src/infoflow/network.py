@@ -17,7 +17,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .dirichlet import CountVector
 from .errors import ValidationError
 from .markov import ABSORBING_ORDER, TransitionMatrix, absorbing_reach, build_canonical
 
@@ -82,7 +81,7 @@ def validate(spec: NetworkSpec) -> ValidationReport:
     operation (counts, plug-in/sampled chains, simulation, sweeps) is safe.
     The structural rules (overflowing totals, dead ends, absorbing reach)
     read _rows, the arrays the compiled plan holds: each row's total as the
-    raw chain divides by it, and which shares are positive (none if it is 0)."""
+    raw chain divides by it, and which shares are positive (_support)."""
     v: list[str] = []
     ids = spec.ids
     id_set = set(ids)
@@ -114,14 +113,12 @@ def validate(spec: NetworkSpec) -> ValidationReport:
             v.append(f"duplicate flow {f.source}->{f.target}")
         seen_pairs.add(pair)
     if not v:  # the structural rules read a well-formed flow list's rows
-        source, column, counts, totals = _rows(spec)
+        totals = _rows(spec)[3]
         v = [f"non-finite total outflow {t} of stakeholder '{sid}'"
              for sid, t in zip(ids, totals.tolist()) if math.isinf(t)]
     if v:
         return ValidationReport(tuple(v))
-    support = np.zeros((len(ids), len(ids) + len(ABSORBING_ORDER)), dtype=bool)
-    support[source, column] = counts / np.where(totals > 0.0, totals, 1.0)[source] > 0.0
-    return ValidationReport(tuple(_flow_violations(ids, support)))
+    return ValidationReport(tuple(_flow_violations(ids, _support(*_rows(spec)))))
 
 
 @lru_cache(maxsize=128)
@@ -155,6 +152,14 @@ def _row_sums(values: np.ndarray, source: np.ndarray, n: int) -> np.ndarray:
     return np.add.reduceat(padded, np.searchsorted(source, rows) + rows, axis=-1)
 
 
+def _support(source, column, counts, totals) -> np.ndarray:
+    """(n, n + 3) mask of the raw-frequency chain's positive shares, each count
+    over its row's total (none where that is 0), of n rows' entries and totals."""
+    support = np.zeros((len(totals), len(totals) + len(ABSORBING_ORDER)), dtype=bool)
+    support[source, column] = counts / np.where(totals > 0.0, totals, 1.0)[source] > 0.0
+    return support
+
+
 def _flow_violations(ids, support: np.ndarray) -> list[str]:
     """Dead-end and absorbing-reachability violations of the stakeholders
     `ids`, given their (n, n + 3) positive-flow support over the states
@@ -173,20 +178,12 @@ def _flow_violations(ids, support: np.ndarray) -> list[str]:
     ]
 
 
-@lru_cache(maxsize=128)
-def require_valid(spec: NetworkSpec) -> None:
-    """Raise validate's report unless `spec` is valid; cached: a valid spec is validated once."""
-    report = validate(spec)
-    if not report.ok:
-        raise ValidationError(report)
-
-
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """Assembly plan of a valid spec: its state labels; its entries, row
     after row, as _rows gives them (each entry's row `source`, state
     `column` and `counts`) with each row's `totals`; and the start's index.
-    Row i's entries are `span(i)`, and `row(i)` is their CountVector.
+    Row i's entries are `span(i)`; `discarding(i)` gives them a DI entry.
 
     `alpha`, `reachable` and `placement`, the plan's only layout index, are
     built on first use, so plans only solved in plug-in mode never pay for
@@ -206,10 +203,17 @@ class _Plan:
         """The slice of row i's entries."""
         return slice(*np.searchsorted(self.source, (i, i + 1)).tolist())
 
-    def row(self, i: int) -> CountVector:
-        """Row i's counts, labelled by the states of its columns."""
-        at = self.span(i)
-        return CountVector([self.state_order[c] for c in self.column[at]], self.counts[at])
+    def discarding(self, i: int) -> tuple[_Plan, int]:
+        """(layout, k): this plan with a DI entry at offset k of row i, the
+        plan itself where the row has one, else with a 0 count inserted at
+        DI's column, after the transient ones and before S and US (totals kept)."""
+        at, di = self.span(i), len(self.totals)
+        k = int(np.searchsorted(self.column[at], di))
+        if di in self.column[at][k : k + 1]:
+            return self, k
+        cut, arrays = at.start + k, ((self.source, i), (self.column, di), (self.counts, 0.0))
+        source, column, counts = (np.concatenate((a[:cut], [v], a[cut:])) for a, v in arrays)
+        return _Plan(self.state_order, source, column, counts, self.totals, self.start), k
 
     @cached_property
     def raw_qr(self) -> np.ndarray:
@@ -320,26 +324,15 @@ class _Plan:
         counts, totals = self.counts[positions], self.totals[keep]
         return _Plan(state_order, source, column, counts, totals, int(new[self.start])), positions
 
-    def override(self, index: int, counts: CountVector) -> _Plan:
-        """This plan with row `index` rebuilt from `counts`, whose labels
-        must be states of this plan: a sweep's layout plan."""
-        position = {label: i for i, label in enumerate(self.state_order)}
-        at = self.span(index)
-        row = np.full(len(counts), index), [position[c] for c in counts.labels], counts.counts
-        source, column, values = (
-            np.concatenate([entries[: at.start], new, entries[at.stop :]])
-            for entries, new in zip((self.source, self.column, self.counts), row)
-        )
-        totals = self.totals.copy()
-        totals[index] = counts.total
-        return _Plan(self.state_order, source, column, values, totals, self.start)
-
 
 @lru_cache(maxsize=128)
 def _compiled(spec: NetworkSpec) -> _Plan:
-    """Per-spec assembly plan, cached: validation, then _rows' arrays, not
-    copied, so the rows validate reads are the rows the chains are built of."""
-    require_valid(spec)
+    """Per-spec assembly plan, cached, so a spec is validated once: raises
+    validate's report, else holds _rows' arrays, not copied, so the rows
+    validate reads are the rows the chains are built of."""
+    report = validate(spec)
+    if not report.ok:
+        raise ValidationError(report)
     return _Plan(spec.ids + ABSORBING_ORDER, *_rows(spec), spec.ids.index(spec.start))
 
 

@@ -8,10 +8,11 @@ discarded flow) ranks stakeholders by how much their discarding hurts
 overall satisfaction.
 
 The reallocation rule has one home, _reallocated. It is affine in the
-discard, so it gives a whole sweep as one (increments, k) count matrix;
-reallocate is its one-point case. Monte Carlo mode builds one layout plan,
-the compiled spec with the swept row at zero discard labelled as the rule
-labels it (DI added where missing), and draws its alphas 1 + counts in one
+discard, so it gives a whole sweep as one (increments, k) count matrix over
+the swept row's entries with DI; reallocate is its one-point case. Both
+modes read the row off the compiled plan with a DI entry in it
+(`_Plan.discarding`, a new layout plan only where the row has no DI flow).
+Monte Carlo mode draws that layout with its alphas 1 + counts in one
 draw_samples call. Plug-in mode solves no chain of its own: the swept row
 moves on a line from its zero-discard row to all DI, a rank-one change of
 I - Q, so every stakeholder's endpoints, impact ratio and curve follow in
@@ -101,7 +102,13 @@ def reallocate(counts: CountVector, di_value: float) -> CountVector:
     (after transient targets, before S/US). Total outflow is preserved.
     The rule is _reallocated's, applied at the one point `di_value`.
     """
-    return _reallocated(counts, np.array([float(di_value)]))[0]
+    labels, values = list(counts.labels), counts.counts
+    if _DI not in labels:  # a 0 before the first S or US, else last
+        at = next((i for i, label in enumerate(labels) if label in ("S", "US")), len(labels))
+        labels.insert(at, _DI)
+        values = np.insert(values, at, 0.0)
+    point = _reallocated(values, labels.index(_DI), counts.total, np.array([float(di_value)]))
+    return CountVector(labels, point[0])
 
 
 def impact_ratio(p_s_max: float, p_s_min: float, n_max: float, n_min: float) -> float:
@@ -124,48 +131,43 @@ def _di_grid(total: float, increment: float) -> np.ndarray:
     return grid
 
 
-def _reallocated(base: CountVector, grid: np.ndarray) -> tuple[CountVector, np.ndarray]:
-    """The reallocation rule at every discard d of `grid`: the CountVector
-    at grid[0] and the (len(grid), k) counts, row i at grid[i]. DI, added
-    before S/US where missing, becomes min(d, T) and every other count v
-    becomes v * (T - d) / (T - d0), T the CountVector total (the grid's
-    end) and d0 the original DI count, by the same IEEE operations at every
-    point. A point that is NaN, negative, above T beyond a 1e-12 tolerance,
-    or below T on a row already all discarded refuses the whole grid, as
-    does a row of nothing but DI."""
+def _reallocated(counts: np.ndarray, k: int, total: float, grid: np.ndarray) -> np.ndarray:
+    """The reallocation rule at every discard d of `grid`: the (len(grid),
+    len(counts)) counts of a row whose DI entry is counts[k] (a 0 where the
+    row has no DI flow) and whose total is `total`, row i at grid[i]. DI
+    becomes min(d, T) and every other count v becomes v * (T - d) / (T -
+    d0), T the row's total (the grid's end) and d0 its original DI count,
+    by the same IEEE operations at every point. A point that is NaN,
+    negative, above T beyond a 1e-12 tolerance, or below T on a row already
+    all discarded refuses the whole grid, as does a row of nothing but DI."""
     low, high = float(grid.min()), float(grid.max())  # both NaN if a point is
     if math.isnan(low):  # NaN passes every comparison below
         raise ValueError(f"di_value must be a number, got {low}")
     if low < 0:
         raise NegativeEntryError(f"di_value must be >= 0, got {low}")
-    labels = list(base.labels)
-    values = dict(zip(labels, base.counts.tolist()))
-    if _DI not in values:
-        tails = [i for i, label in enumerate(labels) if label in ("S", "US")]
-        labels.insert(tails[0] if tails else len(labels), _DI)
-    if labels == [_DI]:
+    if len(counts) == 1:
         raise NoNonDiTargetsError("counts contain no non-DI entries")
-    total = base.total
     if high > total * (1 + 1e-12) + 1e-12:
         raise ExceedsTotalError(f"di_value {high} exceeds total outflow {total}")
     di = np.where(grid > total, total, grid)  # Python's min(d, T): -0.0 stays against T = 0.0
-    rest = total - values.get(_DI, 0.0)
+    rest = total - float(counts[k])
     if rest == 0.0 and (di != total).any():
         raise NoNonDiTargetsError("all outflow is already discarded; nothing to scale back up")
     scale = (total - di) / rest if rest else np.zeros(len(grid))  # rest 0: d is T
-    counts = np.array([values.get(label, 0.0) for label in labels]) * scale[:, np.newaxis]
-    counts[:, labels.index(_DI)] = di
-    return CountVector(tuple(labels), counts[0]), counts
+    out = counts * scale[:, np.newaxis]
+    out[:, k] = di
+    return out
 
 
 def _closed_form(
-    sub: network._Plan, stakeholder: str, zero: CountVector, total: float, increment: float
+    sub: network._Plan, stakeholder: str, zero: np.ndarray, total: float, increment: float
 ) -> tuple[np.ndarray, float, Callable[[], np.ndarray]]:
     """A plug-in sweep of `stakeholder`, whose total outflow is `total` and
-    whose zero-discard counts are `zero`, read off `sub.raw_nb` = [N | B],
-    the one solve of the raw-frequency chain of `sub`, the stakeholders the
-    start reaches: the (2, 3) start triples at zero and total discard, the
-    impact ratio, and the curve over the discard grid of `increment`.
+    whose zero-discard counts are `zero` (its entries in `sub.discarding`),
+    read off `sub.raw_nb` = [N | B], the one solve of the raw-frequency
+    chain of `sub`, the stakeholders the start reaches: the (2, 3) start
+    triples at zero and total discard, the impact ratio, and the curve over
+    the discard grid of `increment`.
 
     The swept row s moves on a line, (1 - lam) r0 + lam e_DI at discard
     lam * total, r0 its zero-discard row, so each point is a rank-one change
@@ -203,8 +205,9 @@ def _closed_form(
         dead_total = sub.raw_dominators[m:, s] & not_di  # dead ends included: all dominate them
         dead_ends = np.array([~flows_to_end[reached].any(axis=0), dead_total])
         e_di = np.array([1.0, 0.0, 0.0])  # the triple of a row that discards everything
+        layout = sub.discarding(s)[0]
         delta = -sub.raw_qr[s]
-        delta[[sub.state_order.index(label) for label in zero.labels]] += zero.counts / zero.total
+        delta[layout.column[layout.span(s)]] += zero / zero.sum()
         with np.errstate(all="ignore"):  # a singular point shows as a non-finite triple
             den = 1.0 - delta[:m] @ visits[:, s]
             b0s = b[s] + visits[s, s] * (delta[:m] @ b + delta[m:]) / den
@@ -253,18 +256,17 @@ def sweep_ineffective(
     if not 0 < increment < math.inf:
         raise ValueError(f"increment must be positive and finite, got {increment}")
     s_idx = ids.index(stakeholder)
-    base = plan.row(s_idx)
-    total = base.total
+    total = float(plan.totals[s_idx])
     grid = _di_grid(total, increment) if mode == MONTE_CARLO else np.zeros(1)
+    layout, k = plan.discarding(s_idx)  # every grid point's entries
     try:
-        zero, counts = _reallocated(base, grid)
+        counts = _reallocated(layout.counts[layout.span(s_idx)], k, total, grid)
     except NoNonDiTargetsError as exc:
         raise NoNonDiTargetsError(f"stakeholder '{stakeholder}': {exc}") from None
     if mode == MONTE_CARLO:
         # A flat-prior draw puts mass on every label of every row, so its
         # chain reaches absorption wherever the raw-frequency chain does, and
         # the swept row reaches DI directly; no check is needed.
-        layout = plan.override(s_idx, zero)  # every grid point's labels
         means = draw_samples(layout, iterations, seed, key=(s_idx,), swept=(s_idx, 1.0 + counts))
         ends = means[[0, -1]]
         ratio = impact_ratio(*ends[:, 1].tolist(), total, 0.0)
@@ -280,13 +282,14 @@ def sweep_ineffective(
         # with a direct flow to S or US keeps every route through it, so
         # only a row without one needs the check.
         n = len(plan.totals)
-        if not (plan.raw_qr[s_idx, n + 1 :] > 0.0).any():
-            support = plan.raw_qr > 0.0
+        support = network._support(*network._rows(spec))  # the support validate reads
+        if not support[s_idx, n + 1 :].any():
             support[s_idx, n] = False  # zero discard: no flow to DI
             violations = network._flow_violations(ids, support)
             if violations:
                 raise ValidationError(ValidationReport(tuple(violations)))
-        ends, ratio, curve = _closed_form(plan.reachable[0], stakeholder, zero, total, increment)
+        sub, zero = plan.reachable[0], counts[0]
+        ends, ratio, curve = _closed_form(sub, stakeholder, zero, total, increment)
 
     p_s_max, p_s_min = ends[:, 1].tolist()
     return SweepResult(

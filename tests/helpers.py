@@ -125,24 +125,28 @@ def reachable_sampled_absorption(spec, rng):
     return _reached_start_row(spec, drawn)
 
 
-def reachable_plug_in_absorption(spec, mode="raw"):
+def reachable_plug_in_absorption(spec, mode="raw", rows=None):
     """Start-state absorption triple of the plug-in chain in `mode`, solved
     over the stakeholders the start reaches by _reached_start_row.
 
     A raw row is the frequencies over their total; a posterior-mean row is
-    the flat-prior posterior mean alpha / alpha.sum(), renormalised.
+    the flat-prior posterior mean alpha / alpha.sum(), renormalised. `rows`
+    (id -> CountVector), where given, holds every stakeholder's counts as
+    flow_counts reads them, so a caller that changes one row reads the
+    others once.
     """
-    rows = {}
+    rows = rows or {sid: flow_counts(spec, sid) for sid in spec.ids}
+    shares = {}
     for sid in spec.ids:
-        cv = flow_counts(spec, sid)
+        cv = rows[sid]
         if mode == "raw":
             p = cv.counts / cv.total
         else:
             alpha = noninformative_posterior(cv).alpha
             theta = alpha / alpha.sum()
             p = theta / theta.sum()
-        rows[sid] = dict(zip(cv.labels, p))
-    return _reached_start_row(spec, rows)
+        shares[sid] = dict(zip(cv.labels, p))
+    return _reached_start_row(spec, shares)
 
 
 def exact_rows(spec):

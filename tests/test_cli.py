@@ -574,7 +574,7 @@ def test_every_command_reports_through_one_tail(
 ], ids=["validate", "evaluate", "simulate", "sweep", "rank"])
 def test_every_command_validates_its_network_once(net_path, monkeypatch, capsys, argv):
     # Parsing the document validates the spec; compiling it must not again.
-    network.require_valid.cache_clear()  # an earlier test may have validated this spec
+    network._compiled.cache_clear()  # an earlier test may have compiled this spec
     validate, calls = network.validate, []
     monkeypatch.setattr(network, "validate", lambda spec: calls.append(spec) or validate(spec))
     assert cli_main([*argv, str(net_path)]) == 0

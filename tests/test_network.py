@@ -28,7 +28,6 @@ from infoflow.network import (
     validate,
 )
 from infoflow.rng import stream
-from infoflow.sensitivity import reallocate
 
 
 def spec_of(flows, ids=None, start=None, levels=None):
@@ -160,8 +159,7 @@ def test_validate_reads_the_rows_the_raw_chain_divides(spec):
         assert totals[i].hex() == total.hex()
     if validate(spec).ok:
         plug_in_chain(spec, "raw")
-        plan = _compiled(spec)
-        assert [plan.row(i).total for i in range(len(plan.totals))] == totals.tolist()
+        assert [flow_counts(spec, sid).total for sid in spec.ids] == totals.tolist()
 
 
 def test_equal_specs_built_separately_hash_equal_and_share_one_plan(reference_bytes):
@@ -186,16 +184,19 @@ def test_ids_are_built_once_per_spec(reference_bytes):
 def staging_plans():
     """Every layout the engine stages, named: the whole plan and the part
     the start reaches, of the reference, wide-row and layered networks and
-    of every Monte Carlo sweep layout of the reference."""
+    of every Monte Carlo sweep layout of the reference and wide-row
+    networks. Every swept reference row has a DI flow, so its layouts are
+    the reference plan itself; 8 of the wide-row network's 12 swept rows
+    have none, so their layouts insert a DI entry."""
     specs = {"reference": reference_network_path().read_bytes(),
              "wide-row": document_bytes(wide_row_network()),
              "layered": document_bytes(layered_network(60, 4))}
     plans = {name: _compiled(parse_network(data)) for name, data in specs.items()}
-    reference = plans["reference"]
-    for s in range(len(reference.totals)):
-        if s != reference.start:
-            layout = reference.override(s, reallocate(reference.row(s), 0.0))
-            plans[f"reference-sweep-{s}"] = layout
+    for name in ("reference", "wide-row"):
+        plan = plans[name]
+        for s in range(len(plan.totals)):
+            if s != plan.start:
+                plans[f"{name}-sweep-{s}"] = plan.discarding(s)[0]
     for name, plan in list(plans.items()):
         plans[f"{name}-reached"] = plan.reachable[0]
     return [pytest.param(plan, id=name) for name, plan in plans.items()]
@@ -320,8 +321,11 @@ def test_the_reached_plan_is_the_plan_of_the_reached_stakeholders(reference_byte
 
 
 def counts_for(spec, stakeholder):
-    """The counts of `stakeholder`'s row in the spec's compiled plan."""
-    return _compiled(spec).row(spec.ids.index(stakeholder))
+    """The counts of `stakeholder`'s row in the spec's compiled plan,
+    labelled by the states of their columns."""
+    plan = _compiled(spec)
+    at = plan.span(spec.ids.index(stakeholder))
+    return CountVector([plan.state_order[c] for c in plan.column[at]], plan.counts[at])
 
 
 class TestCountsFor:
@@ -388,7 +392,8 @@ class TestPlugInChain:
         plan = _compiled(spec)
         raw, mean = _plug_in_qr(plan, "raw"), _plug_in_qr(plan, "posterior-mean")
         for i in range(len(plan.totals)):
-            row, cols, alpha = plan.row(i), plan.column[plan.span(i)], plan.alpha[plan.span(i)]
+            row = flow_counts(spec, spec.ids[i])
+            cols, alpha = plan.column[plan.span(i)], plan.alpha[plan.span(i)]
             assert alpha.tobytes() == noninformative_posterior(row).alpha.tobytes()
             want_raw, want_mean = np.zeros(len(plan.state_order)), np.zeros(len(plan.state_order))
             want_raw[cols] = row.counts / row.total

@@ -202,19 +202,24 @@ def test_sweep_counts_are_reallocate_at_every_grid_point(base, increment):
     # raw frequencies counts / row sum are, bit for bit, what reallocate
     # gives at each grid point; it fails exactly where reallocate does.
     grid = _di_grid(base.total, increment)
+    if "DI" in base.labels:
+        k, values = base.labels.index("DI"), base.counts
+    else:  # a compiled row's DI entry goes after its transient targets
+        k = sum(label.startswith("T") for label in base.labels)
+        values = np.insert(base.counts, k, 0.0)
     try:
-        zero, counts = sensitivity._reallocated(base, grid)
+        counts = sensitivity._reallocated(values, k, base.total, grid)
     except NoNonDiTargetsError as exc:
         with pytest.raises(NoNonDiTargetsError) as first:
             reallocate(base, grid[0])
         assert str(first.value) == str(exc)
         return
-    assert counts.shape == (len(grid), len(zero.labels))
+    assert counts.shape == (len(grid), len(values))
     alphas = 1.0 + counts
     frequencies = counts / counts.sum(axis=1, keepdims=True)
     for i, di in enumerate(grid):
         cv = reallocate(base, di)
-        assert cv.labels == zero.labels
+        assert len(cv.labels) == len(values) and cv.labels[k] == "DI"
         assert counts[i].tobytes() == cv.counts.tobytes()
         assert alphas[i].tobytes() == noninformative_posterior(cv).alpha.tobytes()
         assert frequencies[i].tobytes() == (cv.counts / cv.total).tobytes()
@@ -382,16 +387,20 @@ def rebuilt_sweep(spec, stakeholder, iterations, seed, mode):
     the public draw_samples or, in plug-in mode, by the restricted-chain
     oracle reachable_plug_in_absorption. Monte Carlo mode returns the
     draws (increments, iterations, 3), whose mean(axis=1) a sweep's means
-    must equal bit for bit; plug-in mode the means (increments, 3)."""
+    must equal bit for bit; plug-in mode the means (increments, 3). Plug-in
+    mode reads every row once and replaces only the swept one at each point,
+    by the row flow_counts reads off that point's rebuilt spec."""
     s_idx = spec.ids.index(stakeholder)
     base = flow_counts(spec, stakeholder)
+    rows = {sid: flow_counts(spec, sid) for sid in spec.ids}
     out = []
     for i, di in enumerate(_di_grid(base.total, 1.0)):
-        modified = _with_reallocated(spec, stakeholder, reallocate(base, di))
+        cv = reallocate(base, di)
         if mode == "mc":
+            modified = _with_reallocated(spec, stakeholder, cv)
             out.append(draw_samples(modified, iterations, seed, key=(s_idx, i)))
         else:
-            out.append(reachable_plug_in_absorption(modified))
+            out.append(reachable_plug_in_absorption(spec, rows={**rows, stakeholder: cv}))
     return np.array(out)
 
 
@@ -578,17 +587,20 @@ class TestEndpointOnlyRank:
             "layered": lambda: infoflow.parse_network(document_bytes(layered_network(60, 4))),
         }[name]()
         network._compiled.cache_clear()  # no plan holds its base solve yet
-        staged, solves = [], []
+        staged, solves, builds = [], [], []
         monkeypatch.setattr(simulation, "_absorb", lambda *args: staged.append(args))
-        real = np.linalg.solve
+        real, build = np.linalg.solve, network.build_canonical
 
         def counted(a, b):
             solves.append(a.shape)
             return real(a, b)
 
         monkeypatch.setattr(np.linalg, "solve", counted)
+        # One raw chain in all, the reached plan's: the zero-discard check
+        # reads the support validate reads, not a raw chain of its own.
+        monkeypatch.setattr(network, "build_canonical", lambda *a: builds.append(a) or build(*a))
         ranked = rank_details(spec, 1, 0, "plugin")
-        assert staged == [] and len(solves) == 1
+        assert staged == [] and len(solves) == 1 and len(builds) == 1
         plug_in_start(spec, "raw")  # reads the ranking's solve
         assert staged == [] and len(solves) == 1
         monkeypatch.undo()
@@ -604,25 +616,6 @@ class TestEndpointOnlyRank:
             with pytest.raises(ValidationError) as exc:
                 rank_details(spec, 1, 0, "plugin")
             assert exc.value.report.violations == rebuilt.violations
-
-    def test_valid_sweeps_run_no_whole_network_check(self, reference_spec, monkeypatch):
-        # The zero-discard check reads the support of the base plan's raw
-        # [Q | R]; a valid plug-in sweep builds no layout plan for it, even
-        # where its swept row has no flow to S or US and so is checked.
-        layered = infoflow.parse_network(document_bytes(layered_network(60, 4)))
-        skipped = {f.source for f in layered.flows if f.target in ("S", "US")}
-        assert set(layered.ids) - skipped - {layered.start}  # some sweeps are checked
-        real = network._Plan.override
-        calls = []
-
-        def counted(plan, index, counts):
-            calls.append(index)
-            return real(plan, index, counts)
-
-        monkeypatch.setattr(network._Plan, "override", counted)
-        for spec in (reference_spec, layered):
-            rank_details(spec, 1, 0, "plugin")
-        assert calls == []
 
 
 _FREQUENCIES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 5.0])
@@ -653,9 +646,12 @@ def valid_networks(draw):
 def test_reallocated_rows_keep_a_valid_network_valid(spec):
     # Every grid point with positive discard gives a valid spec, so sweeps
     # need not revalidate it; at zero discard a plug-in sweep reports
-    # exactly what validate reports for the rebuilt spec.
+    # exactly what validate reports for the rebuilt spec. A sweep's layout
+    # puts DI where reallocate's label rule puts it, and is the plan itself
+    # exactly where the row has a DI flow.
     assert validate(spec).ok
-    for sid in spec.ids:
+    plan = _compiled(spec)
+    for i, sid in enumerate(spec.ids):
         base = flow_counts(spec, sid)
         for di in _di_grid(base.total, 1.0):
             try:
@@ -665,6 +661,10 @@ def test_reallocated_rows_keep_a_valid_network_valid(spec):
             report = validate(_with_reallocated(spec, sid, cv))
             assert report.ok or di == 0
             if di == 0:
+                layout, k = plan.discarding(i)
+                labels = tuple(plan.state_order[c] for c in layout.column[layout.span(i)])
+                assert labels == cv.labels and labels[k] == "DI"
+                assert (layout is plan) == ("DI" in base.labels)
                 try:
                     sweep_ineffective(spec, sid, 1, 0, "plugin")
                     got = ()
@@ -695,8 +695,12 @@ def underflowing_networks(draw):
 def test_a_valid_network_reaches_absorption_in_its_raw_chain(spec):
     # validate checks the raw-frequency chain's support, so every network it
     # accepts can be solved, even where a positive share underflows to 0.
+    # The support validate and the zero-discard check read is that chain's.
     assume(validate(spec).ok)
     assert network._flow_violations(spec.ids, _compiled(spec).raw_qr > 0.0) == []
+    for plan in (_compiled(spec), _compiled(spec).reachable[0]):
+        support = network._support(plan.source, plan.column, plan.counts, plan.totals)
+        assert np.array_equal(support, plan.raw_qr > 0.0)
 
 
 def exact_sweep_ends(spec, stakeholder):

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 import infoflow
 from infoflow import simulation
-from infoflow.dirichlet import CountVector
 from infoflow.errors import (
     EmptySampleError,
     NoNonDiTargetsError,
@@ -363,18 +363,24 @@ def test_one_staging_buffer_per_chunk(monkeypatch, chunks):
     assert peak < 1.5 * chunk * 8 * m * (m + 3) + output
 
 
+def with_row(plan, i, counts):
+    """`plan` with row i's counts replaced by `counts`."""
+    values = plan.counts.copy()
+    values[plan.span(i)] = counts
+    return dataclasses.replace(plan, counts=values)
+
+
 def test_batch_draws_each_plan_from_its_own_streams(reference_spec):
     # A sweep replaces one row's alpha by each row of an alpha matrix in
     # turn; increment i draws from streams (seed, *key, i, t), exactly as a
     # plan holding that row alone would, and returns their mean.
     plan = _compiled(reference_spec)
-    labels = plan.row(1).labels
     alphas = np.array([[4.0, 3.0, 2.0], [1.0, 1.5, 7.0], [2.5, 1.0, 1.0]])
-    assert len(labels) == alphas.shape[1]
+    assert len(plan.counts[plan.span(1)]) == alphas.shape[1]
     sweep = draw_samples(plan, 12, 5, key=(9,), swept=(1, alphas))
     assert sweep.shape == (3, 3)
     for i, alpha in enumerate(alphas):
-        alone = plan.override(1, CountVector(labels, alpha - 1.0))
+        alone = with_row(plan, 1, alpha - 1.0)
         assert np.array_equal(sweep[i], draw_samples(alone, 12, 5, key=(9, i)).mean(axis=0))
     for width in (2, 4):  # a matrix over other labels is refused, not spread over other rows
         with pytest.raises(ValueError):
@@ -395,13 +401,12 @@ def test_sweep_means_sum_each_increment_in_draw_order(
     # sums each increment's triples in draw order, through chunks that
     # straddle increments, and must give that increment's own mean bit for bit.
     plan = _compiled(reference_spec)
-    labels = plan.row(1).labels
     alphas = np.array(alphas)
     with pytest.MonkeyPatch.context() as mp:
         set_chunk(mp, reference_spec, chunk, len(alphas) * iterations)
         sweep = draw_samples(plan, iterations, seed, key=(2,), swept=(1, alphas))
     for i, alpha in enumerate(alphas):
-        alone = plan.override(1, CountVector(labels, alpha - 1.0))
+        alone = with_row(plan, 1, alpha - 1.0)
         want = draw_samples(alone, iterations, seed, key=(2, i)).mean(axis=0)
         assert np.array_equal(sweep[i], want)
 
