@@ -5,9 +5,9 @@ probabilities, R transient-to-absorbing. The absorbing block (O | I) is
 implicit and never stored. Absorption probabilities solve the linear system
 (I - Q) B = R; no explicit inverse is formed. A solution whose rows do not
 sum to 1 within ROW_SUM_TOL is refused as too ill-conditioned. The
-simulation engine solves the program's stacks of chains, Monte Carlo draws
-and posterior-mean evaluate alike; raw evaluate and plug-in sweeps (in
-closed form) read one solve of the raw chain as build_canonical stores it.
+simulation engine solves the program's stacks of chains, its Monte Carlo
+draws; evaluate in either plug-in mode and plug-in sweeps (in closed form)
+read one solve of a plug-in chain as build_canonical stores it.
 All solve over only the stakeholders the start reaches; build_canonical
 and absorption_probabilities are the public one-chain API, and, over that
 restricted chain, the oracle both are tested against.

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -187,9 +187,9 @@ class _Plan:
 
     `alpha`, `reachable` and `placement`, the plan's only layout index, are
     built on first use, so plans only solved in plug-in mode never pay for
-    them; so are the raw-frequency [Q | R] (`raw_qr`), its solution
-    (`raw_nb`), its reach (`raw_reach`) and its dominators
-    (`raw_dominators`), unused by drawn plans.
+    them; so are the [Q | R] of its plug-in chain in `mode` (`qr`), a mode
+    the plans it builds keep, and that chain's solution (`nb`), routes from
+    the start (`routes`) and dominators (`dominators`), unused by drawn plans.
     """
 
     state_order: tuple[str, ...]
@@ -198,6 +198,7 @@ class _Plan:
     counts: np.ndarray
     totals: np.ndarray
     start: int
+    mode: str = RAW_FREQUENCY
 
     def span(self, i: int) -> slice:
         """The slice of row i's entries."""
@@ -213,58 +214,58 @@ class _Plan:
             return self, k
         cut, arrays = at.start + k, ((self.source, i), (self.column, di), (self.counts, 0.0))
         source, column, counts = (np.concatenate((a[:cut], [v], a[cut:])) for a, v in arrays)
-        return _Plan(self.state_order, source, column, counts, self.totals, self.start), k
+        return replace(self, source=source, column=column, counts=counts), k
 
     @cached_property
-    def raw_qr(self) -> np.ndarray:
-        """Read-only (n, n + 3) stacked [Q | R] of the raw-frequency chain as
-        build_canonical stores it, built once per plan and solved by raw_nb."""
-        chain = _chain(self, _plug_in_qr(self, RAW_FREQUENCY))
+    def qr(self) -> np.ndarray:
+        """Read-only (n, n + 3) stacked [Q | R] of the plug-in chain in `mode`
+        as build_canonical stores it, built once per plan and solved by nb."""
+        chain = _chain(self, _plug_in_qr(self, self.mode))
         qr = np.hstack([chain.q, chain.r])
         qr.flags.writeable = False
         return qr
 
     @cached_property
-    def raw_nb(self) -> np.ndarray:
-        """Read-only (n, n + 3) [N | B] of the raw-frequency chain, from one
+    def nb(self) -> np.ndarray:
+        """Read-only (n, n + 3) [N | B] of the plug-in chain in `mode`, from one
         solve of (I - Q) [N | B] = [I | R]: N[i, j] is the expected number of
-        visits to j from i, and B = N R the absorption probabilities. Raw
-        evaluate reads the start's row of B, and plug-in sweeps every swept
-        stakeholder's endpoints and curve. B is exactly 0, not the solve's
-        rounding, at the dead ends (`raw_reach`) of the rows the start
-        reaches. Raises SingularSystemError where I - Q is singular."""
+        visits to j from i, and B = N R the absorption probabilities. evaluate
+        reads the start's row of B, and plug-in sweeps the raw chain's at every
+        swept stakeholder's endpoints and curve. B is exactly 0, not the solve's
+        rounding, at the dead ends (`routes`) of the rows the start reaches.
+        Raises SingularSystemError where I - Q is singular."""
         from .simulation import _solved  # simulation imports this module
 
         n = len(self.totals)
         eye = np.eye(n)
-        q = self.raw_qr[:, :n]
-        nb = _solved((eye - q)[np.newaxis], np.hstack([eye, self.raw_qr[:, n:]])[np.newaxis])[0]
-        reached, ends = self.raw_reach
+        q = self.qr[:, :n]
+        nb = _solved((eye - q)[np.newaxis], np.hstack([eye, self.qr[:, n:]])[np.newaxis])[0]
+        reached, ends = self.routes
         nb[np.ix_(reached, n + np.flatnonzero(ends))] = 0.0
         nb.flags.writeable = False
         return nb
 
     @cached_property
-    def raw_reach(self) -> tuple[np.ndarray, np.ndarray]:
+    def routes(self) -> tuple[np.ndarray, np.ndarray]:
         """(reached, ends): masks of the stakeholders the start reaches over
-        positive raw-frequency flows, and of its dead ends, the end states
-        none of them flows to. Its raw chain cannot end in those, but a solve
-        may pivot in the flows of a stakeholder that a 0-count cell stages.
-        No path reaches a state where every state dominates it."""
-        unreached = self.raw_dominators.all(axis=1)
+        the positive flows of `qr`, and of its dead ends, the end states none
+        of them flows to. Its chain cannot end in those, but a raw solve may
+        pivot in the flows of a stakeholder that a 0-count cell stages. No
+        path reaches a state where every state dominates it."""
+        unreached = self.dominators.all(axis=1)
         n = len(self.totals)
         return ~unreached[:n], unreached[n:]
 
     @cached_property
-    def raw_dominators(self) -> np.ndarray:
+    def dominators(self) -> np.ndarray:
         """Read-only (n + 3, n + 3) mask, [j, d] where every path of positive
-        raw-frequency flows from the start to state j passes through state d
+        flows of `qr` from the start to state j passes through state d
         (every d where no path reaches j): so the end states that die when
         stakeholder d discards everything are those it dominates. Found by
         the iterative data-flow rule (Aho, Lam, Sethi and Ullman, Compilers,
         2nd ed., section 9.6), one matrix product per pass."""
         n, width = len(self.totals), len(self.state_order)
-        into = (self.raw_qr > 0.0).T.astype(np.float32)  # into[j, i] = 1: i flows to j
+        into = (self.qr > 0.0).T.astype(np.float32)  # into[j, i] = 1: i flows to j
         eye = np.eye(width, dtype=bool)
         dominators = np.ones((width, width), dtype=bool)
         dominators[self.start] = eye[self.start]
@@ -321,8 +322,8 @@ class _Plan:
         state_order = tuple(self.state_order[i] for i in keep) + self.state_order[n:]
         positions = np.flatnonzero(reach[self.source])
         source, column = new[self.source[positions]], new[self.column[positions]]
-        counts, totals = self.counts[positions], self.totals[keep]
-        return _Plan(state_order, source, column, counts, totals, int(new[self.start])), positions
+        counts, totals, start = self.counts[positions], self.totals[keep], int(new[self.start])
+        return _Plan(state_order, source, column, counts, totals, start, self.mode), positions
 
 
 @lru_cache(maxsize=128)
@@ -358,13 +359,13 @@ def _fill_draws(plan: _Plan, gammas: np.ndarray, qr: np.ndarray) -> None:
 
     `gammas` is (draws, E): row d holds one standard_gamma call over
     `plan.alpha`; given a copy of `plan.alpha`, it writes the posterior-mean
-    plug-in rows. Each row is normalised twice, in place, as theta = g /
-    g.sum() and then theta / theta.sum(), summed by _row_sums exactly as
-    that row alone. The block is written through `plan.placement`, the
-    plan's only layout index, into `qr`, the (draws, n, n + 3) stacked
-    [Q | R] buffer, and no other cell: the engine keeps one staging buffer
-    for every chunk, which its staged solve turns into [I - Q | R] in place
-    between fills.
+    rows that `_Plan.qr` holds in that mode. Each row is normalised twice,
+    in place, as theta = g / g.sum() and then theta / theta.sum(), summed by
+    _row_sums exactly as that row alone. The block is written through
+    `plan.placement`, the plan's only layout index, into `qr`, the (draws,
+    n, n + 3) stacked [Q | R] buffer, and no other cell: the Monte Carlo
+    engine keeps one staging buffer for every chunk, which _absorb turns
+    into [I - Q | R] in place between fills.
     """
     n, source = len(plan.totals), plan.source
     gammas /= _row_sums(gammas, source, n)[:, source]

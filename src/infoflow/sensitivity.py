@@ -17,7 +17,7 @@ draw_samples call. Plug-in mode solves no chain of its own: the swept row
 moves on a line from its zero-discard row to all DI, a rank-one change of
 I - Q, so every stakeholder's endpoints, impact ratio and curve follow in
 closed form from the one cached solve of the raw-frequency chain of the
-stakeholders the start reaches (`_Plan.raw_nb`; see _closed_form).
+stakeholders the start reaches (`_Plan.nb`; see _closed_form).
 """
 
 from __future__ import annotations
@@ -164,8 +164,8 @@ def _closed_form(
 ) -> tuple[np.ndarray, float, Callable[[], np.ndarray]]:
     """A plug-in sweep of `stakeholder`, whose total outflow is `total` and
     whose zero-discard counts are `zero` (its entries in `sub.discarding`),
-    read off `sub.raw_nb` = [N | B], the one solve of the raw-frequency
-    chain of `sub`, the stakeholders the start reaches: the (2, 3) start
+    read off `sub.nb` = [N | B], the one solve of the raw-frequency chain
+    of `sub`, the stakeholders the start reaches: the (2, 3) start
     triples at zero and total discard, the impact ratio, and the curve over
     the discard grid of `increment`.
 
@@ -186,27 +186,27 @@ def _closed_form(
     solve checks a start row, then made _exact at the dead ends of its own
     chain's support. Row s keeps its raw flows but DI at zero discard (only
     DI can die), gains DI at every point between (none can), and is all DI
-    at total discard, where the ends s dominates die (`raw_dominators`).
+    at total discard, where the ends s dominates die (`dominators`).
     """
     m = len(sub.totals)
-    visits, b = sub.raw_nb[:, :m], sub.raw_nb[:, m:]
+    visits, b = sub.nb[:, :m], sub.nb[:, m:]
     a = sub.start
     s = sub.state_order.index(stakeholder) if stakeholder in sub.state_order else None
-    reached, dead = sub.raw_reach
+    reached, dead = sub.routes
     if s is None or not reached[s]:  # the start never reaches s
         p0 = p1 = b[a]
         ratio, step, bend = 0.0, np.zeros(3), 0.0
         dead_ends = dead_between = dead
     else:
-        flows_to_end = sub.raw_qr[:, m:] > 0.0
+        flows_to_end = sub.qr[:, m:] > 0.0
         flows_to_end[s, 0] = False  # zero discard: row s without its DI
         not_di = np.arange(3) > 0  # DI lives wherever row s flows to it
         dead_between = dead & not_di
-        dead_total = sub.raw_dominators[m:, s] & not_di  # dead ends included: all dominate them
+        dead_total = sub.dominators[m:, s] & not_di  # dead ends included: all dominate them
         dead_ends = np.array([~flows_to_end[reached].any(axis=0), dead_total])
         e_di = np.array([1.0, 0.0, 0.0])  # the triple of a row that discards everything
         layout = sub.discarding(s)[0]
-        delta = -sub.raw_qr[s]
+        delta = -sub.qr[s]
         delta[layout.column[layout.span(s)]] += zero / zero.sum()
         with np.errstate(all="ignore"):  # a singular point shows as a non-finite triple
             den = 1.0 - delta[:m] @ visits[:, s]
@@ -242,7 +242,8 @@ def sweep_ineffective(
 
     Monte Carlo mode estimates every increment's means from `iterations`
     posterior draws up front, in one draw_samples call that returns them;
-    increment i of stakeholder s uses streams (seed, index(s), i, t). Plug-in
+    increment i of stakeholder s uses streams (seed, index(s), i, t), and
+    only increment 0 is drawn where the start cannot reach s. Plug-in
     mode evaluates the raw-frequency chains deterministically and ignores
     `iterations`: it solves no chain, reading the endpoints and the impact
     ratio off the plan's one base solve without building the grid, and
@@ -257,7 +258,10 @@ def sweep_ineffective(
         raise ValueError(f"increment must be positive and finite, got {increment}")
     s_idx = ids.index(stakeholder)
     total = float(plan.totals[s_idx])
-    grid = _di_grid(total, increment) if mode == MONTE_CARLO else np.zeros(1)
+    # No staged chain holds a row the start cannot reach: a Monte Carlo sweep
+    # of one draws zero discard alone and reports its means at every point.
+    drawn = mode == MONTE_CARLO and stakeholder in plan.reachable[0].state_order
+    grid = _di_grid(total, increment) if drawn else np.zeros(1)
     layout, k = plan.discarding(s_idx)  # every grid point's entries
     try:
         counts = _reallocated(layout.counts[layout.span(s_idx)], k, total, grid)
@@ -272,7 +276,7 @@ def sweep_ineffective(
         ratio = impact_ratio(*ends[:, 1].tolist(), total, 0.0)
 
         def curve():
-            return means
+            return means if drawn else np.repeat(means, len(_di_grid(total, increment)), axis=0)
     else:
         # Only zero discard can cut a route to absorption: any positive
         # discard gives the swept row a direct route to DI and leaves the

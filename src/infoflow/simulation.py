@@ -1,5 +1,5 @@
-"""Seeded Monte Carlo over posterior draws, and the one staged solve of
-absorbing chains that it shares with posterior-mean evaluate.
+"""Seeded Monte Carlo over posterior draws, solved as stacks of absorbing
+chains, and the start's row of the one solve of a plug-in chain.
 
 Each iteration samples a chain from the stakeholders' flat-prior
 posteriors, solves for absorption probabilities, and records the start
@@ -14,11 +14,10 @@ concatenated alphas, every row's. The stream's seed words are one row of a
 block that rng derives for 64 consecutive iterations at once, so the
 stream costs little more than constructing its PCG64 generator.
 
-Monte Carlo draws and posterior-mean evaluate share one staging rule and
-one staged solve, _absorb; evaluate solves its posterior-mean [Q | R] as a
-stack of one chain. Raw evaluate, plug-in sweeps and rankings solve no
-chain here: they read one solve of the same stakeholders' raw-frequency
-chain (network._Plan.raw_nb), sweeps in closed form. All these solves
+Only Monte Carlo draws go through the staged solve, _absorb. Plug-in
+evaluate in either mode, plug-in sweeps and rankings solve no chain here:
+they read one solve of the same stakeholders' plug-in chain in that mode
+(network._Plan.nb), sweeps the raw one in closed form. All these solves
 refuse a singular system in one place, _solved, and a start triple that
 misses 1 in one place, _checked. Only the stakeholders the start reaches
 over labelled cells (`_Plan.reachable`) are staged and solved: no labelled
@@ -34,13 +33,13 @@ whatever the iteration count; nothing drawn depends on the chunk size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import EmptySampleError, SingularSystemError
 from .markov import ROW_SUM_TOL
-from .network import RAW_FREQUENCY, NetworkSpec, _compiled, _fill_draws, _Plan, _plug_in_qr
+from .network import NetworkSpec, _compiled, _fill_draws, _Plan
 from .rng import stream
 
 DEFAULT_BINS = 50
@@ -131,20 +130,20 @@ def _unnamed(j: int) -> str:
 def plug_in_start(spec: NetworkSpec, mode: str) -> np.ndarray:
     """The start's (P_DI, P_S, P_US) in plug-in chain `mode`, raw or
     posterior-mean: plug_in_chain(spec, mode) restricted to the stakeholders
-    the start reaches, solved by absorption_probabilities, bit for bit. Raw
-    reads the start's row of `_Plan.raw_nb`, the solve plug-in sweeps read,
-    _exact at the dead ends of `_Plan.raw_reach`; posterior-mean is _absorb's."""
+    the start reaches, solved by absorption_probabilities, bit for bit, but
+    _exact at its dead ends (`_Plan.routes`): the start's row of `_Plan.nb`
+    of that restricted plan in `mode`, raw's the solve plug-in sweeps read."""
     staged = _compiled(spec).reachable[0]  # validates the spec
-    if mode != RAW_FREQUENCY:  # every labelled cell of a posterior-mean row is positive
-        return _absorb(staged, _plug_in_qr(staged, mode)[np.newaxis])[0]
-    start = staged.raw_nb[staged.start, len(staged.totals) :]
-    return _exact(_checked(start[np.newaxis])[0], staged.raw_reach[1])
+    if mode != staged.mode:  # raw keeps the cached solve; qr refuses an unknown mode
+        staged = replace(staged, mode=mode)
+    start = staged.nb[staged.start, len(staged.totals) :]
+    return _exact(_checked(start[np.newaxis])[0], staged.routes[1])
 
 
-def _absorb(staged: _Plan, qr: np.ndarray, name=_unnamed) -> np.ndarray:
-    """(len(qr), 3) start-state triples of a stack of chains over the
-    stakeholders of `staged`, Monte Carlo draws or one posterior-mean chain,
-    solved in the C-contiguous (chains, n, n + 3) buffer `qr`.
+def _absorb(staged: _Plan, qr: np.ndarray, name) -> np.ndarray:
+    """(len(qr), 3) start-state triples of a stack of Monte Carlo draws over
+    the stakeholders of `staged`, solved in the C-contiguous (chains, n, n +
+    3) buffer `qr`.
 
     `qr` holds each chain's [Q | R] rows, not yet normalised, in the cells
     of `staged.placement`, the plan's only layout index, and 0 elsewhere.
@@ -154,7 +153,7 @@ def _absorb(staged: _Plan, qr: np.ndarray, name=_unnamed) -> np.ndarray:
     is [I - Q | R] with the bits eye - Q gives, solved as one stacked
     system; the diagonal then goes back to 0, so the buffer can be filled
     again. Only the start row is reported, so only it must sum to 1 within
-    ROW_SUM_TOL. `name(j)` prefixes chain j's error (nothing by default).
+    ROW_SUM_TOL. `name(j)` prefixes chain j's error.
     """
     n = len(staged.totals)
     a, r = qr[..., :n], qr[..., n:]  # a holds Q until rewritten as I - Q

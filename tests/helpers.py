@@ -315,3 +315,16 @@ def sum_order_spec():
     return NetworkSpec(
         tuple(Stakeholder(s, "local") for s in ids), tuple(FlowRecord(*f) for f in flows), "A"
     )
+
+
+def unreached_spec():
+    """The start Z reaches C only; the A<->B loop of 1e17, declared after
+    them, has an exactly singular I - Q and must never be staged."""
+    ids = ["Z", "C", "A", "B"]
+    flows = [
+        ("Z", "C", 3.0), ("Z", "DI", 1.0), ("C", "S", 2.0), ("C", "US", 1.0),
+        ("A", "B", 1e17), ("B", "A", 1e17), ("A", "S", 1.0), ("B", "US", 1.0),
+    ]
+    return NetworkSpec(
+        tuple(Stakeholder(s, "state") for s in ids), tuple(FlowRecord(*f) for f in flows), "Z"
+    )

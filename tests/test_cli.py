@@ -12,6 +12,7 @@ from helpers import (
     layered_network,
     reachable_plug_in_absorption,
     sum_order_spec,
+    unreached_spec,
     wide_row_network,
 )
 
@@ -341,6 +342,24 @@ class TestRankCommand:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "stakeholder,n_di_min,n_di_max,p_s_min,p_s_max,impact_ratio"
         assert lines[1].startswith("E,")
+
+    def test_monte_carlo_ranking_of_stakeholders_the_start_cannot_reach(self, tmp_path, capsys):
+        # The start Z reaches C only. A and B total about 1e17, a discard
+        # grid that cannot be built; only zero discard is drawn for them, so
+        # their ratio is exactly 0. C's entry is a lone sweep's.
+        path = tmp_path / "unreached.json"
+        path.write_bytes(document_bytes(network_to_document(unreached_spec())))
+        args = ["--iterations", "5", "--seed", "1", str(path)]
+        assert cli_main(["rank", *args]) == 0
+        ranking = json.loads(capsys.readouterr().out)["result"]["ranking"]
+        entries = {entry["stakeholder"]: entry for entry in ranking}
+        for sid in "AB":
+            assert entries[sid]["impact_ratio"] == 0.0
+            assert entries[sid]["p_s_min"] == entries[sid]["p_s_max"]
+        assert cli_main(["sweep", "--stakeholder", "C", *args]) == 0
+        alone = json.loads(capsys.readouterr().out)["result"]
+        for key in ("p_s_max", "p_s_min", "impact_ratio"):
+            assert entries["C"][key] == alone[key]
 
     @pytest.mark.parametrize("mode, name", [("mc", "monte-carlo"), ("plugin", "plug-in")])
     def test_empty_ranking_reports_the_canonical_mode(self, tmp_path, capsys, mode, name):

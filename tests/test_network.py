@@ -7,6 +7,7 @@ from helpers import (
     flow_counts,
     layered_network,
     sum_order_spec,
+    unreached_spec,
     wide_row_network,
 )
 from hypothesis import example, given
@@ -265,16 +266,6 @@ def test_a_fill_normalises_each_row_as_that_row_alone(blocks):
             expected += (theta / theta.sum()).tolist()
         written = filled.ravel()[plan.placement].tolist()
         assert [v.hex() for v in written] == [v.hex() for v in expected]
-
-
-def unreached_spec():
-    """The start Z reaches C only; the A<->B loop of 1e17, declared after
-    them, has an exactly singular I - Q and must never be staged."""
-    return spec_of(
-        [("Z", "C", 3.0), ("Z", "DI", 1.0), ("C", "S", 2.0), ("C", "US", 1.0),
-         ("A", "B", 1e17), ("B", "A", 1e17), ("A", "S", 1.0), ("B", "US", 1.0)],
-        ids=["Z", "C", "A", "B"],
-    )
 
 
 def reached_spec(spec):

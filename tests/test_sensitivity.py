@@ -459,7 +459,9 @@ class TestSweepOverride:
     def test_wide_row_network(self, wide_row_spec, stakeholder, mode):
         self.check(wide_row_spec, stakeholder, mode)
 
-    @pytest.mark.parametrize("stakeholder", ["N009", "N035"])  # both also flow back
+    # Both also flow back; the start does not reach N009, whose Monte Carlo
+    # sweep draws zero discard alone and repeats it at every point.
+    @pytest.mark.parametrize("stakeholder", ["N009", "N035"])
     @pytest.mark.parametrize("mode", ["mc", "plugin"])
     def test_layered_network(self, stakeholder, mode):
         spec = infoflow.parse_network(document_bytes(layered_network(60, 4)))
@@ -470,6 +472,8 @@ class TestSweepOverride:
         sw = sweep_ineffective(spec, stakeholder, 40, 11, mode)
         want = rebuilt_sweep(spec, stakeholder, 40, 11, mode)
         if mode == "mc":
+            if stakeholder not in _compiled(spec).reachable[0].state_order:
+                want = np.repeat(want[:1], len(want), axis=0)  # only zero discard is drawn
             assert np.array_equal(sw.means, want.mean(axis=1))
         else:
             np.testing.assert_allclose(sw.means, want, rtol=0, atol=1e-15)
@@ -697,10 +701,10 @@ def test_a_valid_network_reaches_absorption_in_its_raw_chain(spec):
     # accepts can be solved, even where a positive share underflows to 0.
     # The support validate and the zero-discard check read is that chain's.
     assume(validate(spec).ok)
-    assert network._flow_violations(spec.ids, _compiled(spec).raw_qr > 0.0) == []
+    assert network._flow_violations(spec.ids, _compiled(spec).qr > 0.0) == []
     for plan in (_compiled(spec), _compiled(spec).reachable[0]):
         support = network._support(plan.source, plan.column, plan.counts, plan.totals)
-        assert np.array_equal(support, plan.raw_qr > 0.0)
+        assert np.array_equal(support, plan.qr > 0.0)
 
 
 def exact_sweep_ends(spec, stakeholder):
@@ -904,7 +908,7 @@ class TestClosedForm:
         # evaluate reads, so every point is evaluate's triple, bit for bit.
         staged = _compiled(spec).reachable[0]
         reached = staged.state_order
-        flowed = [sid for sid, hit in zip(reached, staged.raw_reach[0]) if hit]
+        flowed = [sid for sid, hit in zip(reached, staged.routes[0]) if hit]
         for sid in spec.ids:
             try:
                 sw = sweep_ineffective(spec, sid, 1, 0, "plugin")
