@@ -14,10 +14,10 @@ modes read the row off the compiled plan with a DI entry in it
 (`_Plan.discarding`, a new layout plan only where the row has no DI flow).
 Monte Carlo mode draws that layout with its alphas 1 + counts in one
 draw_samples call. Plug-in mode solves no chain of its own: the swept row
-moves on a line from its zero-discard row to all DI, a rank-one change of
-I - Q, so every stakeholder's endpoints, impact ratio and curve follow in
-closed form from the one cached solve of the raw-frequency chain of the
-stakeholders the start reaches (`_Plan.nb`; see _closed_form).
+moves on a line from its raw row without DI, renormalised, to all DI, a
+rank-one change of I - Q, so every stakeholder's endpoints, impact ratio
+and curve follow in O(1) from the one cached solve of the raw-frequency
+chain of the stakeholders the start reaches (`_Plan.nb`; see _closed_form).
 """
 
 from __future__ import annotations
@@ -160,33 +160,32 @@ def _reallocated(counts: np.ndarray, k: int, total: float, grid: np.ndarray) -> 
 
 
 def _closed_form(
-    sub: network._Plan, stakeholder: str, zero: np.ndarray, total: float, increment: float
+    sub: network._Plan, stakeholder: str, total: float, increment: float
 ) -> tuple[np.ndarray, float, Callable[[], np.ndarray]]:
-    """A plug-in sweep of `stakeholder`, whose total outflow is `total` and
-    whose zero-discard counts are `zero` (its entries in `sub.discarding`),
+    """A plug-in sweep of `stakeholder`, whose total outflow is `total`,
     read off `sub.nb` = [N | B], the one solve of the raw-frequency chain
     of `sub`, the stakeholders the start reaches: the (2, 3) start
     triples at zero and total discard, the impact ratio, and the curve over
     the discard grid of `increment`.
 
-    The swept row s moves on a line, (1 - lam) r0 + lam e_DI at discard
-    lam * total, r0 its zero-discard row, so each point is a rank-one change
-    of I - Q (Sherman and Morrison, Ann. Math. Statist. 21, 1950). With a
-    the start, r0 minus the raw row s split into its Q part dq and R part
-    dr, and den = 1 - dq . N[:, s], the zero-discard chain has N0[:, s] =
-    N[:, s] / den and B0[s] = B[s] + N[s, s] (dq B + dr) / den. The chance
-    that a ever reaches s, f = N[a, s] / N[s, s] (Kemeny and Snell, Finite
-    Markov Chains, ch. III), does not depend on row s. So the start's triple
-    is P1 = B[a] - f (B[s] - e_DI) at total discard and P0 = P1 + f (B0[s] -
-    e_DI) at zero, the ratio f B0[s, S] / total is not a difference of
-    nearly equal endpoints, and P(lam) = P0 + lam N0[a, s] (e_DI - B0[s]) /
-    (1 + lam (N0[s, s] - 1)), with P0 and P1 themselves at its ends. Where a
-    never reaches s, both endpoints are B[a], the curve is flat and the
-    ratio is exactly 0. Every triple is checked by _checked, as the staged
-    solve checks a start row, then made _exact at the dead ends of its own
-    chain's support. Row s keeps its raw flows but DI at zero discard (only
-    DI can die), gains DI at every point between (none can), and is all DI
-    at total discard, where the ends s dominates die (`dominators`).
+    Row s at discard lam * total is (1 - lam) r0 + lam e_DI, where r0 = (r
+    - d e_DI) / (1 - d) is its raw row r without its DI share d = qr[s, DI],
+    so it is r + c (r - e_DI), c = (d - lam) / (1 - d): a rank-one change of
+    I - Q (Sherman and Morrison, Ann. Math. Statist. 21, 1950). As Q[s] N[:,
+    s] = N[s, s] - 1 and Q[s] B + R[s] = B[s], the start a reads B[a] + N[s,
+    s] c / (1 - c (N[s, s] - 1)) u, u = f (B[s] - e_DI), f = N[a, s] / N[s,
+    s] the chance that a ever reaches s (Kemeny and Snell, Finite Markov
+    Chains, ch. III). With h = 1 - d N[s, s], the chance that s's flow ends
+    anywhere but its own DI edge, that is P(lam) = P1 + (1 - lam) u / (h +
+    lam (N[s, s] - 1)): P1 = B[a] - u at total discard, P0 = B[a] + (d N[s,
+    s] / h) u at zero (B[a] exactly where d = 0), and the ratio u_S / (h
+    total) is no difference of nearly equal endpoints. Where a never reaches
+    s, both endpoints are B[a], the curve is flat and the ratio is exactly 0.
+    Every triple is checked by _checked, as the staged solve checks a start
+    row, then made _exact at the dead ends of its own chain's support. Row
+    s keeps its raw flows but DI at zero discard (only DI can die), gains
+    DI at every point between (none can), and is all DI at total discard,
+    where the ends s dominates die (`dominators`).
     """
     m = len(sub.totals)
     visits, b = sub.nb[:, :m], sub.nb[:, m:]
@@ -195,7 +194,7 @@ def _closed_form(
     reached, dead = sub.routes
     if s is None or not reached[s]:  # the start never reaches s
         p0 = p1 = b[a]
-        ratio, step, bend = 0.0, np.zeros(3), 0.0
+        ratio, u, h, nss = 0.0, np.zeros(3), 1.0, 1.0
         dead_ends = dead_between = dead
     else:
         flows_to_end = sub.qr[:, m:] > 0.0
@@ -205,24 +204,20 @@ def _closed_form(
         dead_total = sub.dominators[m:, s] & not_di  # dead ends included: all dominate them
         dead_ends = np.array([~flows_to_end[reached].any(axis=0), dead_total])
         e_di = np.array([1.0, 0.0, 0.0])  # the triple of a row that discards everything
-        layout = sub.discarding(s)[0]
-        delta = -sub.qr[s]
-        delta[layout.column[layout.span(s)]] += zero / zero.sum()
+        d, nss = sub.qr[s, m], visits[s, s]
         with np.errstate(all="ignore"):  # a singular point shows as a non-finite triple
-            den = 1.0 - delta[:m] @ visits[:, s]
-            b0s = b[s] + visits[s, s] * (delta[:m] @ b + delta[m:]) / den
-            f = visits[a, s] / visits[s, s]
-            p1 = b[a] - f * (b[s] - e_di)
-            p0 = p1 + f * (b0s - e_di)
-            ratio = float(f * b0s[1] / total)
-            step, bend = visits[a, s] / den * (e_di - b0s), visits[s, s] / den - 1.0
+            u = visits[a, s] / nss * (b[s] - e_di)
+            h = 1.0 - d * nss
+            p1 = b[a] - u
+            p0 = b[a] + d * nss / h * u
+            ratio = float(u[1] / (h * total))
     ends = _exact(_checked(np.array([p0, p1])), dead_ends)
 
     def curve() -> np.ndarray:
         # The ends' dead ends include the points' between, so _exact leaves them.
         lam = _di_grid(total, increment)[:, np.newaxis] / total
         with np.errstate(all="ignore"):
-            means = p0 + lam / (1.0 + lam * bend) * step
+            means = p1 + (1.0 - lam) / (h + lam * (nss - 1.0)) * u
         means[[0, -1]] = ends
         return _exact(_checked(means), dead_between)
 
@@ -246,8 +241,8 @@ def sweep_ineffective(
     only increment 0 is drawn where the start cannot reach s. Plug-in
     mode evaluates the raw-frequency chains deterministically and ignores
     `iterations`: it solves no chain, reading the endpoints and the impact
-    ratio off the plan's one base solve without building the grid, and
-    evaluates the curve over the grid when `means` is first read.
+    ratio off the plan's one base solve and the curve when `means` is first
+    read, and calls _reallocated, at zero discard, only for its refusals.
     """
     mode = canonical_mode(mode)
     plan = network._compiled(spec)  # validates the spec
@@ -292,8 +287,7 @@ def sweep_ineffective(
             violations = network._flow_violations(ids, support)
             if violations:
                 raise ValidationError(ValidationReport(tuple(violations)))
-        sub, zero = plan.reachable[0], counts[0]
-        ends, ratio, curve = _closed_form(sub, stakeholder, zero, total, increment)
+        ends, ratio, curve = _closed_form(plan.reachable[0], stakeholder, total, increment)
 
     p_s_max, p_s_min = ends[:, 1].tolist()
     return SweepResult(

@@ -227,7 +227,8 @@ def draw_samples(
     key: tuple[int, ...] = (),
     swept: tuple[int, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """(iterations, 3) start-state absorption triples, one per posterior draw.
+    """(iterations, 3) start-state absorption triples, one per posterior draw,
+    each as solved, signed zeros included.
 
     Iteration t draws from stream (seed, *key, t), one standard_gamma call
     over the plan's alphas; `spec` may also be a compiled plan. `swept` =
@@ -235,9 +236,9 @@ def draw_samples(
     `span(index)` of the plan's row `index`, makes this a sweep of (increments,
     3) means: increment i draws the plan with that row's alpha replaced by
     alphas[i], exactly as a plan holding that row would, from streams (seed,
-    *key, i, t), and sums its triples in draw order, as their mean(axis=0)
-    does. Keyed by the swept stakeholder, each (stakeholder, increment) has
-    its own streams under one master seed.
+    *key, i, t), and sums that increment's triples in draw order, as their
+    mean(axis=0) does. Keyed by the swept stakeholder, each (stakeholder,
+    increment) has its own streams under one master seed.
 
     Each triple equals, bit for bit, absorption_probabilities of the drawn
     chain restricted to the stakeholders the start reaches over labelled
@@ -278,7 +279,10 @@ def draw_samples(
         _fill_draws(staged, gammas, qr)
         del gammas  # not held through the solve, which sets the peak memory
         triples = _absorb(staged, qr, lambda j: f"iteration {(first + j) % iterations}: ")
-        np.add.at(out, np.arange(first, first + len(qr)) // group, triples)  # in draw order
+        if swept is None:  # each triple as solved: a sum turns its -0.0 into +0.0
+            out[first : first + len(qr)] = triples
+        else:
+            np.add.at(out, np.arange(first, first + len(qr)) // group, triples)  # in draw order
     out /= group
     return out
 

@@ -26,7 +26,12 @@ third time when the base solve began to read the raw rows as
 build_canonical stores them, each divided by its sum, so that raw evaluate
 reads the same solve: endpoints and curve points moved by at most 1.1e-16
 and impact ratios by at most 9.4e-16 relative, and the ranking order did
-not change. All were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
+not change. They were re-recorded a fourth time when the closed form
+began to read the zero-discard row as the raw row without its DI share,
+renormalised, rather than apply a rank-one update for their difference:
+zero-discard endpoints and curve points moved by at most 5.6e-17 and
+impact ratios by at most 4.4e-16 relative, total-discard endpoints did not
+move, and the ranking order did not change. All were recorded with numpy 2.4.6 on OpenBLAS 0.3.31
 (scipy-openblas, x86-64), and every later engine must reproduce them bit
 for bit. The wide-row network has rows of 8 to 12 targets, where a change
 in how a row is summed shows in the last bits. A different numpy or BLAS
@@ -53,9 +58,9 @@ from infoflow.cli import cli_main
 GOLDEN = {
     "rank-mc-reference": "db2917b33833a8b73f98647cbb14ecd2586da4d93bb233c909838447267eef24",
     "simulate-wide-row": "1547742a7e2e8e5cd13983723962f81c7c45d234ca36804f1397d755a898efcc",
-    "rank-plugin-layered": "84326e29ac2ff800c7e30e80760b70d60997dae37ef78d6fde42bdfb104206f5",
+    "rank-plugin-layered": "279ba83be6f11d6eab86fe42335665e21709f489dd1051605844bfd1c81c8474",
     "sweep-mc-wide-row": "a207add13a0725325dae29cae47b299fbcf5bac44178a71b6f6c7510cb13d5e1",
-    "sweep-plugin-layered": "82ec63261f73310c55b5613232fdde42c47a59a6551fb52e23dcc986763a48e3",
+    "sweep-plugin-layered": "337c149acbe67ac858fa2e6b9d84ecef1912f891752b1561a9cda7494063c772",
     "evaluate-posterior-mean-reference": "e6fc1a8992254be6f3f5fca3f862b2c7a7bcdffef4051c25fdb794b3c0dee11c",
     "evaluate-posterior-mean-wide-row": "e09582f2f198a094d15f011d8dffe2022d0aaae057f058d27912794a48c82216",
     "simulate-reference-200": "7c13707e404e3ad3c190fc4d78c170e92c11422ccc254044a8be2e23e43ae54e",
@@ -64,9 +69,9 @@ GOLDEN = {
 GOLDEN_CSV = {
     "simulate-wide-row": "6be1cd01a1456f97e46c598e235bccecf9ca189acf8ab07821ff25ea8c728f09",
     "sweep-mc-wide-row": "a9ecb1e9da9aa285e001fbe55a31366b5acc1d9a8e7caa1ec5618a9b8658dafc",
-    "sweep-plugin-layered": "f2632931527cc5bebb873a3385536445f6c0b360fcb1404a3018793872ade6ba",
+    "sweep-plugin-layered": "27fab39e20f1808ab12db74f0ded4019d87646e371352c02c8fa035b06730c46",
     "rank-mc-reference": "c447a0c19fea87b827ce034567ac784fc230066ae213545dcdb035ed18d8c51f",
-    "rank-plugin-layered": "b77f247560d100855156e144d9069f7df1278fb75dafc823d771ab28ba298928",
+    "rank-plugin-layered": "2c273ce5cda7278cb5cf6f39bfde91dc9c81922d60b0f68b3db3eed65352bc24",
     "evaluate-posterior-mean-wide-row": "d807bd4333b505ca3a2a360c1296f32f4efe7e53d8581a5160b94a73f720d748",
     "validate-invalid": "eb9ea4c19052b6d2848b74d59880ec5945198386be0279e1e6576e929227bc07",
 }

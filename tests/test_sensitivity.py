@@ -779,6 +779,14 @@ def discard_cuts_satisfaction_spec():
     return local_spec(flows)
 
 
+def no_di_row_spec():
+    # s1 has no DI flow, so its zero-discard row is its raw row: its sweep
+    # must read evaluate's P_DI 0.3647416413373861 there, not one ulp above.
+    flows = [("s0", "s2", 24.0), ("s0", "S", 13.0), ("s1", "s2", 28.0), ("s1", "US", 24.0),
+             ("s2", "s0", 7.0), ("s2", "s1", 26.0), ("s2", "DI", 25.0), ("s2", "US", 5.0)]
+    return local_spec(flows)
+
+
 def discard_only_spec():
     # Every stakeholder the start reaches flows only to DI (or back to it).
     flows = [("s0", t, f) for t, f in [("s1", 0.0), ("s2", 0.0), ("s3", 1.0), ("s4", 2.0),
@@ -901,14 +909,18 @@ class TestClosedForm:
     @example(infoflow.parse_network(document_bytes(wide_row_network())))
     @example(unreached_feeder_spec())
     @example(infoflow.parse_network(document_bytes(layered_network(60, 4))))
+    @example(no_di_row_spec())
     def test_curves_match_rebuilt_chains(self, spec):
         # A stakeholder the start does not reach leaves the start's chain
         # as it is: its ratio is exactly 0 and its curve is flat. One it
         # never reaches over positive flows reads the one solve raw
         # evaluate reads, so every point is evaluate's triple, bit for bit.
+        # One without DI flow keeps its raw row at zero discard, so that
+        # point is evaluate's triple exactly.
         staged = _compiled(spec).reachable[0]
         reached = staged.state_order
         flowed = [sid for sid, hit in zip(reached, staged.routes[0]) if hit]
+        discards = {f.source for f in spec.flows if f.target == "DI" and f.frequency > 0}
         for sid in spec.ids:
             try:
                 sw = sweep_ineffective(spec, sid, 1, 0, "plugin")
@@ -920,3 +932,5 @@ class TestClosedForm:
                 assert sw.impact_ratio == 0.0 and (sw.means == sw.means[0]).all()
             if sid not in flowed:
                 assert (sw.means == plug_in_start(spec, "raw")).all(), sid
+            if sid not in discards:
+                assert (sw.means[0] == plug_in_start(spec, "raw")).all(), sid

@@ -431,7 +431,19 @@ def partly_unreachable_specs(draw):
     return NetworkSpec(tuple(Stakeholder(sid, "local") for sid in order), tuple(flows), "R0")
 
 
+def dead_end_spec():
+    """No stakeholder R0 reaches flows to S or US, so both columns of every
+    draw's solve are signed zeros: draw 0 of seed 1 reads (0.9999999999999999,
+    -0.0, -0.0)."""
+    flows = [("R0", "R1", 0.0), ("R0", "R2", 0.0), ("R0", "DI", 1.0), ("R1", "R0", 1.0),
+             ("R1", "DI", 1.0), ("R2", "R0", 0.0), ("R2", "DI", 1.0), ("U0", "DI", 1.0),
+             ("U1", "DI", 1.0)]
+    stakeholders = tuple(Stakeholder(sid, "local") for sid in ("R2", "R0", "U0", "R1", "U1"))
+    return NetworkSpec(stakeholders, tuple(FlowRecord(*f) for f in flows), "R0")
+
+
 @given(partly_unreachable_specs(), st.integers(0, 2**32))
+@example(dead_end_spec(), 1)
 @settings(max_examples=50)
 def test_engine_solves_only_what_the_start_reaches(spec, seed):
     # Exactly the chain restricted to the stakeholders the start reaches,
