@@ -6,6 +6,10 @@ success, 1 when the input fails parsing/validation or the computation is
 refused (a singular chain, or out of memory; always reported as `error:`
 lines on stderr), 2 on usage errors. Human-readable progress and
 diagnostics go to stderr; reports to stdout or the output file.
+
+A command imports only the modules it runs: `sensitivity` and `simulation`
+are imported in the branches that call them, so `validate` loads neither
+(nor numpy.random, nor the Dirichlet and stream layers).
 """
 
 from __future__ import annotations
@@ -14,10 +18,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import documents, sensitivity, simulation
+from . import documents
 from .errors import InfoFlowError, ValidationError
 from .network import ValidationReport
-from .simulation import DEFAULT_BINS
 
 
 def _positive_int(text: str) -> int:
@@ -57,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--iterations", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--bins", type=_positive_int, default=DEFAULT_BINS, help="histogram bins")
+    p.add_argument("--bins", type=_positive_int, help="histogram bins")
 
     p = sub.add_parser("sweep", help="ineffective-flow sweep for one stakeholder")
     add_common(p)
@@ -104,6 +107,7 @@ def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], dict]:
         return (0 if report.ok else 1), lines, documents.validation_result(report)
 
     spec = documents.parse_network(raw)
+    from . import simulation
 
     if args.command == "evaluate":
         row = simulation.plug_in_start(spec, args.mode)
@@ -114,12 +118,15 @@ def _run(args: argparse.Namespace, raw: bytes) -> tuple[int, list[str], dict]:
         return 0, [line], documents.evaluate_result(args.mode, spec.start, row)
 
     if args.command == "simulate":
-        summary = simulation.run(spec, args.iterations, args.seed, bins=args.bins)
+        bins = simulation.DEFAULT_BINS if args.bins is None else args.bins
+        summary = simulation.run(spec, args.iterations, args.seed, bins=bins)
         line = (
             f"mean P_S = {summary.mean_s:.3f} over {summary.iterations} iterations "
             f"(seed {summary.seed})"
         )
         return 0, [line], documents.simulation_result(summary, spec.start)
+
+    from . import sensitivity
 
     if args.command == "sweep":
         sweep = sensitivity.sweep_ineffective(

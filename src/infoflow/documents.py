@@ -27,18 +27,19 @@ precision, so reparsing reproduces them bit for bit.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import json
 import math
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from . import network
 from .errors import ParseError, SchemaError
 from .network import FlowRecord, NetworkSpec, Stakeholder
-from .sensitivity import SweepResult
-from .simulation import SimulationSummary
+
+if TYPE_CHECKING:  # annotations only: validate imports neither module
+    from .sensitivity import SweepResult
+    from .simulation import SimulationSummary
 
 _TOP_KEYS = {"stakeholders", "start", "flows"}
 _OPTIONAL_TOP_KEYS = {"comment"}
@@ -245,6 +246,8 @@ _CSV_TABLES = {
 
 def report_to_csv_bytes(report: dict) -> bytes:
     """Flatten the report's numeric table; values match the JSON variant."""
+    import csv  # only CSV reports need it
+
     command = report["command"]
     if command not in _CSV_TABLES:
         raise ValueError(f"no CSV layout for command {command!r}")

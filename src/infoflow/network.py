@@ -60,10 +60,38 @@ class NetworkSpec:
     def _hash(self) -> int:
         return hash((self.stakeholders, self.flows, self.start))
 
+    @cached_property
+    def _key(self) -> tuple:
+        """The fields as plain tuples of str and float, which compare in C."""
+        return (
+            tuple((s.id, s.level) for s in self.stakeholders),
+            tuple((f.source, f.target, f.frequency) for f in self.flows),
+            self.start,
+        )
+
     def __hash__(self) -> int:
         # The spec is frozen, so its hash is computed once: every cached
         # plan lookup (_compiled) hashes it, and rank looks it up per sweep.
         return self._hash
+
+    def __eq__(self, other):
+        # A cache hit on an equal spec that is another object (the same
+        # document parsed twice) compares it here: identity, then the hash,
+        # then the plain key, never FlowRecord's generated __eq__ per flow.
+        # Equal specs then share one key, so a ranking's later lookups
+        # (one per sweep) compare it by identity.
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        if self is other:
+            return True
+        if self._hash != other._hash:
+            return False
+        if self._key is other._key:
+            return True
+        if self._key != other._key:
+            return False
+        other.__dict__["_key"] = self._key
+        return True
 
 
 @dataclass(frozen=True)

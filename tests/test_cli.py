@@ -613,20 +613,36 @@ def test_module_entry_point(net_path):
     assert json.loads(proc.stdout)["result"]["p_s"] == pytest.approx(0.5)
 
 
-def test_validate_leaves_numpy_random_unimported(net_path):
-    # Only a command that draws a stream imports numpy.random (10-15 ms).
+# command -> modules a child process must not hold after running it. A
+# command imports only what it runs: validate needs neither the Monte Carlo
+# layers nor numpy.random (10-15 ms) nor csv, and evaluate no sweep.
+NOT_IMPORTED = {
+    "import": ("infoflow.cli", "infoflow.dirichlet", "infoflow.documents", "infoflow.errors",
+               "infoflow.markov", "infoflow.network", "infoflow.rng", "infoflow.sensitivity",
+               "infoflow.simulation", "numpy"),
+    "validate": ("infoflow.sensitivity", "infoflow.simulation", "infoflow.dirichlet",
+                 "infoflow.rng", "csv", "numpy.random"),
+    "evaluate": ("infoflow.sensitivity", "numpy.random"),
+}
+
+
+@pytest.mark.parametrize("command", list(NOT_IMPORTED))
+def test_a_command_imports_only_the_modules_it_runs(net_path, command):
     src = str(Path(infoflow.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = (
-        "import sys\n"
-        "import infoflow\n"
-        "from infoflow.cli import cli_main\n"
-        "assert 'numpy.random' not in sys.modules, 'imported by import infoflow'\n"
-        f"assert cli_main(['validate', {str(net_path)!r}]) == 0\n"
-        "assert 'numpy.random' not in sys.modules, 'imported by validate'\n"
-    )
+    code = "import sys\nimport infoflow\n"
+    if command != "import":
+        code += (
+            "import os\n"
+            "from infoflow.cli import cli_main\n"
+            f"assert cli_main([{command!r}, {str(net_path)!r}, '--output', os.devnull]) == 0\n"
+        )
+    code += "print(*sys.modules)\n"
     proc = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "infoflow" in loaded
+    assert loaded.isdisjoint(NOT_IMPORTED[command]), loaded & set(NOT_IMPORTED[command])

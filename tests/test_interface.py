@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -234,3 +235,33 @@ class TestDigest:
         digest = input_digest(reference_bytes)
         assert len(digest) == 64
         assert digest == input_digest(reference_bytes)
+
+
+# The package namespace as the eager __init__ exported it: name -> its home
+# submodule (None for a submodule itself), besides __init__'s own functions.
+PACKAGE_EXPORTS = {
+    **dict.fromkeys(("cli", "dirichlet", "documents", "errors", "markov", "network",
+                     "sensitivity", "simulation")),
+    **dict.fromkeys(("CountVector", "DirichletParams", "noninformative_posterior"), "dirichlet"),
+    **dict.fromkeys(("input_digest", "network_to_document", "parse_network"), "documents"),
+    **dict.fromkeys(("AbsorptionResult", "TransitionMatrix", "absorption_probabilities",
+                     "build_canonical"), "markov"),
+    **dict.fromkeys(("FlowRecord", "NetworkSpec", "Stakeholder", "ValidationReport",
+                     "plug_in_chain", "sampled_chain", "validate"), "network"),
+    **dict.fromkeys(("SweepResult", "impact_ratio", "rank_details", "reallocate",
+                     "sweep_ineffective"), "sensitivity"),
+    **dict.fromkeys(("SimulationSummary", "run", "summarize"), "simulation"),
+}
+
+
+def test_the_lazy_namespace_exports_every_name_from_its_home():
+    for name, home in PACKAGE_EXPORTS.items():
+        module = importlib.import_module(f"infoflow.{home or name}")
+        assert getattr(infoflow, name) is (getattr(module, name) if home else module), name
+    star = {}
+    exec("from infoflow import *", star)
+    for name in [*PACKAGE_EXPORTS, "reference_network_path", "load_reference_network"]:
+        assert star[name] is getattr(infoflow, name), name
+        assert name in dir(infoflow), name
+    with pytest.raises(AttributeError, match="has no attribute 'nonexistent'"):
+        infoflow.nonexistent

@@ -29,6 +29,7 @@ from infoflow.network import (
     validate,
 )
 from infoflow.rng import stream
+from infoflow.sensitivity import rank_details
 
 
 def spec_of(flows, ids=None, start=None, levels=None):
@@ -172,6 +173,24 @@ def test_equal_specs_built_separately_hash_equal_and_share_one_plan(reference_by
     assert _compiled(a) is _compiled(b)
     other = NetworkSpec(a.stakeholders, a.flows, "B")
     assert other != a and _compiled(other) is not _compiled(a)
+    # Equal hashes alone do not make specs equal.
+    colliding = NetworkSpec(a.stakeholders, a.flows[:-1], a.start)
+    colliding.__dict__["_hash"] = a._hash
+    assert colliding != a and a != colliding
+
+
+def test_a_reparsed_spec_hits_the_cache_without_comparing_flow_records(monkeypatch):
+    # A ranking looks the spec up once per sweep; an equal spec parsed
+    # apart compares as plain tuples, not FlowRecord by FlowRecord.
+    data = document_bytes(layered_network(50, 7))
+    first = rank_details(parse_network(data), 1, 0, "plug-in")
+    calls = []
+    record_eq = FlowRecord.__eq__
+    monkeypatch.setattr(FlowRecord, "__eq__", lambda a, b: calls.append(1) or record_eq(a, b))
+    again = rank_details(parse_network(data), 1, 0, "plug-in")
+    assert calls == []
+    assert [(sw.stakeholder, sw.impact_ratio, sw.means.tolist()) for sw in again] == [
+        (sw.stakeholder, sw.impact_ratio, sw.means.tolist()) for sw in first]
 
 
 def test_ids_are_built_once_per_spec(reference_bytes):
